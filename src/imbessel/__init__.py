@@ -5,7 +5,6 @@ bounds, an independent extended-precision oracle for validation, a
 classifier for generalized Bessel-form equations, and a CLI.
 """
 
-from ._backend import BACKEND
 from .errors import DomainError, ToleranceError
 from .error_bounds import (
     BoundReport,
@@ -46,7 +45,6 @@ from .oracle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "BoundReport",
     "CoeffPair",
     "CoeffTable",

@@ -3,8 +3,11 @@
 Output is deterministic byte for byte for identical flags: floats are
 printed with 17 significant digits (which round-trips doubles exactly),
 CSV uses '.' decimals, ',' separators and Unix newlines, and grid rows
-are emitted in order (outer loop over the nu list, inner over x)
-regardless of how many worker threads computed them.
+are evaluated and emitted in order (outer loop over the nu list, inner
+over x).  Grid evaluation is serial: the work is pure Python and holds
+the interpreter lock, so threads could not overlap it.
+`IMBESSEL_THREADS` is accepted and must be a positive integer, but it
+changes nothing.
 
 Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure.
 """
@@ -14,7 +17,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .errors import DomainError, ToleranceError
@@ -62,7 +64,7 @@ def _parse_nu_list(text: str):
     return values
 
 
-def _workers() -> int:
+def _check_threads_env() -> None:
     env = os.environ.get("IMBESSEL_THREADS")
     if env is not None:
         try:
@@ -71,8 +73,6 @@ def _workers() -> int:
             raise DomainError(f"IMBESSEL_THREADS must be an integer, got {env!r}") from None
         if n < 1:
             raise DomainError(f"IMBESSEL_THREADS must be >= 1, got {n}")
-        return n
-    return min(8, os.cpu_count() or 1)
 
 
 def _grid_points(spec: GridSpec):
@@ -94,16 +94,6 @@ def _grid_points(spec: GridSpec):
         ]
     step = (spec.x_max - spec.x_min) / (spec.x_steps - 1)
     return [spec.x_min + i * step for i in range(spec.x_steps)]
-
-
-def _map_ordered(fn, items):
-    # Fan out across worker threads; results merge in input order, never
-    # completion order, so output bytes are independent of thread count.
-    workers = _workers()
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit(out, fields, rows, fmt):
@@ -129,20 +119,21 @@ def cmd_eval(args, out) -> int:
     return 0
 
 
-def cmd_table(args, out) -> int:
-    kind = _parse_kind(args.kind)
+def _grid_from_args(args):
     spec = GridSpec(args.x_min, args.x_max, args.x_steps,
                     _parse_nu_list(args.nu), args.x_scale)
     xs = _grid_points(spec)
-    points = [(nu, x) for nu in spec.nu_list for x in xs]
+    _check_threads_env()
+    return [(nu, x) for nu in spec.nu_list for x in xs]
 
-    def one(point):
-        nu, x = point
+
+def cmd_table(args, out) -> int:
+    kind = _parse_kind(args.kind)
+    rows = []
+    for nu, x in _grid_from_args(args):
         r = eval_pair(kind, nu, x, args.tol, terms=args.terms)
-        return [x, nu, r.cos_part, r.sin_part, r.d_cos, r.d_sin,
-                r.terms_used, r.tail_bound]
-
-    rows = _map_ordered(one, points)
+        rows.append([x, nu, r.cos_part, r.sin_part, r.d_cos, r.d_sin,
+                     r.terms_used, r.tail_bound])
     fields = ["x", "nu", "cos_part", "sin_part", "d_cos", "d_sin", "terms", "bound"]
     _emit(out, fields, rows, args.format)
     return 0
@@ -150,13 +141,8 @@ def cmd_table(args, out) -> int:
 
 def cmd_compare(args, out) -> int:
     kind = _parse_kind(args.kind)
-    spec = GridSpec(args.x_min, args.x_max, args.x_steps,
-                    _parse_nu_list(args.nu), args.x_scale)
-    xs = _grid_points(spec)
-    points = [(nu, x) for nu in spec.nu_list for x in xs]
-
-    def one(point):
-        nu, x = point
+    rows = []
+    for nu, x in _grid_from_args(args):
         r = eval_pair(kind, nu, x, args.tol, terms=args.terms)
         gold_cos, gold_sin = oracle_pair(kind, nu, x, digits=args.oracle_digits)
         err_cos = abs(r.cos_part - gold_cos)
@@ -164,9 +150,7 @@ def cmd_compare(args, out) -> int:
         bound = r.tail_bound
         ok = max(err_cos, err_sin) <= bound + COMPARE_SLACK
         within_tol = max(err_cos, err_sin) <= args.tol
-        return [x, nu, err_cos, err_sin, bound, ok, within_tol]
-
-    rows = _map_ordered(one, points)
+        rows.append([x, nu, err_cos, err_sin, bound, ok, within_tol])
     fields = ["x", "nu", "err_cos", "err_sin", "bound", "ok", "within_tol"]
     _emit(out, fields, rows, args.format)
     max_err = max(max(row[2], row[3]) for row in rows)

@@ -157,6 +157,22 @@ def _envelope_tail_sum(nu: float, power: float, x: float, start: int) -> float:
         total += t
         if total == math.inf:
             return math.inf
+        if t == 0.0 and 1e-3 * total == 0.0:
+            # The term has underflowed and total (<= 2.5e-321) can no
+            # longer move, so the cutoff above would never fire.  The tail
+            # is still bounded.  The ratio only falls with n, and starting
+            # before the envelope's peak would need m(nu) w < 2.5e-321
+            # with 2^power w >= 4, so (as m(nu) >= 1) power > 1000, where
+            # m(nu) overflows; so every step shrinks the term.  A
+            # rounding-down step that lands on j subnormal ulps loses at
+            # most 1/(2j) and lands on each j at most once, so the exact
+            # terms exceed the computed ones by a factor under 40.  The
+            # step that reached zero had a ratio <= 1/2, so the rest adds
+            # under 40 ulps.  The exact tail is thus below 1.2e-319.  A
+            # much larger bound, such as the smallest normal double, would
+            # exceed the values returned for a smaller `start` and break
+            # monotonicity in N.
+            return 1e-318
         if n > start + 100000:  # ratio < 1 long before this for finite x
             raise ToleranceError(f"envelope tail failed to converge at nu={nu}, x={x}")
 

@@ -27,7 +27,7 @@ from .errors import DomainError, ToleranceError
 from .series_core import Kind
 
 # mpmath precision is process-global state; serializing oracle entry
-# points keeps them safe to call from worker threads (speed is a
+# points keeps them safe to call from concurrent threads (speed is a
 # non-goal here).  Reentrant because the operations compose.
 _MP_LOCK = threading.RLock()
 

@@ -97,8 +97,9 @@ def _check_x(x):
 
 
 def _advance(a, b, n, nu, modified):
-    # One recurrence step to half-index n; expression order matches the
-    # kernels exactly so tables and evaluations agree bit for bit.
+    # One recurrence step to half-index n; expression order matches
+    # `_backend.series_sums` exactly so tables and evaluations agree bit
+    # for bit.
     f = float(n)
     denom = f * (f * f + nu * nu)
     if modified:

@@ -248,6 +248,7 @@ def test_classify_rejects_zero_beta():
 # ------------------------------------------------------------------- threads
 
 def test_bad_thread_env_is_usage_error(monkeypatch):
-    monkeypatch.setenv("IMBESSEL_THREADS", "many")
-    code, _ = run_cli(["table", "--x-steps", "2", "--nu", "1"])
-    assert code == 2
+    for value in ("many", "0", "-3"):
+        monkeypatch.setenv("IMBESSEL_THREADS", value)
+        code, _ = run_cli(["table", "--x-steps", "2", "--nu", "1"])
+        assert code == 2, value

@@ -13,15 +13,18 @@ from imbessel import (
     bound_report,
     build_table,
     derivative_tail_bound,
+    eval_pair,
     factor_F,
     m_of_nu,
     majorant_bound,
+    oracle_pair,
     oracle_pair_derivs_hp,
     oracle_pair_hp,
     required_terms,
     tail_bound,
     truncated_pair_hp,
 )
+from imbessel.cli import COMPARE_SLACK
 from imbessel.error_bounds import SUM_INV_CUBES, SUM_INV_SQUARES
 
 
@@ -211,3 +214,18 @@ def test_derivative_tail_bound_encloses():
                     _, _, dc, ds = truncated_pair_hp(kind, nu, x, n, digits=90)
                     err = max(abs(dc - gold.re), abs(ds - gold.im))
                     assert float(err) <= derivative_tail_bound(nu, x, n)
+
+
+def test_envelope_tail_survives_underflowing_terms():
+    # At such small x the envelope term underflows to zero while the
+    # partial sum is too small for the relative cutoff ever to fire.
+    assert math.isfinite(derivative_tail_bound(2.5, 0.013883533099290456, 48))
+    bounds = [tail_bound(2.5, 0.013883533099290456, n) for n in range(40, 56)]
+    assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
+    for nu, x in ((2.5, 0.013883533099290456), (0.347979287802042, 0.018105232860621302)):
+        r = eval_pair(Kind.OSCILLATORY, nu, x, terms=48)
+        values = (r.cos_part, r.sin_part, r.d_cos, r.d_sin, r.tail_bound, r.d_tail_bound)
+        assert all(math.isfinite(v) for v in values)
+        gold_cos, gold_sin = oracle_pair(Kind.OSCILLATORY, nu, x)
+        err = max(abs(r.cos_part - gold_cos), abs(r.sin_part - gold_sin))
+        assert err <= r.tail_bound + COMPARE_SLACK
