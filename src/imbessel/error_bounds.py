@@ -26,6 +26,7 @@ directly with a geometric-ratio cutoff and a 1% inflation.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, ToleranceError
@@ -131,14 +132,26 @@ def _envelope_tail_sum(nu: float, power: float, x: float, start: int) -> float:
 
     Sums terms directly; once the term ratio r drops below 1 and the
     geometric remainder t*r/(1-r) falls under 0.1% of the partial sum,
-    the remainder is added and the total inflated by 1.01.
+    the remainder is added and the total inflated by 1.01.  The ratio
+    only falls with n, so a first term below the normal range takes the
+    whole geometric sum t/(1-r) at once.
     """
-    v = abs(nu)
     w = (0.5 * x) * (0.5 * x)
-    log_w = math.log(w)
+    if w >= sys.float_info.min:
+        log_w = math.log(w)
+    else:  # (x/2)^2 underflows or loses digits below x ~ 3e-154
+        log_w = 2.0 * (math.log(x) - math.log(2.0))
     log_t = _log_m_of_nu(nu) + _envelope_term_log(power, start, log_w)
-    if log_t < -745.0:  # below double underflow; tail is a clean zero
-        return 0.0
+    if log_t < -708.0:
+        r = ((start + 1.0) / start) ** power * w / ((start + 1.0) * (start + 1.0))
+        # r >= 1 would put `start` before the envelope's peak, where the
+        # term is at least m(nu) 2^-power with power <= |nu| + 1; m(nu)'s
+        # exp(0.6449 nu^2) keeps that far above e^-708.
+        if r < 1.0:
+            # Summing would lose the term to gradual underflow.  Every
+            # later ratio is below r, and 1.01 plus one subnormal ulp
+            # cover the rounding of the exponential.
+            return _exp_sat(log_t - math.log1p(-r)) * 1.01 + 5e-324
     t = _exp_sat(log_t)
     if t == math.inf:
         # envelope constant beyond the double range (very large |nu|);
@@ -157,22 +170,6 @@ def _envelope_tail_sum(nu: float, power: float, x: float, start: int) -> float:
         total += t
         if total == math.inf:
             return math.inf
-        if t == 0.0 and 1e-3 * total == 0.0:
-            # The term has underflowed and total (<= 2.5e-321) can no
-            # longer move, so the cutoff above would never fire.  The tail
-            # is still bounded.  The ratio only falls with n, and starting
-            # before the envelope's peak would need m(nu) w < 2.5e-321
-            # with 2^power w >= 4, so (as m(nu) >= 1) power > 1000, where
-            # m(nu) overflows; so every step shrinks the term.  A
-            # rounding-down step that lands on j subnormal ulps loses at
-            # most 1/(2j) and lands on each j at most once, so the exact
-            # terms exceed the computed ones by a factor under 40.  The
-            # step that reached zero had a ratio <= 1/2, so the rest adds
-            # under 40 ulps.  The exact tail is thus below 1.2e-319.  A
-            # much larger bound, such as the smallest normal double, would
-            # exceed the values returned for a smaller `start` and break
-            # monotonicity in N.
-            return 1e-318
         if n > start + 100000:  # ratio < 1 long before this for finite x
             raise ToleranceError(f"envelope tail failed to converge at nu={nu}, x={x}")
 
@@ -180,6 +177,8 @@ def _envelope_tail_sum(nu: float, power: float, x: float, start: int) -> float:
 def _closed_form_tail(nu: float, x: float, N: int, i1: float) -> float:
     if N <= 20:
         return m_of_nu(nu) * (0.5 * x) ** (2 * N + 1) * i1 / float(math.factorial(N)) ** 2
+    if i1 == 0.0:  # x/2 rounds to zero, as the power form above does
+        return 0.0
     log_val = (
         _log_m_of_nu(nu)
         + (2.0 * N + 1.0) * math.log(0.5 * x)
@@ -213,6 +212,10 @@ def tail_bound(nu: float, x: float, N: int) -> float:
         # the raw form is unimodal in N with its peak near x/2, so the
         # running minimum over 1..N is min(raw(1), raw(N))
         raw = min(raw, _closed_form_tail(nu, x, 1, i1))
+    if raw < sys.float_info.min:
+        # below the normal range each rounding can lose a subnormal ulp
+        # (5e-324); 20 of them stay above the exact tail, which is > 0
+        raw += 1e-322
     return raw
 
 

@@ -24,7 +24,7 @@ import mpmath
 
 from .error_bounds import required_terms
 from .errors import DomainError, ToleranceError
-from .series_core import Kind
+from .series_core import Kind, _is_modified
 
 # mpmath precision is process-global state; serializing oracle entry
 # points keeps them safe to call from concurrent threads (speed is a
@@ -108,7 +108,7 @@ def _norm_series(kind: Kind, nu: float, x: float, n_terms: int):
     # c_n = c_{n-1} * (+-1) / (n (n + i nu)), i.e. the normalized pair
     # Gamma(1 + i nu) 2^(i nu) J_{i nu}(x) (or I_{i nu} when modified)
     # without routing through Gamma at all.
-    sign = 1 if kind is Kind.MODIFIED else -1
+    sign = 1 if _is_modified(kind) else -1
     w = (mpf(x) / 2) ** 2
     c = mpc(1)  # running term c_n (x/2)^(2n), accumulated via the ratio
     val = mpc(1)
@@ -139,18 +139,18 @@ def hp_bessel_imag(nu: float, x: float, kind: Kind, digits: int = 50) -> OracleV
 
 @_locked
 def oracle_pair_hp(kind: Kind, nu: float, x: float, digits: int = 50) -> OracleValue:
-    """Gold value of (cos_sol + i sin_sol) at full oracle precision."""
+    """Gold value of (cos_sol + i sin_sol) at full oracle precision.
+
+    The pair is the normalized series x^(i nu) sum_n c_n (x/2)^(2n)
+    itself, equal to Gamma(1 + i nu) 2^(i nu) J_{i nu}(x) (I_{i nu} when
+    modified); `hp_bessel_imag` and `hp_gamma` stay separate references
+    for that identity.
+    """
     if x <= 0.0:
         raise DomainError("x must be > 0")
     wp = max(50, digits) + 15
     with mp.workdps(wp):
-        j = hp_bessel_imag(nu, x, kind, digits=wp - 10)
-        g = hp_gamma(1.0, nu, digits=wp - 10)
-        v = (
-            mpc(g.re, g.im)
-            * mp.exp(mpc(0, nu) * mp.log(mpf(2)))
-            * mpc(j.re, j.im)
-        )
+        v, _ = _norm_series(kind, nu, x, _series_terms(nu, x))
         return OracleValue(re=v.real, im=v.imag, digits=digits)
 
 
@@ -184,6 +184,7 @@ def truncated_pair_hp(kind: Kind, nu: float, x: float, n_terms: int, digits: int
 
     Returns (cos_val, sin_val, d_cos, d_sin) as mpf values.
     """
+    modified = _is_modified(kind)
     if x <= 0.0:
         raise DomainError("x must be > 0")
     wp = max(50, digits) + 10
@@ -199,7 +200,7 @@ def truncated_pair_hp(kind: Kind, nu: float, x: float, n_terms: int, digits: int
             t = mpf(1)
             for n in range(1, n_terms + 1):
                 denom = n * (n * n + nu_m * nu_m)
-                if kind is Kind.MODIFIED:
+                if modified:
                     a, b = (n * a - nu_m * b) / denom, (nu_m * a + n * b) / denom
                 else:
                     a, b = -(n * a - nu_m * b) / denom, -(nu_m * a + n * b) / denom

@@ -13,12 +13,16 @@ where P and Q are even power series in x whose coefficients follow a
 two-term linear recurrence in the half-index n.  Seeding the recurrence
 with (1, 0) gives the cosine-type solution, seeding with (0, 1) the
 sine-type solution; at nu = 0 they reduce to J0 / I0 and the zero
-function.  The normalized pair satisfies
+function.  The normalized pair is one complex series,
 
-    cos_sol + i sin_sol = Gamma(1 + i nu) 2^(i nu) * J_{i nu}(x)
+    cos_sol + i sin_sol = x^(i nu) sum_n c_n (x/2)^(2n),   c_n = a_n + i b_n,
 
-(oscillatory; I_{i nu} in the modified case), the identity the oracle
-module validates against.
+where (a_n, b_n) is the (1, 0)-seeded sequence, and equals
+Gamma(1 + i nu) 2^(i nu) J_{i nu}(x) (oscillatory; I_{i nu} in the
+modified case), the identity the oracle module validates against.  The
+recurrence is multiplication of c_n by a complex number, so the
+(0, 1)-seeded sequence is i c_n = (-b_n, a_n): `eval_pair` runs the
+kernel once and rotates its sums to get the sine-type solution.
 
 All recurrence denominators are n (n^2 + nu^2) >= n^3 >= 1, so nu = 0
 needs no special casing anywhere.  Every function here is pure and
@@ -31,7 +35,7 @@ import sys
 from dataclasses import dataclass
 
 from . import _backend
-from .error_bounds import derivative_tail_bound, required_terms, tail_bound
+from .error_bounds import MAX_TERMS, derivative_tail_bound, required_terms, tail_bound
 from .errors import DomainError, ToleranceError
 
 _EPS = sys.float_info.epsilon
@@ -96,6 +100,16 @@ def _check_x(x):
         raise DomainError("x must be > 0")
 
 
+def _is_modified(kind):
+    # The recurrence variant for `kind`; anything that is not a Kind is
+    # refused rather than read as the oscillatory equation.
+    if kind is Kind.MODIFIED:
+        return True
+    if kind is Kind.OSCILLATORY:
+        return False
+    raise DomainError(f"kind must be a Kind, got {kind!r}")
+
+
 def _advance(a, b, n, nu, modified):
     # One recurrence step to half-index n; expression order matches
     # `_backend.series_sums` exactly so tables and evaluations agree bit
@@ -138,13 +152,14 @@ def advance_modified(prev: CoeffPair, nu: float) -> CoeffPair:
 
 def build_table(kind: Kind, seed, nu: float, N: int) -> CoeffTable:
     """Materialize coefficient pairs n = 0..N for one seed."""
+    modified = _is_modified(kind)
     _check_nu(nu)
     a0, b0 = float(seed[0]), float(seed[1])
     if not (math.isfinite(a0) and math.isfinite(b0)):
         raise DomainError(f"seed must be finite, got {seed!r}")
     if N < 0:
         raise DomainError(f"N must be >= 0, got {N}")
-    advance = advance_modified if kind is Kind.MODIFIED else advance_oscillatory
+    advance = advance_modified if modified else advance_oscillatory
     entries = [CoeffPair(a=a0, b=b0, n=0)]
     for _ in range(N):
         entries.append(advance(entries[-1], nu))
@@ -160,38 +175,46 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     reported bounds then refer to that count).  Derivatives come from the
     term-differentiated series: no numerical differentiation is involved.
 
-    Raises DomainError for x <= 0 and ToleranceError when `tol` lies
-    below the double-precision round-off floor at this point; large
-    arguments (oscillatory x over roughly 20) stay computable, but the
-    bound then carries the cancellation allowance honestly.
+    Raises DomainError for x <= 0, a `kind` that is not a Kind, or a
+    `terms` that is not an int in 1..MAX_TERMS, and ToleranceError
+    when `tol` lies below the double-precision round-off floor at this
+    point or a value overflows the double range; large arguments
+    (oscillatory x over roughly 20) stay computable, but the bound then
+    carries the cancellation allowance honestly.
     """
+    modified = _is_modified(kind)
     _check_nu(nu)
     _check_x(x)
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
     if terms is not None:
-        if terms < 1:
-            raise DomainError(f"terms must be >= 1, got {terms}")
+        if isinstance(terms, bool) or not isinstance(terms, int):
+            raise DomainError(f"terms must be an int, got {terms!r}")
+        if not 1 <= terms <= MAX_TERMS:
+            raise DomainError(f"terms must be in 1..{MAX_TERMS}, got {terms}")
         n_terms = terms
     else:
         n_terms = required_terms(nu, x, tol)
 
-    modified = 1 if kind is Kind.MODIFIED else 0
     half = 0.5 * x
     w = half * half
-    p1, q1, dp1, dq1, m1 = _backend.series_sums(modified, 1.0, 0.0, nu, w, n_terms)
-    p0, q0, dp0, dq0, m0 = _backend.series_sums(modified, 0.0, 1.0, nu, w, n_terms)
+    # One pass for the (1, 0) seed; the (0, 1) sums are its quarter turn
+    # (-q, p, -dq, dp).  `0.0 - q` keeps q = +0.0 (nu = 0) at +0.0.
+    p, q, dp, dq, m = _backend.series_sums(modified, 1.0, 0.0, nu, w, n_terms)
 
     lnx = math.log(x)
     c = math.cos(nu * lnx)
     s = math.sin(nu * lnx)
 
-    cos_part = p1 * c + q1 * s
-    sin_part = p0 * c + q0 * s
-    d_cos = (2.0 / x) * (dp1 * c + dq1 * s) + (nu / x) * (q1 * c - p1 * s)
-    d_sin = (2.0 / x) * (dp0 * c + dq0 * s) + (nu / x) * (q0 * c - p0 * s)
+    cos_part = p * c + q * s
+    sin_part = (0.0 - q) * c + p * s
+    d_cos = (2.0 / x) * (dp * c + dq * s) + (nu / x) * (q * c - p * s)
+    d_sin = (2.0 / x) * ((0.0 - dq) * c + dp * s) + (nu / x) * (p * c - (0.0 - q) * s)
+    if not (math.isfinite(cos_part) and math.isfinite(sin_part)
+            and math.isfinite(d_cos) and math.isfinite(d_sin)):
+        raise ToleranceError(f"values overflow the double range at nu={nu}, x={x}")
 
-    cancel = max(m1, m0) * _EPS
+    cancel = m * _EPS
     if terms is None and tol < cancel:
         raise ToleranceError(
             f"tol={tol:g} below the round-off floor {cancel:.3g} at nu={nu}, x={x}"

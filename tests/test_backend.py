@@ -1,6 +1,8 @@
 """Tests of the series kernel and of the bindings the benchmark traces."""
 
 import importlib.util
+import math
+import struct
 from pathlib import Path
 
 from imbessel import Kind, _backend, build_table, eval_pair
@@ -28,6 +30,37 @@ def test_series_sums_match_tables():
                 assert (kp, kq) == (p, q)
 
 
+def test_one_kernel_pass_equals_two_seed_formulas():
+    # The (0, 1)-seeded sums are the quarter turn (-q, p, -dq, dp) of the
+    # (1, 0)-seeded ones; eval_pair's single pass must reproduce, byte for
+    # byte, the pair assembled from one kernel pass per seed.
+    def two_seed(modified, nu, x, n):
+        w = (0.5 * x) * (0.5 * x)
+        p1, q1, dp1, dq1, m1 = _backend.series_sums(modified, 1.0, 0.0, nu, w, n)
+        p0, q0, dp0, dq0, m0 = _backend.series_sums(modified, 0.0, 1.0, nu, w, n)
+        lnx = math.log(x)
+        c = math.cos(nu * lnx)
+        s = math.sin(nu * lnx)
+        return (
+            p1 * c + q1 * s,
+            p0 * c + q0 * s,
+            (2.0 / x) * (dp1 * c + dq1 * s) + (nu / x) * (q1 * c - p1 * s),
+            (2.0 / x) * (dp0 * c + dq0 * s) + (nu / x) * (q0 * c - p0 * s),
+        )
+
+    def pack(values):
+        return b"".join(struct.pack("<d", v) for v in values)
+
+    for kind, modified in ((Kind.OSCILLATORY, 0), (Kind.MODIFIED, 1)):
+        for nu in (0.0, -0.0, -1.3, 0.5, 2.5):
+            for x in (1e-9, 0.03, 0.7, 2.0, 9.5, 17.0):
+                for terms in (None, 1, 7, 64):
+                    r = eval_pair(kind, nu, x, 1e-6, terms=terms)
+                    got = (r.cos_part, r.sin_part, r.d_cos, r.d_sin)
+                    want = two_seed(modified, nu, x, r.terms_used)
+                    assert pack(got) == pack(want), (kind, nu, x, terms)
+
+
 def test_benchmark_trace_bindings_resolve(monkeypatch):
     # The benchmark's tracer replaces these module attributes; one that a
     # rename leaves behind would silently drop its layer from the trace.
@@ -50,4 +83,4 @@ def test_benchmark_trace_bindings_resolve(monkeypatch):
     expected = eval_pair(Kind.OSCILLATORY, 1.0, 1.0)
     monkeypatch.setattr(_backend, "series_sums", counting)
     assert eval_pair(Kind.OSCILLATORY, 1.0, 1.0) == expected
-    assert len(calls) == 2
+    assert len(calls) == 1

@@ -57,6 +57,21 @@ def test_eval_tolerance_error_exit_code():
     assert code == 3
 
 
+def test_eval_tiny_x_keeps_the_exit_code_contract():
+    # (x/2)^2 underflows below x ~ 3e-162; no traceback, no exit 1
+    for x in ("1e-165", "1e-200", "1e-300", "5e-324"):
+        for nu in ("0.5", "2.5"):
+            code, _ = run_cli(["eval", "--nu", nu, "--x", x])
+            assert code in (0, 2, 3), (nu, x, code)
+    code, _ = run_cli(["eval", "--nu", "1", "--x", "1e-200"])
+    assert code == 0
+
+
+def test_eval_terms_over_the_cap_is_usage_error():
+    code, _ = run_cli(["eval", "--nu", "1", "--x", "1", "--terms", "1000000"])
+    assert code == 2
+
+
 def test_eval_round_trips_library_value():
     from imbessel import Kind, eval_pair
 

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from imbessel import (
     DomainError,
@@ -229,3 +230,39 @@ def test_envelope_tail_survives_underflowing_terms():
         gold_cos, gold_sin = oracle_pair(Kind.OSCILLATORY, nu, x)
         err = max(abs(r.cos_part - gold_cos), abs(r.sin_part - gold_sin))
         assert err <= r.tail_bound + COMPARE_SLACK
+
+
+def test_envelope_tail_below_normal_range_is_monotone_and_encloses():
+    # Once the first envelope term is below the normal range, the whole
+    # geometric tail is taken at once: no bump when N crosses that point,
+    # and never below the exact envelope sum.
+    bounds = [tail_bound(2.01, 0.4687, n) for n in range(60, 101)]
+    assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
+    with mp.workdps(40):
+        for nu, x, start in ((2.01, 0.4687, 78), (2.5, 0.013883533099290456, 48),
+                             (3.7, 1e-3, 60), (2.5, 1e-100, 4), (6.0, 0.05, 90)):
+            v = abs(nu)
+            w = (mpf(x) / 2) ** 2
+            m = mp.e ** (mpf(SUM_INV_SQUARES) * mpf(nu) ** 2 + SUM_INV_CUBES * factor_F(nu))
+            m *= (1 + mpf(v)) / (1 + mpf(nu) ** 2)
+            exact = m * mp.nsum(lambda n: n ** v / mp.factorial(n) ** 2 * w ** n, [start, mp.inf])
+            assert exact < mpf(1e-300)
+            assert mpf(tail_bound(nu, x, start)) >= exact
+
+
+@pytest.mark.parametrize("x", [1e-165, 1e-200, 1e-300, 1e-308, 5e-324])
+@pytest.mark.parametrize("nu", [0.5, 2.5])
+def test_tiny_x_never_leaks_a_bare_error(nu, x):
+    # (x/2)^2 underflows here; the bounds work from log x instead
+    for n in (1, 8, 30):
+        for b in (tail_bound(nu, x, n), derivative_tail_bound(nu, x, n)):
+            assert b > 0.0  # inf is an honest bound here; NaN is not
+    for kind in (Kind.OSCILLATORY, Kind.MODIFIED):
+        for terms in (None, 30):
+            try:
+                r = eval_pair(kind, nu, x, terms=terms)
+            except ToleranceError:
+                continue
+            values = (r.cos_part, r.sin_part, r.d_cos, r.d_sin)
+            assert all(math.isfinite(v) for v in values)
+            assert r.tail_bound > 0.0 and r.d_tail_bound > 0.0

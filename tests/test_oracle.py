@@ -188,6 +188,19 @@ def test_oracle_pair_is_gamma_normalized_bessel():
             assert _rel_err(_as_mpc(got), want) < 1e-40
 
 
+def test_oracle_pair_is_gamma_times_hp_bessel():
+    # oracle_pair_hp sums the normalized series directly; hp_bessel_imag
+    # divides the same series by Gamma(1 + i nu) 2^(i nu), so multiplying
+    # back must agree far below the declared 50 digits
+    with mp.workdps(70):
+        for kind in (OSC, MOD):
+            for nu, x in ((0.0, 0.8), (-1.3, 0.4), (0.5, 1.0), (2.5, 3.0)):
+                gamma = _as_mpc(hp_gamma(1.0, nu))
+                want = gamma * mpmath.power(2, mpc(0, nu)) * _as_mpc(hp_bessel_imag(nu, x, kind))
+                got = _as_mpc(oracle_pair_hp(kind, nu, x))
+                assert _rel_err(got, want) < 1e-45
+
+
 # ---------------------------------------------------------------- macdonald
 
 def test_macdonald_zero_order():

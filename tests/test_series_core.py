@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from imbessel import (
+    MAX_TERMS,
     CoeffPair,
     DomainError,
     Kind,
@@ -20,6 +21,7 @@ from imbessel import (
     oracle_pair,
     oracle_pair_derivs_hp,
     oracle_pair_hp,
+    truncated_pair_hp,
     wronskian_residual,
 )
 
@@ -211,6 +213,37 @@ def test_eval_terms_override():
     assert r.terms_used == 5
     with pytest.raises(DomainError):
         eval_pair(OSC, 1.0, 1.0, terms=0)
+
+
+def test_eval_rejects_a_kind_that_is_not_a_kind():
+    # nothing but a Kind may select an equation (no oscillatory default)
+    for bad in ("modified", "mod", None, 1):
+        with pytest.raises(DomainError):
+            eval_pair(bad, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            build_table(bad, (1.0, 0.0), 1.0, 4)
+        with pytest.raises(DomainError):
+            oracle_pair_hp(bad, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            truncated_pair_hp(bad, 1.0, 1.0, 4)
+
+
+def test_eval_rejects_bad_term_counts():
+    # a forced count is an int in 1..MAX_TERMS, never a bool or a float
+    for bad in (True, False, 3.5, 4.0, "4", MAX_TERMS + 1, 10 ** 6):
+        with pytest.raises(DomainError):
+            eval_pair(OSC, 1.0, 1.0, terms=bad)
+    assert eval_pair(OSC, 1.0, 1.0, terms=MAX_TERMS).terms_used == MAX_TERMS
+
+
+def test_eval_never_returns_non_finite_values():
+    # w^n overflows against an underflowed coefficient (inf * 0 = NaN)
+    with pytest.raises(ToleranceError):
+        eval_pair(MOD, 1.0, 1000.0, terms=400)
+    # nu/x and 2/x overflow the derivatives
+    for x in (1e-309, 5e-324):
+        with pytest.raises(ToleranceError):
+            eval_pair(OSC, 1.0, x)
 
 
 def test_large_argument_refuses_tight_tol_but_computes_with_terms():
