@@ -23,6 +23,14 @@ where I1 is the order-one modified Bessel function (evaluated here by
 its classical series and inflated by 1.0001 to stay an upper bound).
 For |nu| > 2 no closed form is used; the envelope tail is summed
 directly with a geometric-ratio cutoff and a 1% inflation.
+
+Everything above that depends only on the point (nu, x) -- log m(nu),
+(x/2)^2 and its log, and for |nu| <= 2 also m(nu), the I1 majorant and
+the N = 1 closed form -- is computed once per point.  One such set of
+constants serves the term search, the value bound and the derivative
+bound; `tail_bound`, `derivative_tail_bound` and `required_terms` are
+thin wrappers over it.  Bounds beyond the double range saturate to +inf
+rather than raising or turning into NaN.
 """
 
 import math
@@ -38,7 +46,6 @@ SUM_INV_CUBES = 0.2021
 
 #: Hard ceiling on the admissible number of series terms.
 MAX_TERMS = 400
-
 
 
 @dataclass(frozen=True)
@@ -66,6 +73,14 @@ def _exp_sat(arg: float) -> float:
     return math.exp(arg)
 
 
+def _pow_sat(base: float, exponent) -> float:
+    # base ** exponent with saturation instead of OverflowError
+    try:
+        return base ** exponent
+    except OverflowError:
+        return math.inf
+
+
 def factor_F(nu: float) -> float:
     """Piecewise cubic-correction factor of the coefficient envelope."""
     _check_finite(nu, "nu")
@@ -79,6 +94,8 @@ def factor_F(nu: float) -> float:
 
 def _log_m_of_nu(nu: float) -> float:
     v = abs(nu)
+    if nu * nu == math.inf:  # log1p(v) - log1p(nu^2) would be inf - inf
+        return math.inf
     return math.log1p(v) - math.log1p(nu * nu) + SUM_INV_SQUARES * nu * nu + SUM_INV_CUBES * factor_F(nu)
 
 
@@ -86,6 +103,8 @@ def m_of_nu(nu: float) -> float:
     """Envelope constant m(nu); equals 1 at nu = 0 and grows with |nu|."""
     _check_finite(nu, "nu")
     v = abs(nu)
+    if nu * nu == math.inf:  # the prefactor would be 0 against exp's inf
+        return math.inf
     return (1.0 + v) / (1.0 + nu * nu) * _exp_sat(SUM_INV_SQUARES * nu * nu + SUM_INV_CUBES * factor_F(nu))
 
 
@@ -99,7 +118,7 @@ def majorant_bound(nu: float, n: int) -> float:
         raise DomainError(f"n must be >= 1, got {n}")
     v = abs(nu)
     if n <= 20:
-        return m_of_nu(nu) * float(n) ** v / float(math.factorial(n)) ** 2
+        return m_of_nu(nu) * _pow_sat(float(n), v) / float(math.factorial(n)) ** 2
     return _exp_sat(_log_m_of_nu(nu) + v * math.log(n) - 2.0 * math.lgamma(n + 1.0))
 
 
@@ -127,65 +146,134 @@ def _envelope_term_log(power: float, n: int, log_w: float) -> float:
     return power * math.log(n) - 2.0 * math.lgamma(n + 1.0) + n * log_w
 
 
-def _envelope_tail_sum(nu: float, power: float, x: float, start: int) -> float:
-    """Upper bound on sum_{n>=start} m(nu) n^power / (n!)^2 (x/2)^(2n).
+class _PointBounds:
+    """The bound chain at one point (nu, x), its constants computed once.
 
-    Sums terms directly; once the term ratio r drops below 1 and the
-    geometric remainder t*r/(1-r) falls under 0.1% of the partial sum,
-    the remainder is added and the total inflated by 1.01.  The ratio
-    only falls with n, so a first term below the normal range takes the
-    whole geometric sum t/(1-r) at once.
+    The term search (`terms`), the value bound (`tail`) and the
+    derivative bound (`d_tail`) all read the same log m(nu), (x/2)^2 and
+    its log; for |nu| <= 2 also m(nu), the I1(x) majorant and the N = 1
+    closed form that caps the running minimum.
     """
-    w = (0.5 * x) * (0.5 * x)
-    if w >= sys.float_info.min:
-        log_w = math.log(w)
-    else:  # (x/2)^2 underflows or loses digits below x ~ 3e-154
-        log_w = 2.0 * (math.log(x) - math.log(2.0))
-    log_t = _log_m_of_nu(nu) + _envelope_term_log(power, start, log_w)
-    if log_t < -708.0:
-        r = ((start + 1.0) / start) ** power * w / ((start + 1.0) * (start + 1.0))
-        # r >= 1 would put `start` before the envelope's peak, where the
-        # term is at least m(nu) 2^-power with power <= |nu| + 1; m(nu)'s
-        # exp(0.6449 nu^2) keeps that far above e^-708.
-        if r < 1.0:
-            # Summing would lose the term to gradual underflow.  Every
-            # later ratio is below r, and 1.01 plus one subnormal ulp
-            # cover the rounding of the exponential.
-            return _exp_sat(log_t - math.log1p(-r)) * 1.01 + 5e-324
-    t = _exp_sat(log_t)
-    if t == math.inf:
-        # envelope constant beyond the double range (very large |nu|);
-        # the bound is honestly infinite, nothing can be certified
-        return math.inf
-    total = t
-    n = start
-    while True:
-        r = ((n + 1.0) / n) ** power * w / ((n + 1.0) * (n + 1.0))
-        if r < 1.0:
-            remainder = t * r / (1.0 - r)
-            if remainder < 1e-3 * total:
-                return (total + remainder) * 1.01
-        n += 1
-        t *= ((n / (n - 1.0)) ** power) * w / (n * n)
-        total += t
-        if total == math.inf:
+
+    __slots__ = ("nu", "x", "v", "log_m", "w", "log_w", "half", "m", "i1", "tail1")
+
+    def __init__(self, nu: float, x: float):
+        _check_finite(nu, "nu")
+        _check_finite(x, "x")
+        if x <= 0.0:
+            raise DomainError(f"x must be > 0, got {x}")
+        self.nu = nu
+        self.x = x
+        self.v = v = abs(nu)
+        self.log_m = _log_m_of_nu(nu)
+        self.half = half = 0.5 * x
+        self.w = w = half * half
+        if w >= sys.float_info.min:
+            self.log_w = math.log(w)
+        else:  # (x/2)^2 underflows or loses digits below x ~ 3e-154
+            self.log_w = 2.0 * (math.log(x) - math.log(2.0))
+        if v <= 2.0:
+            self.m = m_of_nu(nu)
+            self.i1 = _i1_upper(x)
+            # the raw closed form is unimodal in N with its peak near x/2,
+            # so for x > 2 the running minimum over 1..N is
+            # min(raw(1), raw(N)); below that raw(N) is already decreasing
+            self.tail1 = self._closed_form(1) if x > 2.0 else math.inf
+
+    def tail(self, N: int) -> float:
+        """`tail_bound` after N steps (N >= 1, unchecked)."""
+        if self.v > 2.0:
+            return self._envelope(self.v, N)
+        raw = self._closed_form(N)
+        if self.tail1 < raw:
+            raw = self.tail1
+        if raw < sys.float_info.min:
+            # below the normal range each rounding can lose a subnormal ulp
+            # (5e-324); 20 of them stay above the exact tail, which is > 0
+            raw += 1e-322
+        return raw
+
+    def _closed_form(self, N: int) -> float:
+        # m(nu) (x/2)^(2N+1) I1(x) / (N!)^2, for |nu| <= 2
+        if N <= 20:
+            return self.m * _pow_sat(self.half, 2 * N + 1) * self.i1 / float(math.factorial(N)) ** 2
+        if self.i1 == 0.0:  # x/2 rounds to zero, as the power form above does
+            return 0.0
+        log_val = (
+            self.log_m
+            + (2.0 * N + 1.0) * math.log(self.half)
+            + math.log(self.i1)
+            - 2.0 * math.lgamma(N + 1.0)
+        )
+        return _exp_sat(log_val) * (1.0 + 1e-12)
+
+    def d_tail(self, N: int, tail: float) -> float:
+        """`derivative_tail_bound` after N steps, given `tail` = tail(N)."""
+        d = (2.0 / self.x) * self._envelope(self.v + 1.0, N + 1)
+        if tail == math.inf:
+            # the nu/x rotation term is absent at nu = 0 and unbounded
+            # otherwise; (v/x) * inf would be NaN where v/x is zero
+            return d if self.v == 0.0 else math.inf
+        return d + (self.v / self.x) * tail
+
+    def terms(self, tol: float) -> tuple:
+        """(N, tail(N)) for the smallest N <= MAX_TERMS with tail(N) <= tol."""
+        for n in range(1, MAX_TERMS + 1):
+            eps = self.tail(n)
+            if eps <= tol:
+                return n, eps
+        raise ToleranceError(
+            f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={self.nu}, x={self.x}"
+        )
+
+    def _envelope(self, power: float, start: int) -> float:
+        """Upper bound on sum_{n>=start} m(nu) n^power / (n!)^2 (x/2)^(2n).
+
+        Sums terms directly; once the term ratio r drops below 1 and the
+        geometric remainder t*r/(1-r) falls under 0.1% of the partial
+        sum, the remainder is added and the total inflated by 1.01.  The
+        ratio only falls with n, so a first term below the normal range
+        takes the whole geometric sum t/(1-r) at once.
+        """
+        w = self.w
+        log_t = self.log_m + _envelope_term_log(power, start, self.log_w)
+        if log_t < -708.0:
+            r = ((start + 1.0) / start) ** power * w / ((start + 1.0) * (start + 1.0))
+            # r >= 1 would put `start` before the envelope's peak, where the
+            # term is at least m(nu) 2^-power with power <= |nu| + 1; m(nu)'s
+            # exp(0.6449 nu^2) keeps that far above e^-708.
+            if r < 1.0:
+                # Summing would lose the term to gradual underflow.  Every
+                # later ratio is below r, and 1.01 plus one subnormal ulp
+                # cover the rounding of the exponential.
+                return _exp_sat(log_t - math.log1p(-r)) * 1.01 + 5e-324
+        t = _exp_sat(log_t)
+        if t == math.inf:
+            # envelope constant beyond the double range (very large |nu|);
+            # the bound is honestly infinite, nothing can be certified
             return math.inf
-        if n > start + 100000:  # ratio < 1 long before this for finite x
-            raise ToleranceError(f"envelope tail failed to converge at nu={nu}, x={x}")
+        total = t
+        n = start
+        while True:
+            r = ((n + 1.0) / n) ** power * w / ((n + 1.0) * (n + 1.0))
+            if r < 1.0:
+                remainder = t * r / (1.0 - r)
+                if remainder < 1e-3 * total:
+                    return (total + remainder) * 1.01
+            n += 1
+            t *= ((n / (n - 1.0)) ** power) * w / (n * n)
+            total += t
+            if total == math.inf:
+                return math.inf
+            if n > start + 100000:  # ratio < 1 long before this for finite x
+                raise ToleranceError(
+                    f"envelope tail failed to converge at nu={self.nu}, x={self.x}"
+                )
 
 
-def _closed_form_tail(nu: float, x: float, N: int, i1: float) -> float:
-    if N <= 20:
-        return m_of_nu(nu) * (0.5 * x) ** (2 * N + 1) * i1 / float(math.factorial(N)) ** 2
-    if i1 == 0.0:  # x/2 rounds to zero, as the power form above does
-        return 0.0
-    log_val = (
-        _log_m_of_nu(nu)
-        + (2.0 * N + 1.0) * math.log(0.5 * x)
-        + math.log(i1)
-        - 2.0 * math.lgamma(N + 1.0)
-    )
-    return _exp_sat(log_val) * (1.0 + 1e-12)
+def _check_terms(N):
+    if N < 1:
+        raise DomainError(f"N must be >= 1, got {N}")
 
 
 def tail_bound(nu: float, x: float, N: int) -> float:
@@ -197,26 +285,9 @@ def tail_bound(nu: float, x: float, N: int) -> float:
     shallower one, so when the raw |nu| <= 2 closed form still grows with
     N (possible while N < x/2) the shallower bound is substituted.
     """
-    _check_finite(nu, "nu")
-    _check_finite(x, "x")
-    if x <= 0.0:
-        raise DomainError(f"x must be > 0, got {x}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    v = abs(nu)
-    if v > 2.0:
-        return _envelope_tail_sum(nu, v, x, N)
-    i1 = _i1_upper(x)
-    raw = _closed_form_tail(nu, x, N, i1)
-    if x > 2.0:
-        # the raw form is unimodal in N with its peak near x/2, so the
-        # running minimum over 1..N is min(raw(1), raw(N))
-        raw = min(raw, _closed_form_tail(nu, x, 1, i1))
-    if raw < sys.float_info.min:
-        # below the normal range each rounding can lose a subnormal ulp
-        # (5e-324); 20 of them stay above the exact tail, which is > 0
-        raw += 1e-322
-    return raw
+    bounds = _PointBounds(nu, x)
+    _check_terms(N)
+    return bounds.tail(N)
 
 
 def derivative_tail_bound(nu: float, x: float, N: int) -> float:
@@ -227,15 +298,9 @@ def derivative_tail_bound(nu: float, x: float, N: int) -> float:
 
         (2/x) * sum_{n>N} n * M_n (x/2)^(2n)  +  (|nu|/x) * tail_bound(N).
     """
-    _check_finite(nu, "nu")
-    _check_finite(x, "x")
-    if x <= 0.0:
-        raise DomainError(f"x must be > 0, got {x}")
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-    v = abs(nu)
-    s = _envelope_tail_sum(nu, v + 1.0, x, N + 1)
-    return (2.0 / x) * s + (v / x) * tail_bound(nu, x, N)
+    bounds = _PointBounds(nu, x)
+    _check_terms(N)
+    return bounds.d_tail(N, bounds.tail(N))
 
 
 def required_terms(nu: float, x: float, tol: float) -> int:
@@ -246,12 +311,7 @@ def required_terms(nu: float, x: float, tol: float) -> int:
     """
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
-    for n in range(1, MAX_TERMS + 1):
-        if tail_bound(nu, x, n) <= tol:
-            return n
-    raise ToleranceError(
-        f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={nu}, x={x}"
-    )
+    return _PointBounds(nu, x).terms(tol)[0]
 
 
 def bound_report(nu: float, x: float, N: int) -> BoundReport:

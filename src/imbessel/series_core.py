@@ -35,7 +35,10 @@ import sys
 from dataclasses import dataclass
 
 from . import _backend
-from .error_bounds import MAX_TERMS, derivative_tail_bound, required_terms, tail_bound
+from .error_bounds import MAX_TERMS, _PointBounds
+# Unused here (eval_pair goes through _PointBounds), but the benchmark's
+# tracer binds these module attributes by name.
+from .error_bounds import derivative_tail_bound, required_terms, tail_bound  # noqa: F401
 from .errors import DomainError, ToleranceError
 
 _EPS = sys.float_info.epsilon
@@ -192,9 +195,12 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
             raise DomainError(f"terms must be an int, got {terms!r}")
         if not 1 <= terms <= MAX_TERMS:
             raise DomainError(f"terms must be in 1..{MAX_TERMS}, got {terms}")
-        n_terms = terms
+    # one set of bound constants for the search and both bounds
+    bounds = _PointBounds(nu, x)
+    if terms is None:
+        n_terms, eps_n = bounds.terms(tol)
     else:
-        n_terms = required_terms(nu, x, tol)
+        n_terms, eps_n = terms, None
 
     half = 0.5 * x
     w = half * half
@@ -219,7 +225,8 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
         raise ToleranceError(
             f"tol={tol:g} below the round-off floor {cancel:.3g} at nu={nu}, x={x}"
         )
-    eps_n = tail_bound(nu, x, n_terms)
+    if eps_n is None:  # forced count: bounded only once the values stand
+        eps_n = bounds.tail(n_terms)
     d_cancel = cancel * (2.0 * n_terms + 2.0 + abs(nu)) / x
     return PairResult(
         cos_part=cos_part,
@@ -228,7 +235,7 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
         d_sin=d_sin,
         terms_used=n_terms,
         tail_bound=eps_n + cancel,
-        d_tail_bound=derivative_tail_bound(nu, x, n_terms) + d_cancel,
+        d_tail_bound=bounds.d_tail(n_terms, eps_n) + d_cancel,
     )
 
 

@@ -267,3 +267,10 @@ def test_bad_thread_env_is_usage_error(monkeypatch):
         monkeypatch.setenv("IMBESSEL_THREADS", value)
         code, _ = run_cli(["table", "--x-steps", "2", "--nu", "1"])
         assert code == 2, value
+
+
+def test_eval_beyond_the_double_range_is_a_tolerance_error():
+    # the bound chain saturates to inf there; no traceback, no exit 1
+    for nu, x in (("1", "1e8"), ("1e200", "1")):
+        code, _ = run_cli(["eval", "--nu", nu, "--x", x])
+        assert code == 3, (nu, x)

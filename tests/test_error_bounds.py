@@ -266,3 +266,33 @@ def test_tiny_x_never_leaks_a_bare_error(nu, x):
             values = (r.cos_part, r.sin_part, r.d_cos, r.d_sin)
             assert all(math.isfinite(v) for v in values)
             assert r.tail_bound > 0.0 and r.d_tail_bound > 0.0
+
+
+def test_bound_chain_saturates_instead_of_overflowing():
+    # (x/2)^(2N+1) beyond the double range, nu^2 overflowing inside
+    # log m(nu), and (0/x) * inf in the nu = 0 derivative bound: each is
+    # +inf or a ToleranceError, never an OverflowError or NaN
+    with pytest.raises(ToleranceError):
+        required_terms(0.5, 1e8, 1e-12)
+    assert tail_bound(1.5, 1e200, 5) == math.inf
+    assert tail_bound(1.5, 1e104, 30) == math.inf
+    assert m_of_nu(1e200) == math.inf
+    assert m_of_nu(-1.4e154) == math.inf
+    assert tail_bound(1e200, 1.0, 5) == math.inf
+    assert majorant_bound(300.0, 20) == math.inf
+    assert majorant_bound(1e200, 2) == math.inf
+    for nu in (0.0, 5e-324, 1e200):
+        for x in (1000.0, 1e8):
+            assert derivative_tail_bound(nu, x, 1) == math.inf
+    for nu, x in ((1e200, 1.0), (0.5, 1e8)):
+        rep = bound_report(nu, x, 5)
+        assert not any(math.isnan(v) for v in (rep.F, rep.m_nu, rep.tail))
+        for kind in (Kind.OSCILLATORY, Kind.MODIFIED):
+            with pytest.raises(ToleranceError):
+                eval_pair(kind, nu, x)
+    for kind in (Kind.OSCILLATORY, Kind.MODIFIED):
+        for nu in (0.0, 5e-324, 1.0):
+            r = eval_pair(kind, nu, 1000.0, terms=1)
+            values = (r.cos_part, r.sin_part, r.d_cos, r.d_sin, r.tail_bound, r.d_tail_bound)
+            assert not any(math.isnan(v) for v in values), (kind, nu, r)
+            assert r.tail_bound == r.d_tail_bound == math.inf
