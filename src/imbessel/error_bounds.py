@@ -24,13 +24,22 @@ its classical series and inflated by 1.0001 to stay an upper bound).
 For |nu| > 2 no closed form is used; the envelope tail is summed
 directly with a geometric-ratio cutoff and a 1% inflation.
 
+Both branches bound the discarded indices N+1, N+2, ... after N steps.
+
+This chain is the certified a-priori API: `tail_bound`,
+`derivative_tail_bound` and `required_terms` (and the `bounds` command)
+give bounds from (nu, N, x) alone, before any term is computed, and the
+oracle sizes its extended-precision series with `required_terms`.
+`eval_pair` does not search with it: its kernel stops on the
+a-posteriori ratio tail of the terms it computes (see `_backend`), which
+follows the true error instead of the envelope.  It falls back on this
+chain only for a forced term count whose ratio has not dropped below 1.
+
 Everything above that depends only on the point (nu, x) -- log m(nu),
 (x/2)^2 and its log, and for |nu| <= 2 also m(nu), the I1 majorant and
-the N = 1 closed form -- is computed once per point.  One such set of
-constants serves the term search, the value bound and the derivative
-bound; `tail_bound`, `derivative_tail_bound` and `required_terms` are
-thin wrappers over it.  Bounds beyond the double range saturate to +inf
-rather than raising or turning into NaN.
+the N = 1 closed form -- is computed once per point in `_PointBounds`;
+the public functions are thin wrappers over it.  Bounds beyond the
+double range saturate to +inf rather than raising or turning into NaN.
 """
 
 import math
@@ -183,7 +192,7 @@ class _PointBounds:
     def tail(self, N: int) -> float:
         """`tail_bound` after N steps (N >= 1, unchecked)."""
         if self.v > 2.0:
-            return self._envelope(self.v, N)
+            return self._envelope(self.v, N + 1)
         raw = self._closed_form(N)
         if self.tail1 < raw:
             raw = self.tail1

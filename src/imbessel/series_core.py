@@ -36,12 +36,17 @@ from dataclasses import dataclass
 
 from . import _backend
 from .error_bounds import MAX_TERMS, _PointBounds
-# Unused here (eval_pair goes through _PointBounds), but the benchmark's
-# tracer binds these module attributes by name.
+# Unused here (eval_pair's kernel chooses N), but the benchmark's tracer
+# binds these module attributes by name.
 from .error_bounds import derivative_tail_bound, required_terms, tail_bound  # noqa: F401
 from .errors import DomainError, ToleranceError
 
 _EPS = sys.float_info.epsilon
+_U = 0.5 * _EPS
+#: smallest subnormal double
+_TINY = 2.0 ** -1074
+#: w / (N (N^2 + nu^2)) below this leaves the normal range
+_R_MIN = 2.0 * sys.float_info.min
 
 
 class Kind(enum.Enum):
@@ -74,12 +79,14 @@ class CoeffTable:
 class PairResult:
     """Evaluated basis pair with derivatives and guaranteed error bounds.
 
-    `tail_bound` covers cos_part and sin_part: the a-priori truncation
-    bound for `terms_used` steps plus a round-off (cancellation)
-    allowance max_partial * eps for the forward summation.
-    `d_tail_bound` is the analogous (larger) bound for d_cos and d_sin;
-    the derivative series carries an extra n * 2/x weight per term, so a
-    single bound cannot serve both.
+    `tail_bound` bounds the error of cos_part and sin_part against the
+    exact functions at the given (nu, x): the truncation bound for
+    `terms_used` steps plus a proved first-order bound on the round-off
+    of the double-precision evaluation.  `d_tail_bound` is the analogous
+    bound for d_cos and d_sin; the derivative series carries an extra
+    n * 2/x weight per term, so a single bound cannot serve both.  With
+    a searched term count the truncation part is <= the requested `tol`;
+    the round-off part is reported on top of it (see `eval_pair`).
     """
 
     cos_part: float
@@ -114,9 +121,9 @@ def _is_modified(kind):
 
 
 def _advance(a, b, n, nu, modified):
-    # One recurrence step to half-index n; expression order matches
-    # `_backend.series_sums` exactly so tables and evaluations agree bit
-    # for bit.
+    # One recurrence step to half-index n on the bare coefficients;
+    # `_backend.series_sums` folds w into the same step, so a table fold
+    # and the kernel agree to rounding, within the kernel's drift bound.
     f = float(n)
     denom = f * (f * f + nu * nu)
     if modified:
@@ -173,17 +180,50 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
               terms: int | None = None) -> PairResult:
     """Evaluate the (cosine-type, sine-type) solution pair at x.
 
-    The term count is chosen so the a-priori tail bound meets `tol`
-    (pass `terms` to force a count instead, e.g. for bound studies; the
-    reported bounds then refer to that count).  Derivatives come from the
-    term-differentiated series: no numerical differentiation is involved.
+    One kernel pass sums the series and stops at the first step whose
+    ratio tail bound (see `_backend`) meets `tol`; pass `terms` to force
+    a count instead, e.g. for bound studies (the reported bounds then
+    refer to that count, and a searched result and the same count forced
+    give identical bytes).  Derivatives come from the term-differentiated
+    series: no numerical differentiation is involved.
+
+    Contract: `tol` bounds the truncation error.  The reported
+    `tail_bound` is that truncation bound plus R, a proved first-order
+    bound on the round-off (u = 2^-53; S = p + i q and D = dp + i dq the
+    kernel's sums, P = |p| + |q|, Pd = |dp| + |dq|, phi = nu ln x):
+
+        R   = err + (3 |phi| + 4) u P,
+        R_d = 2 (d_err + (3 |phi| + 6) u Pd) + |nu| (R + 3u P).
+
+    `err` and `d_err` are the kernel's bounds on the round-off of S and D
+    (term drift, partial sums, underflow; see `_backend`).  The value is
+    S e^(-i phi), read as (cos_part, -sin_part): the phase carries
+    3u |phi| (a one-ulp log and the product), cos and sin one ulp each
+    (2u), and p c + q s two roundings (2u P).  The derivatives are
+    (2 D - i nu S) e^(-i phi) / x: the same phase error on 2 Pd + |nu| P,
+    eight roundings of the 2 D part and five of the nu S part, counted
+    against Pd and |nu| P, and the division; the error of S reaches them
+    through nu.  `d_tail_bound` is (2 d_tail + |nu| tail + R_d) / x, with
+    d_tail the kernel's bound on the discarded sum_k k |t_k|.  Each of
+    the four outputs is one component of a rotated complex number, so it
+    inherits the bound of that number's modulus.
+
+    Where the kernel's ratio is not below 1 (a forced count with few
+    terms for its x), the a-priori chain of `error_bounds` gives the
+    truncation parts instead.  Where r_N = w / (N (N^2 + nu^2)) falls
+    below the normal range (x below about 1e-150, or a huge order), the
+    terms past the seed are not computed to relative accuracy, so all of
+    them count as lost: their exact sums are bounded by the ratio chain
+    from the seed, their computed ones are S - 1 and D.
 
     Raises DomainError for x <= 0, a `kind` that is not a Kind, or a
-    `terms` that is not an int in 1..MAX_TERMS, and ToleranceError
-    when `tol` lies below the double-precision round-off floor at this
-    point or a value overflows the double range; large arguments
-    (oscillatory x over roughly 20) stay computable, but the bound then
-    carries the cancellation allowance honestly.
+    `terms` that is not an int in 1..MAX_TERMS, and ToleranceError when
+    `tol` lies below the double-precision round-off floor m * eps at
+    this point (m the largest partial sum), is unreachable within
+    MAX_TERMS steps, nu^2 or a value overflows the double range; the
+    refusal uses m * eps, not R, so large arguments (oscillatory x over
+    roughly 20) stay computable with a forced count, and their bound
+    carries the round-off honestly.
     """
     modified = _is_modified(kind)
     _check_nu(nu)
@@ -195,47 +235,90 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
             raise DomainError(f"terms must be an int, got {terms!r}")
         if not 1 <= terms <= MAX_TERMS:
             raise DomainError(f"terms must be in 1..{MAX_TERMS}, got {terms}")
-    # one set of bound constants for the search and both bounds
-    bounds = _PointBounds(nu, x)
-    if terms is None:
-        n_terms, eps_n = bounds.terms(tol)
-    else:
-        n_terms, eps_n = terms, None
+    nu2 = nu * nu
+    if nu2 == math.inf:
+        raise ToleranceError(f"nu={nu} is beyond the double range (nu^2 overflows)")
 
     half = 0.5 * x
     w = half * half
     # One pass for the (1, 0) seed; the (0, 1) sums are its quarter turn
     # (-q, p, -dq, dp).  `0.0 - q` keeps q = +0.0 (nu = 0) at +0.0.
-    p, q, dp, dq, m = _backend.series_sums(modified, 1.0, 0.0, nu, w, n_terms)
+    if terms is None:
+        cap, stop = MAX_TERMS, tol
+    else:
+        cap, stop = terms, -1.0
+    p, q, dp, dq, m, n, tail, d_tail, err, d_err = _backend.series_sums(
+        modified, 1.0, 0.0, nu, w, cap, stop)
+    if terms is None and not tail <= tol:
+        raise ToleranceError(
+            f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={nu}, x={x}"
+        )
 
-    lnx = math.log(x)
-    c = math.cos(nu * lnx)
-    s = math.sin(nu * lnx)
+    phase = nu * math.log(x)
+    c = math.cos(phase)
+    s = math.sin(phase)
 
     cos_part = p * c + q * s
     sin_part = (0.0 - q) * c + p * s
-    d_cos = (2.0 / x) * (dp * c + dq * s) + (nu / x) * (q * c - p * s)
-    d_sin = (2.0 / x) * ((0.0 - dq) * c + dp * s) + (nu / x) * (p * c - (0.0 - q) * s)
+    # divided by x last: 2/x alone overflows below x ~ 1e-308
+    d_cos = (2.0 * (dp * c + dq * s) + nu * (q * c - p * s)) / x
+    d_sin = (2.0 * ((0.0 - dq) * c + dp * s) + nu * (p * c - (0.0 - q) * s)) / x
     if not (math.isfinite(cos_part) and math.isfinite(sin_part)
             and math.isfinite(d_cos) and math.isfinite(d_sin)):
         raise ToleranceError(f"values overflow the double range at nu={nu}, x={x}")
 
-    cancel = m * _EPS
-    if terms is None and tol < cancel:
+    floor = m * _EPS
+    if terms is None and tol < floor:
         raise ToleranceError(
-            f"tol={tol:g} below the round-off floor {cancel:.3g} at nu={nu}, x={x}"
+            f"tol={tol:g} below the round-off floor {floor:.3g} at nu={nu}, x={x}"
         )
-    if eps_n is None:  # forced count: bounded only once the values stand
-        eps_n = bounds.tail(n_terms)
-    d_cancel = cancel * (2.0 * n_terms + 2.0 + abs(nu)) / x
+
+    v = abs(nu)
+    size = abs(p) + abs(q)
+    d_size = abs(dp) + abs(dq)
+    ph = 3.0 * abs(phase)
+    # the phase and the final combinations
+    r_val = (ph + 4.0) * _U * size
+    r_der = 2.0 * (ph + 6.0) * _U * d_size + v * (ph + 7.0) * _U * size
+
+    fn = float(n)
+    if w < _R_MIN * fn * (fn * fn + nu2):
+        # r_N below the normal range: the terms past the seed are not
+        # computed to relative accuracy, so count them all as lost.  Their
+        # exact sums are at most rho_1 / (1 - rho_1) and, weighted by k,
+        # rho_1 / (1 - 2 rho_2), from an upper bound on w; their computed
+        # sums are p + i q - 1 and dp + i dq.  w / x = x / 4 keeps the
+        # derivative's share finite where w itself underflows.
+        g1 = (1.0 + v) / (1.0 + nu2) * _backend.RHO_UP
+        w_up = w * (1.0 + 4.0 * _U) + _TINY
+        rho1 = w_up * g1
+        rho2 = w_up * (2.0 + v) / (2.0 * (4.0 + nu2)) * _backend.RHO_UP
+        w_over_x = 0.25 * x * (1.0 + 4.0 * _U) + _TINY
+        tail = (rho1 / (1.0 - rho1) + abs(p - 1.0) + abs(q)) * _backend.TAIL_FACTOR
+        d_bound = (2.0 * w_over_x * g1 / (1.0 - 2.0 * rho2) * _backend.TAIL_FACTOR
+                   + (2.0 * d_size + v * tail + r_der) / x)
+    else:
+        # the round-off of the kernel's sums; S's reaches the derivatives
+        # through nu
+        r_val += err
+        r_der += 2.0 * d_err
+        if v:  # v * inf would be NaN at nu = 0
+            r_der += v * err
+        if d_tail == math.inf:  # a forced count before a ratio falls below 1
+            apriori = _PointBounds(nu, x)
+            if tail == math.inf:
+                tail = apriori.tail(n)
+            d_bound = apriori.d_tail(n, tail) + r_der / x
+        else:
+            d_bound = (2.0 * d_tail + v * tail + r_der) / x
     return PairResult(
         cos_part=cos_part,
         sin_part=sin_part,
         d_cos=d_cos,
         d_sin=d_sin,
-        terms_used=n_terms,
-        tail_bound=eps_n + cancel,
-        d_tail_bound=bounds.d_tail(n_terms, eps_n) + d_cancel,
+        terms_used=n,
+        tail_bound=tail + r_val,
+        d_tail_bound=d_bound,
     )
 
 

@@ -5,29 +5,42 @@ import math
 import struct
 from pathlib import Path
 
+from mpmath import mp, mpc, mpf
+
 from imbessel import Kind, _backend, build_table, eval_pair
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
 def test_series_sums_match_tables():
-    # the kernel's accumulated sums equal the table-based fold exactly
+    # The kernel folds w into the running term, so it matches the table
+    # recurrence to rounding only: both lie within their proved drift of
+    # the exact recurrence, and the kernel's sums within its own reported
+    # round-off bounds `err` (p + i q) and `d_err` (dp + i dq).
+    u = 2.0 ** -53
     for kind, modified in ((Kind.OSCILLATORY, 0), (Kind.MODIFIED, 1)):
+        sign = 1 if modified else -1
         for nu in (0.0, 1.3, -2.1):
-            for x in (0.4, 1.7):
-                n = 12
-                w = (0.5 * x) * (0.5 * x)
-                table = build_table(kind, (0.0, 1.0), nu, n)
-                p = q = 0.0
-                t = 1.0
-                first = table.entries[0]
-                p, q = first.a, first.b
-                for pair in table.entries[1:]:
-                    t = t * w
-                    p = p + pair.a * t
-                    q = q + pair.b * t
-                kp, kq, _, _, _ = _backend.series_sums(modified, 0.0, 1.0, nu, w, n)
-                assert (kp, kq) == (p, q)
+            table = build_table(kind, (0.0, 1.0), nu, 64)
+            for x in (0.05, 0.4, 1.7, 9.0):
+                for n in (12, 64):
+                    w = (0.5 * x) * (0.5 * x)
+                    p, q, dp, dq, _, steps, _, _, err, d_err = _backend.series_sums(
+                        modified, 0.0, 1.0, nu, w, n)
+                    assert steps == n
+                    with mp.workdps(50):
+                        a, b = mpf(0), mpf(1)
+                        value, deriv = mpc(a, b), mpc(0)
+                        for k, entry in enumerate(table.entries[1:n + 1], start=1):
+                            den = k * (k * k + mpf(nu) ** 2)
+                            a, b = sign * (k * a - nu * b) / den, sign * (nu * a + k * b) / den
+                            drift = abs(entry.a - a) + abs(entry.b - b)
+                            assert drift <= 12 * k * u * (abs(entry.a) + abs(entry.b))
+                            t = mpc(a, b) * mpf(w) ** k
+                            value += t
+                            deriv += k * t
+                        assert abs(mpc(p, q) - value) <= err, (kind, nu, x, n)
+                        assert abs(mpc(dp, dq) - deriv) <= d_err, (kind, nu, x, n)
 
 
 def test_one_kernel_pass_equals_two_seed_formulas():
@@ -36,16 +49,16 @@ def test_one_kernel_pass_equals_two_seed_formulas():
     # byte, the pair assembled from one kernel pass per seed.
     def two_seed(modified, nu, x, n):
         w = (0.5 * x) * (0.5 * x)
-        p1, q1, dp1, dq1, m1 = _backend.series_sums(modified, 1.0, 0.0, nu, w, n)
-        p0, q0, dp0, dq0, m0 = _backend.series_sums(modified, 0.0, 1.0, nu, w, n)
+        p1, q1, dp1, dq1 = _backend.series_sums(modified, 1.0, 0.0, nu, w, n)[:4]
+        p0, q0, dp0, dq0 = _backend.series_sums(modified, 0.0, 1.0, nu, w, n)[:4]
         lnx = math.log(x)
         c = math.cos(nu * lnx)
         s = math.sin(nu * lnx)
         return (
             p1 * c + q1 * s,
             p0 * c + q0 * s,
-            (2.0 / x) * (dp1 * c + dq1 * s) + (nu / x) * (q1 * c - p1 * s),
-            (2.0 / x) * (dp0 * c + dq0 * s) + (nu / x) * (q0 * c - p0 * s),
+            (2.0 * (dp1 * c + dq1 * s) + nu * (q1 * c - p1 * s)) / x,
+            (2.0 * (dp0 * c + dq0 * s) + nu * (q0 * c - p0 * s)) / x,
         )
 
     def pack(values):

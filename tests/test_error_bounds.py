@@ -235,7 +235,8 @@ def test_envelope_tail_survives_underflowing_terms():
 def test_envelope_tail_below_normal_range_is_monotone_and_encloses():
     # Once the first envelope term is below the normal range, the whole
     # geometric tail is taken at once: no bump when N crosses that point,
-    # and never below the exact envelope sum.
+    # and never below the exact envelope sum.  After N steps the tail
+    # starts at index N + 1, so tail_bound(N - 1) sums from `start` = N.
     bounds = [tail_bound(2.01, 0.4687, n) for n in range(60, 101)]
     assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
     with mp.workdps(40):
@@ -245,9 +246,22 @@ def test_envelope_tail_below_normal_range_is_monotone_and_encloses():
             w = (mpf(x) / 2) ** 2
             m = mp.e ** (mpf(SUM_INV_SQUARES) * mpf(nu) ** 2 + SUM_INV_CUBES * factor_F(nu))
             m *= (1 + mpf(v)) / (1 + mpf(nu) ** 2)
-            exact = m * mp.nsum(lambda n: n ** v / mp.factorial(n) ** 2 * w ** n, [start, mp.inf])
-            assert exact < mpf(1e-300)
-            assert mpf(tail_bound(nu, x, start)) >= exact
+            for first in (start, start + 1):
+                exact = m * mp.nsum(lambda n: n ** v / mp.factorial(n) ** 2 * w ** n,
+                                    [first, mp.inf])
+                assert exact < mpf(1e-300)
+                assert mpf(tail_bound(nu, x, first - 1)) >= exact
+
+
+def test_tail_bound_is_continuous_across_the_closed_form_edge():
+    # |nu| <= 2 takes the closed form, |nu| > 2 the summed envelope; both
+    # bound the same discarded indices N + 1, N + 2, ..., so nothing jumps
+    # up at |nu| = 2.  At x = 5 the closed form is the looser of the two
+    # (about 10x from N = 4 on), so the ratio may fall that far there.
+    for x, low in ((0.1, 0.5), (1.0, 0.5), (5.0, 0.1)):
+        for n in range(1, 31):
+            ratio = tail_bound(2.0 + 1e-9, x, n) / tail_bound(2.0, x, n)
+            assert low <= ratio <= 2.0, (x, n, ratio)
 
 
 @pytest.mark.parametrize("x", [1e-165, 1e-200, 1e-300, 1e-308, 5e-324])
