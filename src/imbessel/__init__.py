@@ -30,17 +30,6 @@ from .series_core import (
     wronskian_residual,
 )
 from .lommel import ImaginaryOrder, LommelSolution, RealOrder, classify
-from .oracle import (
-    OracleValue,
-    hp_bessel_imag,
-    hp_bessel_j_int,
-    hp_gamma,
-    kl_macdonald,
-    oracle_pair,
-    oracle_pair_derivs_hp,
-    oracle_pair_hp,
-    truncated_pair_hp,
-)
 
 __version__ = "0.1.0"
 
@@ -81,3 +70,29 @@ __all__ = [
     "wronskian_residual",
     "__version__",
 ]
+
+# The oracle needs mpmath, which costs more to import than the rest of
+# the package; its names are resolved on first access (PEP 562).
+_ORACLE_NAMES = frozenset({
+    "OracleValue",
+    "hp_bessel_imag",
+    "hp_bessel_j_int",
+    "hp_gamma",
+    "kl_macdonald",
+    "oracle_pair",
+    "oracle_pair_derivs_hp",
+    "oracle_pair_hp",
+    "truncated_pair_hp",
+})
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | _ORACLE_NAMES)

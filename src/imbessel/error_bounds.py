@@ -28,8 +28,7 @@ Both branches bound the discarded indices N+1, N+2, ... after N steps.
 
 This chain is the certified a-priori API: `tail_bound`,
 `derivative_tail_bound` and `required_terms` (and the `bounds` command)
-give bounds from (nu, N, x) alone, before any term is computed, and the
-oracle sizes its extended-precision series with `required_terms`.
+give bounds from (nu, N, x) alone, before any term is computed.
 `eval_pair` does not search with it: its kernel stops on the
 a-posteriori ratio tail of the terms it computes (see `_backend`), which
 follows the true error instead of the envelope.  It falls back on this

@@ -5,10 +5,16 @@ Gamma evaluation; the Bessel and Macdonald routines are additionally
 cross-checked against mpmath's independent hypergeometric machinery.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from mpmath import mp, mpc, mpf
 import mpmath
 
+import imbessel
 from imbessel import (
     DomainError,
     Kind,
@@ -19,7 +25,9 @@ from imbessel import (
     hp_gamma,
     kl_macdonald,
     oracle_pair,
+    oracle_pair_derivs_hp,
     oracle_pair_hp,
+    truncated_pair_hp,
 )
 
 OSC = Kind.OSCILLATORY
@@ -33,6 +41,14 @@ def _as_mpc(v):
 def _rel_err(got, want):
     with mp.workdps(80):
         return float(abs(got - want) / (abs(want) if abs(want) != 0 else mpf(1)))
+
+
+# Points where cancellation (large x) or the order (large |nu|) defeats
+# a fixed-precision, a-priori-sized series.
+LARGE_POINTS = [
+    (OSC, 0.5, 60.0), (OSC, 1.5, 100.0), (OSC, 3.0, 300.0), (OSC, 60.0, 30.0),
+    (MOD, 2.0, 100.0), (MOD, 0.5, 700.0), (MOD, 100.0, 3.0),
+]
 
 
 # -------------------------------------------------------------------- gamma
@@ -134,6 +150,22 @@ def test_bessel_precision_honesty():
         assert abs(_as_mpc(lo) - _as_mpc(hi)) < abs(_as_mpc(hi)) * mpf(10) ** -50
 
 
+@pytest.mark.parametrize("kind,nu,x", [
+    (OSC, 0.5, 60.0), (OSC, 1.5, 100.0), (OSC, 20.0, 10.0), (OSC, 25.0, 1.0), (MOD, 40.0, 5.0),
+])
+def test_bessel_declared_digits_at_large_x_and_order(kind, nu, x):
+    # cancellation reruns the series with the digits it lost; the stop is
+    # a posteriori, so large orders are summed rather than refused
+    lo = hp_bessel_imag(nu, x, kind, digits=50)
+    hi = hp_bessel_imag(nu, x, kind, digits=100)
+    with mp.workdps(300):
+        lo, hi = _as_mpc(lo), _as_mpc(hi)
+        order = mpc(0, nu)
+        want = mpmath.besseli(order, x) if kind is MOD else mpmath.besselj(order, x)
+        assert abs(lo - hi) < abs(hi) * mpf(10) ** -50
+        assert abs(lo - want) < abs(want) * mpf(10) ** -50
+
+
 def test_bessel_domain():
     with pytest.raises(DomainError):
         hp_bessel_imag(1.0, 0.0, OSC)
@@ -189,9 +221,9 @@ def test_oracle_pair_is_gamma_normalized_bessel():
 
 
 def test_oracle_pair_is_gamma_times_hp_bessel():
-    # oracle_pair_hp sums the normalized series directly; hp_bessel_imag
-    # divides the same series by Gamma(1 + i nu) 2^(i nu), so multiplying
-    # back must agree far below the declared 50 digits
+    # oracle_pair_hp evaluates mpmath's 0F1; hp_bessel_imag sums the
+    # defining series and divides by Gamma(1 + i nu) 2^(i nu), so two
+    # independent codes must agree far below the declared 50 digits
     with mp.workdps(70):
         for kind in (OSC, MOD):
             for nu, x in ((0.0, 0.8), (-1.3, 0.4), (0.5, 1.0), (2.5, 3.0)):
@@ -199,6 +231,68 @@ def test_oracle_pair_is_gamma_times_hp_bessel():
                 want = gamma * mpmath.power(2, mpc(0, nu)) * _as_mpc(hp_bessel_imag(nu, x, kind))
                 got = _as_mpc(oracle_pair_hp(kind, nu, x))
                 assert _rel_err(got, want) < 1e-45
+
+
+@pytest.mark.parametrize("kind,nu,x", LARGE_POINTS + [(OSC, 20.0, 10.0), (OSC, 25.0, 1.0)])
+def test_oracle_pair_matches_explicit_sum_at_large_x_and_order(kind, nu, x):
+    bessel = hp_bessel_imag(nu, x, kind, digits=60)
+    gamma = hp_gamma(1.0, nu, digits=60)
+    got = oracle_pair_hp(kind, nu, x)
+    with mp.workdps(80):
+        want = _as_mpc(gamma) * mpmath.power(2, mpc(0, nu)) * _as_mpc(bessel)
+        got = _as_mpc(got)
+        assert abs(got - want) < abs(want) * mpf(10) ** -50
+
+
+@pytest.mark.parametrize("kind,nu,x", LARGE_POINTS)
+def test_oracle_pair_precision_honesty(kind, nu, x):
+    for fn in (oracle_pair_hp, oracle_pair_derivs_hp):
+        lo = fn(kind, nu, x, digits=50)
+        hi = fn(kind, nu, x, digits=100)
+        with mp.workdps(120):
+            lo, hi = _as_mpc(lo), _as_mpc(hi)
+            assert abs(lo - hi) < abs(hi) * mpf(10) ** -50
+
+
+@pytest.mark.parametrize("kind", [OSC, MOD])
+@pytest.mark.parametrize("nu", [0.0, -0.0, -1.3, 0.5, 2.5, 7.0])
+def test_oracle_derivs_match_term_differentiated_recurrence(kind, nu):
+    # the 0F1 contiguous relation against the real recurrence of
+    # truncated_pair_hp, differentiated term by term; 80 steps leave a
+    # tail below 1e-100 at x = 12
+    for x in (1e-3, 0.8, 3.0, 12.0):
+        _, _, d_cos, d_sin = truncated_pair_hp(kind, nu, x, 80)
+        got = oracle_pair_derivs_hp(kind, nu, x)
+        with mp.workdps(80):
+            scale = abs(d_cos) + abs(d_sin)
+            assert abs(got.re - d_cos) <= mpf(10) ** -45 * scale
+            assert abs(got.im - d_sin) <= mpf(10) ** -45 * scale
+
+
+# ------------------------------------------------------------- lazy import
+
+def test_package_import_leaves_mpmath_unloaded():
+    src = str(Path(imbessel.__file__).resolve().parents[1])
+    probe = (
+        "import sys, imbessel\n"
+        "assert 'mpmath' not in sys.modules, 'imported eagerly'\n"
+        "for name in imbessel.__all__:\n"
+        "    getattr(imbessel, name)\n"
+        "assert 'mpmath' in sys.modules\n"
+        "assert set(imbessel.__all__) <= set(dir(imbessel))\n"
+        "from imbessel import *\n"
+        "assert oracle_pair_hp is imbessel.oracle.oracle_pair_hp\n"
+        "try:\n"
+        "    imbessel.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 # ---------------------------------------------------------------- macdonald
@@ -256,7 +350,7 @@ def test_macdonald_precision_honesty():
 
 def test_integer_order_j_series():
     with mp.workdps(60):
-        for n, x in ((0, 1.0), (1, 2.0), (3, 0.7)):
+        for n, x in ((0, 1.0), (1, 2.0), (3, 0.7), (0, 60.0), (1, 100.0)):
             got = hp_bessel_j_int(n, x)
             assert _rel_err(got.re, mpmath.besselj(n, x)) < 1e-45
     with pytest.raises(DomainError):
