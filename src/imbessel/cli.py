@@ -6,8 +6,6 @@ CSV uses '.' decimals, ',' separators and Unix newlines, and grid rows
 are evaluated and emitted in order (outer loop over the nu list, inner
 over x).  Grid evaluation is serial: the work is pure Python and holds
 the interpreter lock, so threads could not overlap it.
-`IMBESSEL_THREADS` is accepted and must be a positive integer, but it
-changes nothing.
 
 Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure.
 """
@@ -15,7 +13,6 @@ Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure.
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -62,17 +59,6 @@ def _parse_nu_list(text: str):
         if not math.isfinite(v):
             raise DomainError(f"nu must be finite, got {v!r}")
     return values
-
-
-def _check_threads_env() -> None:
-    env = os.environ.get("IMBESSEL_THREADS")
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise DomainError(f"IMBESSEL_THREADS must be an integer, got {env!r}") from None
-        if n < 1:
-            raise DomainError(f"IMBESSEL_THREADS must be >= 1, got {n}")
 
 
 def _grid_points(spec: GridSpec):
@@ -123,7 +109,6 @@ def _grid_from_args(args):
     spec = GridSpec(args.x_min, args.x_max, args.x_steps,
                     _parse_nu_list(args.nu), args.x_scale)
     xs = _grid_points(spec)
-    _check_threads_env()
     return [(nu, x) for nu in spec.nu_list for x in xs]
 
 

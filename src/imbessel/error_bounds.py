@@ -11,20 +11,18 @@ which telescopes into the explicit envelope
 with m(nu) = (1+|nu|)/(1+nu^2) * exp(0.6449 nu^2 + 0.2021 F(nu)).  The
 constants are the tails sum_{n>=2} 1/n^2 and sum_{n>=2} 1/n^3 to four
 decimals, and F(nu) is a piecewise cubic-correction factor.  Summing the
-envelope over the discarded indices yields a guaranteed bound on the
-truncation error of any of the four basis functions.
-
-For |nu| <= 2 the discarded tail after keeping indices 0..N collapses to
-the closed form
+envelope over the discarded indices N+1, N+2, ... after N steps gives a
+guaranteed bound on the truncation error of any of the four basis
+functions.  One sum serves every order: it is taken term by term until
+a geometric-ratio cutoff, then inflated by 1%.  For |nu| <= 2 the paper
+collapses the same sum into the corollary
 
     eps_N  <=  m(nu) * (x/2)^(2N+1) * I1(x) / (N!)^2,
 
-where I1 is the order-one modified Bessel function (evaluated here by
-its classical series and inflated by 1.0001 to stay an upper bound).
-For |nu| > 2 no closed form is used; the envelope tail is summed
-directly with a geometric-ratio cutoff and a 1% inflation.
-
-Both branches bound the discarded indices N+1, N+2, ... after N steps.
+with I1 the order-one modified Bessel function.  The summed envelope
+is at most 1.01 times that (the 1% inflation; one subnormal step more
+where both underflow) and often far below it, which the tests check
+against I1 in extended precision.
 
 This chain is the certified a-priori API: `tail_bound`,
 `derivative_tail_bound` and `required_terms` (and the `bounds` command)
@@ -35,8 +33,7 @@ follows the true error instead of the envelope.  It falls back on this
 chain only for a forced term count whose ratio has not dropped below 1.
 
 Everything above that depends only on the point (nu, x) -- log m(nu),
-(x/2)^2 and its log, and for |nu| <= 2 also m(nu), the I1 majorant and
-the N = 1 closed form -- is computed once per point in `_PointBounds`;
+(x/2)^2 and its log -- is computed once per point in `_PointBounds`;
 the public functions are thin wrappers over it.  Bounds beyond the
 double range saturate to +inf rather than raising or turning into NaN.
 """
@@ -130,25 +127,6 @@ def majorant_bound(nu: float, n: int) -> float:
     return _exp_sat(_log_m_of_nu(nu) + v * math.log(n) - 2.0 * math.lgamma(n + 1.0))
 
 
-def _i1_upper(x: float) -> float:
-    # Classical series for I1, summed to relative 1e-12 and inflated by
-    # 1.0001 so the result stays an upper bound.
-    half = 0.5 * x
-    w = half * half
-    term = half
-    total = term
-    k = 1
-    while True:
-        term *= w / (k * (k + 1))
-        total += term
-        if term <= 1e-13 * total:
-            break
-        k += 1
-        if k > 10000:  # unreachable for finite x in double range
-            raise ToleranceError(f"I1 series failed to converge at x={x}")
-    return total * 1.0001
-
-
 def _envelope_term_log(power: float, n: int, log_w: float) -> float:
     # log of m(nu)-free envelope piece n^power / (n!)^2 * w^n
     return power * math.log(n) - 2.0 * math.lgamma(n + 1.0) + n * log_w
@@ -159,11 +137,10 @@ class _PointBounds:
 
     The term search (`terms`), the value bound (`tail`) and the
     derivative bound (`d_tail`) all read the same log m(nu), (x/2)^2 and
-    its log; for |nu| <= 2 also m(nu), the I1(x) majorant and the N = 1
-    closed form that caps the running minimum.
+    its log, and all three sum the one envelope (`_envelope`).
     """
 
-    __slots__ = ("nu", "x", "v", "log_m", "w", "log_w", "half", "m", "i1", "tail1")
+    __slots__ = ("nu", "x", "v", "log_m", "w", "log_w")
 
     def __init__(self, nu: float, x: float):
         _check_finite(nu, "nu")
@@ -172,48 +149,18 @@ class _PointBounds:
             raise DomainError(f"x must be > 0, got {x}")
         self.nu = nu
         self.x = x
-        self.v = v = abs(nu)
+        self.v = abs(nu)
         self.log_m = _log_m_of_nu(nu)
-        self.half = half = 0.5 * x
+        half = 0.5 * x
         self.w = w = half * half
         if w >= sys.float_info.min:
             self.log_w = math.log(w)
         else:  # (x/2)^2 underflows or loses digits below x ~ 3e-154
             self.log_w = 2.0 * (math.log(x) - math.log(2.0))
-        if v <= 2.0:
-            self.m = m_of_nu(nu)
-            self.i1 = _i1_upper(x)
-            # the raw closed form is unimodal in N with its peak near x/2,
-            # so for x > 2 the running minimum over 1..N is
-            # min(raw(1), raw(N)); below that raw(N) is already decreasing
-            self.tail1 = self._closed_form(1) if x > 2.0 else math.inf
 
     def tail(self, N: int) -> float:
         """`tail_bound` after N steps (N >= 1, unchecked)."""
-        if self.v > 2.0:
-            return self._envelope(self.v, N + 1)
-        raw = self._closed_form(N)
-        if self.tail1 < raw:
-            raw = self.tail1
-        if raw < sys.float_info.min:
-            # below the normal range each rounding can lose a subnormal ulp
-            # (5e-324); 20 of them stay above the exact tail, which is > 0
-            raw += 1e-322
-        return raw
-
-    def _closed_form(self, N: int) -> float:
-        # m(nu) (x/2)^(2N+1) I1(x) / (N!)^2, for |nu| <= 2
-        if N <= 20:
-            return self.m * _pow_sat(self.half, 2 * N + 1) * self.i1 / float(math.factorial(N)) ** 2
-        if self.i1 == 0.0:  # x/2 rounds to zero, as the power form above does
-            return 0.0
-        log_val = (
-            self.log_m
-            + (2.0 * N + 1.0) * math.log(self.half)
-            + math.log(self.i1)
-            - 2.0 * math.lgamma(N + 1.0)
-        )
-        return _exp_sat(log_val) * (1.0 + 1e-12)
+        return self._envelope(self.v, N + 1)
 
     def d_tail(self, N: int, tail: float) -> float:
         """`derivative_tail_bound` after N steps, given `tail` = tail(N)."""
@@ -224,15 +171,24 @@ class _PointBounds:
             return d if self.v == 0.0 else math.inf
         return d + (self.v / self.x) * tail
 
-    def terms(self, tol: float) -> tuple:
-        """(N, tail(N)) for the smallest N <= MAX_TERMS with tail(N) <= tol."""
-        for n in range(1, MAX_TERMS + 1):
-            eps = self.tail(n)
-            if eps <= tol:
-                return n, eps
-        raise ToleranceError(
-            f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={self.nu}, x={self.x}"
-        )
+    def terms(self, tol: float) -> int:
+        """The smallest N <= MAX_TERMS with tail(N) <= tol, by bisection.
+
+        Valid because tail(N) crosses the tolerance once (see
+        `tail_bound`).
+        """
+        lo, hi = 0, MAX_TERMS + 1  # sentinels: tail(lo) > tol >= tail(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if self.tail(mid) <= tol:
+                hi = mid
+            else:
+                lo = mid
+        if hi > MAX_TERMS:
+            raise ToleranceError(
+                f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={self.nu}, x={self.x}"
+            )
+        return hi
 
     def _envelope(self, power: float, start: int) -> float:
         """Upper bound on sum_{n>=start} m(nu) n^power / (n!)^2 (x/2)^(2n).
@@ -289,9 +245,16 @@ def tail_bound(nu: float, x: float, N: int) -> float:
 
     The partial sum keeps coefficient indices 0..N; the bound covers the
     discarded indices N+1, N+2, ...  It applies to each of the four basis
-    functions and is nonincreasing in N: a deeper tail is a subset of a
-    shallower one, so when the raw |nu| <= 2 closed form still grows with
-    N (possible while N < x/2) the shallower bound is substituted.
+    functions.
+
+    The exact tail falls strictly with N.  The computed bound is
+    nonincreasing in N past the envelope's peak (the first index whose
+    term ratio is below 1, near x/2).  Before the peak it exceeds the
+    envelope's largest term, which is above 1e12 wherever the rounding
+    of the first term's exponential lifts consecutive values: by at most
+    1e-13 relative for x <= 100 and 1e-12 for x in the hundreds.  Any
+    tolerance below 1e12 is therefore crossed once, as the bisection in
+    `required_terms` needs.
     """
     bounds = _PointBounds(nu, x)
     _check_terms(N)
@@ -319,7 +282,7 @@ def required_terms(nu: float, x: float, tol: float) -> int:
     """
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
-    return _PointBounds(nu, x).terms(tol)[0]
+    return _PointBounds(nu, x).terms(tol)
 
 
 def bound_report(nu: float, x: float, N: int) -> BoundReport:

@@ -54,15 +54,17 @@ def classify(a: float, b: float, c: float, beta: float) -> LommelSolution:
 
     The discriminant ((a-1)/2)^2 - b decides the order type: nonnegative
     gives a real order (zero ties resolve to RealOrder(0)), negative an
-    imaginary order.  Requires beta != 0 and c >= 0.
+    imaginary order.  Requires beta != 0 and c > 0: with c = 0 the
+    equation is an Euler equation, whose argument scale 0 has no Bessel
+    form.
     """
     for name, value in (("a", a), ("b", b), ("c", c), ("beta", beta)):
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value!r}")
     if beta == 0.0:
         raise DomainError("beta must be nonzero")
-    if c < 0.0:
-        raise DomainError(f"c must be >= 0, got {c}")
+    if c <= 0.0:
+        raise DomainError(f"c must be > 0, got {c}")
     s = (a - 1.0) / 2.0
     disc = s * s - b
     scale = math.sqrt(c) / abs(beta)

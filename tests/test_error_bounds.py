@@ -1,6 +1,7 @@
 """Tests for the truncation-bound chain."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -26,7 +27,7 @@ from imbessel import (
     truncated_pair_hp,
 )
 from imbessel.cli import COMPARE_SLACK
-from imbessel.error_bounds import SUM_INV_CUBES, SUM_INV_SQUARES
+from imbessel.error_bounds import MAX_TERMS, SUM_INV_CUBES, SUM_INV_SQUARES
 
 
 def test_factor_F_vanishes_at_unit_and_zero_order():
@@ -84,7 +85,7 @@ def test_majorant_bound_simple_values():
 
 
 def test_majorant_bound_log_space_is_consistent_and_finite():
-    # the closed form and the log-space form agree near the switchover
+    # the direct form and the log-space form agree near the switchover
     for nu in (0.5, 2.0):
         direct = m_of_nu(nu) * 20.0 ** abs(nu) / math.factorial(20) ** 2
         assert majorant_bound(nu, 20) == pytest.approx(direct, rel=1e-13)
@@ -121,7 +122,8 @@ def test_envelope_ratio_inequality(nu):
 
 
 def test_tail_bound_eight_terms_at_x2():
-    # the x <= 2, |nu| <= 2 envelope collapses to 24/(N!)^2
+    # at x <= 2, |nu| <= 2 the paper's closed form is at most 24/(N!)^2,
+    # and the summed envelope stays below it
     assert tail_bound(0.0, 2.0, 8) <= 24.0 / math.factorial(8) ** 2
     assert tail_bound(1.0, 2.0, 8) <= 24.0 / math.factorial(8) ** 2
 
@@ -195,8 +197,8 @@ def test_bound_report_fields():
 
 @pytest.mark.parametrize("nu", [2.5, 4.0])
 def test_bound_validity_above_two(nu):
-    # The closed-form tail only exists for |nu| <= 2; the summed envelope
-    # must still enclose the true truncation error.
+    # Above |nu| = 2 the paper gives no closed form for the tail; the
+    # summed envelope must still enclose the true truncation error.
     for kind in (Kind.OSCILLATORY, Kind.MODIFIED):
         for x in (0.1, 0.5, 1.0, 2.0):
             gold = oracle_pair_hp(kind, nu, x, digits=90)
@@ -253,15 +255,64 @@ def test_envelope_tail_below_normal_range_is_monotone_and_encloses():
                 assert mpf(tail_bound(nu, x, first - 1)) >= exact
 
 
-def test_tail_bound_is_continuous_across_the_closed_form_edge():
-    # |nu| <= 2 takes the closed form, |nu| > 2 the summed envelope; both
-    # bound the same discarded indices N + 1, N + 2, ..., so nothing jumps
-    # up at |nu| = 2.  At x = 5 the closed form is the looser of the two
-    # (about 10x from N = 4 on), so the ratio may fall that far there.
-    for x, low in ((0.1, 0.5), (1.0, 0.5), (5.0, 0.1)):
+def test_tail_bound_is_continuous_at_order_two():
+    # one summed envelope serves every order, so nothing jumps at |nu| = 2
+    for x in (0.1, 1.0, 5.0, 20.0, 50.0):
         for n in range(1, 31):
             ratio = tail_bound(2.0 + 1e-9, x, n) / tail_bound(2.0, x, n)
-            assert low <= ratio <= 2.0, (x, n, ratio)
+            assert abs(ratio - 1.0) <= 1e-7, (x, n, ratio)
+
+
+def test_tail_bound_is_within_the_papers_closed_form():
+    # For |nu| <= 2 the paper collapses the envelope tail into
+    # m(nu) (x/2)^(2N+1) I1(x) / (N!)^2; the summed envelope is at most
+    # its 1.01 inflation above that, plus one subnormal step (5e-324)
+    # where the closed form is below the double range.
+    with mp.workdps(40):
+        for nu in (0.0, 0.3, 1.0, 1.5, 1.9, 2.0):
+            m = mpf(m_of_nu(nu))
+            for x in (1e-8, 1e-4, 0.01, 0.3, 1.0, 2.0, 5.0, 12.0, 25.0, 50.0):
+                i1 = mp.besseli(1, x)
+                for n in range(1, 41):
+                    closed = m * (mpf(x) / 2) ** (2 * n + 1) * i1 / mp.factorial(n) ** 2
+                    assert mpf(tail_bound(nu, x, n)) <= mpf("1.0101") * closed + mpf(5e-324), (nu, x, n)
+
+
+def test_required_terms_is_the_first_count_of_a_linear_scan():
+    rng = random.Random(20)
+    for i in range(120):
+        nu = rng.uniform(-8.0, 8.0)
+        if i % 3 == 0:
+            x = rng.uniform(35.0, 120.0)
+        else:
+            x = math.exp(rng.uniform(math.log(1e-4), math.log(35.0)))
+        tol = 10.0 ** rng.uniform(-16.0, -1.0)
+        first = next((n for n in range(1, MAX_TERMS + 1) if tail_bound(nu, x, n) <= tol), None)
+        if first is None:
+            with pytest.raises(ToleranceError):
+                required_terms(nu, x, tol)
+        else:
+            assert required_terms(nu, x, tol) == first, (nu, x, tol)
+
+
+def test_tail_bound_rises_only_by_rounding_before_the_envelope_peak():
+    # At large x the first discarded term is many digits below the sum
+    # before the envelope's peak, so the rounding of its exponential can
+    # lift the next bound a little; past the peak the bound never rises.
+    nu, x = 7.024188878877824, 46.657801752659765
+    v, w = abs(nu), (0.5 * x) ** 2
+    peak = next(n for n in range(1, MAX_TERMS) if ((n + 1.0) / n) ** v * w / (n + 1.0) ** 2 < 1.0)
+    bounds = [tail_bound(nu, x, n) for n in range(1, 121)]
+    for n, (b1, b2) in enumerate(zip(bounds, bounds[1:]), start=1):
+        if n + 1 >= peak:
+            assert b2 <= b1, n
+        else:
+            assert b2 <= b1 * (1.0 + 1e-13), n
+        if b2 > b1:
+            assert b1 > 1e12, n
+    for tol in (1e-14, 1e-8, 1e-2, 1e6):
+        first = next(n for n in range(1, 121) if bounds[n - 1] <= tol)
+        assert required_terms(nu, x, tol) == first
 
 
 @pytest.mark.parametrize("x", [1e-165, 1e-200, 1e-300, 1e-308, 5e-324])
