@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError, ToleranceError
 from .error_bounds import tail_bound
@@ -27,17 +26,6 @@ DEFAULT_NUS = "0,0.5,1,1.5,2"
 #: round-off allowance used by the compare PASS/FAIL flag, matching the
 #: double-precision slack of the oracle-equivalence guarantee
 COMPARE_SLACK = 1e-13
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Evaluation grid: an x range crossed with a list of orders."""
-
-    x_min: float
-    x_max: float
-    x_steps: int
-    nu_list: tuple
-    scale: str  # "linear" | "log"
 
 
 def _fmt(value) -> str:
@@ -61,25 +49,20 @@ def _parse_nu_list(text: str):
     return values
 
 
-def _grid_points(spec: GridSpec):
-    if not (spec.x_min > 0.0 and math.isfinite(spec.x_min) and math.isfinite(spec.x_max)):
+def _grid_points(x_min, x_max, x_steps, scale):
+    if not (x_min > 0.0 and math.isfinite(x_min) and math.isfinite(x_max)):
         raise DomainError("x grid must satisfy 0 < x-min <= x-max")
-    if spec.x_min > spec.x_max:
+    if x_min > x_max:
         raise DomainError("x grid must satisfy 0 < x-min <= x-max")
-    if spec.x_steps < 1:
-        raise DomainError(f"x-steps must be >= 1, got {spec.x_steps}")
-    if not spec.nu_list:
-        raise DomainError("empty nu list")
-    if spec.x_steps == 1:
-        return [spec.x_min]
-    if spec.scale == "log":
-        ratio = math.log(spec.x_max / spec.x_min)
-        return [
-            spec.x_min * math.exp(i * ratio / (spec.x_steps - 1))
-            for i in range(spec.x_steps)
-        ]
-    step = (spec.x_max - spec.x_min) / (spec.x_steps - 1)
-    return [spec.x_min + i * step for i in range(spec.x_steps)]
+    if x_steps < 1:
+        raise DomainError(f"x-steps must be >= 1, got {x_steps}")
+    if x_steps == 1:
+        return [x_min]
+    if scale == "log":
+        ratio = math.log(x_max / x_min)
+        return [x_min * math.exp(i * ratio / (x_steps - 1)) for i in range(x_steps)]
+    step = (x_max - x_min) / (x_steps - 1)
+    return [x_min + i * step for i in range(x_steps)]
 
 
 def _emit(out, fields, rows, fmt):
@@ -106,10 +89,11 @@ def cmd_eval(args, out) -> int:
 
 
 def _grid_from_args(args):
-    spec = GridSpec(args.x_min, args.x_max, args.x_steps,
-                    _parse_nu_list(args.nu), args.x_scale)
-    xs = _grid_points(spec)
-    return [(nu, x) for nu in spec.nu_list for x in xs]
+    nus = _parse_nu_list(args.nu)
+    xs = _grid_points(args.x_min, args.x_max, args.x_steps, args.x_scale)
+    if not nus:
+        raise DomainError("empty nu list")
+    return [(nu, x) for nu in nus for x in xs]
 
 
 def cmd_table(args, out) -> int:
@@ -156,13 +140,16 @@ def cmd_bounds(args, out) -> int:
         raise DomainError("empty --terms list")
     gold_cos, gold_sin = oracle_pair(kind, args.nu, args.x, digits=args.oracle_digits)
 
+    # tail_bound is the a-priori truncation bound alone; bound is the
+    # forced result's own, truncation plus round-off, which encloses
+    # empirical_error
     rows = []
     for n in n_list:
-        bound = tail_bound(args.nu, args.x, n)
+        apriori = tail_bound(args.nu, args.x, n)
         r = eval_pair(kind, args.nu, args.x, terms=n)
         empirical = max(abs(r.cos_part - gold_cos), abs(r.sin_part - gold_sin))
-        rows.append([n, bound, empirical])
-    _emit(out, ["N", "tail_bound", "empirical_error"], rows, args.format)
+        rows.append([n, apriori, empirical, r.tail_bound])
+    _emit(out, ["N", "tail_bound", "empirical_error", "bound"], rows, args.format)
     return 0
 
 

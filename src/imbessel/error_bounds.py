@@ -13,9 +13,11 @@ constants are the tails sum_{n>=2} 1/n^2 and sum_{n>=2} 1/n^3 to four
 decimals, and F(nu) is a piecewise cubic-correction factor.  Summing the
 envelope over the discarded indices N+1, N+2, ... after N steps gives a
 guaranteed bound on the truncation error of any of the four basis
-functions.  One sum serves every order: it is taken term by term until
-a geometric-ratio cutoff, then inflated by 1%.  For |nu| <= 2 the paper
-collapses the same sum into the corollary
+functions.  One sum serves every order and every scale: it is taken
+term by term relative to its first term until a geometric-ratio cutoff,
+then the first term, with any outside factor such as the derivative's
+2/x, is applied once in log space and the result inflated by 1%.  For
+|nu| <= 2 the paper collapses the same sum into the corollary
 
     eps_N  <=  m(nu) * (x/2)^(2N+1) * I1(x) / (N!)^2,
 
@@ -71,11 +73,10 @@ def _check_finite(value, name):
 def _exp_sat(arg: float) -> float:
     # exp with saturation instead of OverflowError; huge bounds stay
     # honest as +inf, tiny ones underflow to a clean zero
-    if arg > 709.0:
+    try:
+        return math.exp(arg)
+    except OverflowError:
         return math.inf
-    if arg < -745.0:
-        return 0.0
-    return math.exp(arg)
 
 
 def _pow_sat(base: float, exponent) -> float:
@@ -107,10 +108,7 @@ def _log_m_of_nu(nu: float) -> float:
 def m_of_nu(nu: float) -> float:
     """Envelope constant m(nu); equals 1 at nu = 0 and grows with |nu|."""
     _check_finite(nu, "nu")
-    v = abs(nu)
-    if nu * nu == math.inf:  # the prefactor would be 0 against exp's inf
-        return math.inf
-    return (1.0 + v) / (1.0 + nu * nu) * _exp_sat(SUM_INV_SQUARES * nu * nu + SUM_INV_CUBES * factor_F(nu))
+    return _exp_sat(_log_m_of_nu(nu))
 
 
 def majorant_bound(nu: float, n: int) -> float:
@@ -125,11 +123,6 @@ def majorant_bound(nu: float, n: int) -> float:
     if n <= 20:
         return m_of_nu(nu) * _pow_sat(float(n), v) / float(math.factorial(n)) ** 2
     return _exp_sat(_log_m_of_nu(nu) + v * math.log(n) - 2.0 * math.lgamma(n + 1.0))
-
-
-def _envelope_term_log(power: float, n: int, log_w: float) -> float:
-    # log of m(nu)-free envelope piece n^power / (n!)^2 * w^n
-    return power * math.log(n) - 2.0 * math.lgamma(n + 1.0) + n * log_w
 
 
 class _PointBounds:
@@ -164,7 +157,7 @@ class _PointBounds:
 
     def d_tail(self, N: int, tail: float) -> float:
         """`derivative_tail_bound` after N steps, given `tail` = tail(N)."""
-        d = (2.0 / self.x) * self._envelope(self.v + 1.0, N + 1)
+        d = self._envelope(self.v + 1.0, N + 1, math.log(2.0) - math.log(self.x))
         if tail == math.inf:
             # the nu/x rotation term is absent at nu = 0 and unbounded
             # otherwise; (v/x) * inf would be NaN where v/x is zero
@@ -190,40 +183,34 @@ class _PointBounds:
             )
         return hi
 
-    def _envelope(self, power: float, start: int) -> float:
-        """Upper bound on sum_{n>=start} m(nu) n^power / (n!)^2 (x/2)^(2n).
+    def _envelope(self, power: float, start: int, log_scale: float = 0.0) -> float:
+        """Upper bound on e^log_scale sum_{n>=start} m(nu) n^power / (n!)^2 (x/2)^(2n).
 
-        Sums terms directly; once the term ratio r drops below 1 and the
-        geometric remainder t*r/(1-r) falls under 0.1% of the partial
-        sum, the remainder is added and the total inflated by 1.01.  The
-        ratio only falls with n, so a first term below the normal range
-        takes the whole geometric sum t/(1-r) at once.
+        Sums the terms relative to the first (t = 1 at `start`); once the
+        term ratio r drops below 1 and the geometric remainder t*r/(1-r)
+        falls under 0.1% of the partial sum, the remainder is added (the
+        ratio only falls with n).  The first term and the scale enter
+        once, as exp(log t_start + log_scale + log(total)), so neither
+        overflows or underflows on its own at any x.  The factor 1.01
+        covers the rounding of the sum and the exponential, and one
+        subnormal step keeps the bound above a positive exact sum where
+        the exponential underflows.
         """
         w = self.w
-        log_t = self.log_m + _envelope_term_log(power, start, self.log_w)
-        if log_t < -708.0:
-            r = ((start + 1.0) / start) ** power * w / ((start + 1.0) * (start + 1.0))
-            # r >= 1 would put `start` before the envelope's peak, where the
-            # term is at least m(nu) 2^-power with power <= |nu| + 1; m(nu)'s
-            # exp(0.6449 nu^2) keeps that far above e^-708.
-            if r < 1.0:
-                # Summing would lose the term to gradual underflow.  Every
-                # later ratio is below r, and 1.01 plus one subnormal ulp
-                # cover the rounding of the exponential.
-                return _exp_sat(log_t - math.log1p(-r)) * 1.01 + 5e-324
-        t = _exp_sat(log_t)
-        if t == math.inf:
-            # envelope constant beyond the double range (very large |nu|);
-            # the bound is honestly infinite, nothing can be certified
+        log_t = self.log_m + (power * math.log(start) - 2.0 * math.lgamma(start + 1.0)
+                              + start * self.log_w) + log_scale
+        if log_t > 710.0:
+            # the first term alone is beyond the double range (m(nu) for
+            # |nu| above ~33), where the ratio's power could overflow too
             return math.inf
-        total = t
+        t = total = 1.0
         n = start
         while True:
             r = ((n + 1.0) / n) ** power * w / ((n + 1.0) * (n + 1.0))
             if r < 1.0:
                 remainder = t * r / (1.0 - r)
                 if remainder < 1e-3 * total:
-                    return (total + remainder) * 1.01
+                    return _exp_sat(log_t + math.log(total + remainder)) * 1.01 + 5e-324
             n += 1
             t *= ((n / (n - 1.0)) ** power) * w / (n * n)
             total += t
@@ -251,8 +238,8 @@ def tail_bound(nu: float, x: float, N: int) -> float:
     nonincreasing in N past the envelope's peak (the first index whose
     term ratio is below 1, near x/2).  Before the peak it exceeds the
     envelope's largest term, which is above 1e12 wherever the rounding
-    of the first term's exponential lifts consecutive values: by at most
-    1e-13 relative for x <= 100 and 1e-12 for x in the hundreds.  Any
+    of the final exponential lifts consecutive values: by at most
+    1.2e-13 relative for x <= 100 and 1.1e-12 for x up to 1500.  Any
     tolerance below 1e12 is therefore crossed once, as the bisection in
     `required_terms` needs.
     """

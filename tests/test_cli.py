@@ -136,7 +136,7 @@ def test_table_json_matches_csv():
         assert float(row[7]) == rec["bound"]
 
 
-def test_table_deterministic_across_runs_and_threads():
+def test_table_deterministic_across_runs():
     args = ["table", "--x-steps", "16", "--nu", "0,0.5,1,1.5,2"]
     _, first = run_cli(args)
     _, second = run_cli(args)
@@ -163,7 +163,7 @@ def test_compare_default_regime_passes():
     assert "points=40" in summary
 
 
-def test_compare_deterministic_across_threads():
+def test_compare_deterministic_across_runs():
     args = ["compare", "--x-steps", "3", "--nu", "0.5,1.5"]
     _, first = run_cli(args)
     _, second = run_cli(args)
@@ -194,7 +194,7 @@ def test_bounds_columns_and_monotonicity():
     code, out = run_cli(["bounds", "--nu", "1", "--x", "2", "--terms", "2,4,8"])
     assert code == 0
     header, rows = parse_csv(out)
-    assert header == ["N", "tail_bound", "empirical_error"]
+    assert header == ["N", "tail_bound", "empirical_error", "bound"]
     bounds = [float(r[1]) for r in rows]
     assert bounds == sorted(bounds, reverse=True)
     assert bounds[0] > bounds[1] > bounds[2]
@@ -215,6 +215,19 @@ def test_bounds_empirical_below_bound():
     _, rows = parse_csv(out)
     for row in rows:
         assert float(row[2]) <= float(row[1]) + 1e-13
+
+
+def test_bounds_result_bound_encloses_empirical_error_without_slack():
+    # tail_bound is truncation alone and falls below the double result's
+    # error once round-off dominates (N = 16 here); the result's own
+    # bound carries the round-off too
+    code, out = run_cli(["bounds", "--nu", "1", "--x", "2"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    err, bound = header.index("empirical_error"), header.index("bound")
+    assert [r[0] for r in rows] == ["2", "4", "8", "16"]
+    for row in rows:
+        assert float(row[err]) <= float(row[bound])
 
 
 # ------------------------------------------------------------------ classify

@@ -255,6 +255,26 @@ def test_envelope_tail_below_normal_range_is_monotone_and_encloses():
                 assert mpf(tail_bound(nu, x, first - 1)) >= exact
 
 
+def test_derivative_tail_bound_is_positive_and_encloses_at_extreme_scales():
+    # The derivative's 2/x is applied inside the envelope's exponential:
+    # a tail below the double range can no longer round to 0 after the
+    # product, and 2/x can no longer overflow to inf at tiny x.
+    with mp.workdps(30):
+        for nu, x, N in ((0.0, 5.0, 128), (1.0, 10.0, 400), (0.0, 1e-308, 1), (0.0, 1e-300, 1)):
+            bound = derivative_tail_bound(nu, x, N)
+            assert 0.0 < bound < math.inf, (nu, x, N, bound)
+            v, w = abs(nu), (mpf(x) / 2) ** 2
+            m = mp.e ** (mpf(SUM_INV_SQUARES) * mpf(nu) ** 2 + SUM_INV_CUBES * factor_F(nu))
+            m *= (1 + mpf(v)) / (1 + mpf(nu) ** 2)
+
+            def env(power):
+                return m * mp.nsum(lambda n: n ** power / mp.factorial(n) ** 2 * w ** n,
+                                   [N + 1, mp.inf])
+
+            exact = 2 / mpf(x) * env(v + 1) + v / mpf(x) * env(v)
+            assert mpf(bound) >= exact, (nu, x, N, bound, exact)
+
+
 def test_tail_bound_is_continuous_at_order_two():
     # one summed envelope serves every order, so nothing jumps at |nu| = 2
     for x in (0.1, 1.0, 5.0, 20.0, 50.0):
