@@ -4,7 +4,9 @@ Output is deterministic byte for byte for identical flags: floats are
 printed with 17 significant digits (which round-trips doubles exactly),
 CSV uses '.' decimals, ',' separators and Unix newlines, and grid rows
 are evaluated and emitted in order (outer loop over the nu list, inner
-over x).  Grid evaluation is serial: the work is pure Python and holds
+over x), each CSV row through one `%` template made from the first
+row's types (`%.17g` for a float, else `%s`), so a column keeps one
+type.  Grid evaluation is serial: the work is pure Python and holds
 the interpreter lock, so threads could not overlap it.
 
 Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure.
@@ -26,12 +28,6 @@ DEFAULT_NUS = "0,0.5,1,1.5,2"
 #: round-off allowance used by the compare PASS/FAIL flag, matching the
 #: double-precision slack of the oracle-equivalence guarantee
 COMPARE_SLACK = 1e-13
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def _parse_kind(text: str) -> Kind:
@@ -73,18 +69,17 @@ def _emit(out, fields, rows, fmt):
         return
     out.write(",".join(fields))
     out.write("\n")
+    # %.17g is format(v, ".17g"); rows go out one by one, never joined
+    template = ",".join("%.17g" if isinstance(v, float) else "%s" for v in rows[0]) + "\n"
     for row in rows:
-        out.write(",".join(_fmt(v) for v in row))
-        out.write("\n")
+        out.write(template % tuple(row))
 
 
 def cmd_eval(args, out) -> int:
     kind = _parse_kind(args.kind)
     result = eval_pair(kind, args.nu, args.x, args.tol, terms=args.terms)
     fields = ["cos_part", "sin_part", "d_cos", "d_sin", "terms_used", "tail_bound"]
-    row = [result.cos_part, result.sin_part, result.d_cos, result.d_sin,
-           result.terms_used, result.tail_bound]
-    _emit(out, fields, [row], args.format)
+    _emit(out, fields, [result[:6]], args.format)
     return 0
 
 
@@ -101,8 +96,7 @@ def cmd_table(args, out) -> int:
     rows = []
     for nu, x in _grid_from_args(args):
         r = eval_pair(kind, nu, x, args.tol, terms=args.terms)
-        rows.append([x, nu, r.cos_part, r.sin_part, r.d_cos, r.d_sin,
-                     r.terms_used, r.tail_bound])
+        rows.append((x, nu) + r[:6])
     fields = ["x", "nu", "cos_part", "sin_part", "d_cos", "d_sin", "terms", "bound"]
     _emit(out, fields, rows, args.format)
     return 0
@@ -125,7 +119,7 @@ def cmd_compare(args, out) -> int:
     max_err = max(max(row[2], row[3]) for row in rows)
     status = "PASS" if all(row[5] for row in rows) else "FAIL"
     out.write(
-        f"status={status} points={len(rows)} max_err={_fmt(max_err)} tol={_fmt(args.tol)}\n"
+        "status=%s points=%d max_err=%.17g tol=%.17g\n" % (status, len(rows), max_err, args.tol)
     )
     return 0
 

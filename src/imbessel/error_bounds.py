@@ -158,19 +158,25 @@ class _PointBounds:
     def d_tail(self, N: int, tail: float) -> float:
         """`derivative_tail_bound` after N steps, given `tail` = tail(N)."""
         d = self._envelope(self.v + 1.0, N + 1, math.log(2.0) - math.log(self.x))
-        if tail == math.inf:
-            # the nu/x rotation term is absent at nu = 0 and unbounded
-            # otherwise; (v/x) * inf would be NaN where v/x is zero
-            return d if self.v == 0.0 else math.inf
-        return d + (self.v / self.x) * tail
+        if self.v == 0.0:  # no nu/x rotation term
+            return d
+        # (v/x) tail in log space (v/x overflows below x ~ 1e-308); inf stays inf
+        rot = math.log(self.v) - math.log(self.x) + math.log(tail)
+        return d + _exp_sat(rot) * 1.01 + 5e-324
 
     def terms(self, tol: float) -> int:
         """The smallest N <= MAX_TERMS with tail(N) <= tol, by bisection.
 
         Valid because tail(N) crosses the tolerance once (see
-        `tail_bound`).
+        `tail_bound`).  The bracket grows by doubling steps from a first
+        guess near e x/2, past the envelope's peak at ~x/2.
         """
         lo, hi = 0, MAX_TERMS + 1  # sentinels: tail(lo) > tol >= tail(hi)
+        n = int(min(1.36 * self.x, MAX_TERMS)) + 1
+        step = n // 4 + 1
+        while n < hi and self.tail(n) > tol:
+            lo, n, step = n, n + step, 2 * step
+        hi = min(n, hi)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if self.tail(mid) <= tol:

@@ -33,6 +33,7 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import _backend
 from .error_bounds import MAX_TERMS, _PointBounds
@@ -75,8 +76,7 @@ class CoeffTable:
     entries: tuple
 
 
-@dataclass(frozen=True)
-class PairResult:
+class PairResult(NamedTuple):
     """Evaluated basis pair with derivatives and guaranteed error bounds.
 
     `tail_bound` bounds the error of cos_part and sin_part against the
@@ -86,7 +86,9 @@ class PairResult:
     bound for d_cos and d_sin; the derivative series carries an extra
     n * 2/x weight per term, so a single bound cannot serve both.  With
     a searched term count the truncation part is <= the requested `tol`;
-    the round-off part is reported on top of it (see `eval_pair`).
+    the round-off part is reported on top of it (see `eval_pair`).  A
+    named tuple: fields by name or by index in this order, assignment
+    raises AttributeError, and `terms_used` is always an int.
     """
 
     cos_part: float
@@ -311,15 +313,7 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
             d_bound = apriori.d_tail(n, tail) + r_der / x
         else:
             d_bound = (2.0 * d_tail + v * tail + r_der) / x
-    return PairResult(
-        cos_part=cos_part,
-        sin_part=sin_part,
-        d_cos=d_cos,
-        d_sin=d_sin,
-        terms_used=n,
-        tail_bound=tail + r_val,
-        d_tail_bound=d_bound,
-    )
+    return PairResult(cos_part, sin_part, d_cos, d_sin, n, tail + r_val, d_bound)
 
 
 def wronskian_residual(kind: Kind, nu: float, x: float, tol: float = 1e-12) -> float:

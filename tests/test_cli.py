@@ -278,3 +278,103 @@ def test_eval_beyond_the_double_range_is_a_tolerance_error():
     for nu, x in (("1", "1e8"), ("1e200", "1")):
         code, _ = run_cli(["eval", "--nu", nu, "--x", x])
         assert code == 3, (nu, x)
+
+
+# ------------------------------------------------------------- output bytes
+#
+# The CSV writer formats a whole row through one template; these pin its
+# bytes to the per-value rule: format(v, ".17g") for a float, str(v) for
+# anything else (ints, bools, text).
+
+def per_value_csv(fields, rows):
+    def cell(v):
+        return format(v, ".17g") if isinstance(v, float) else str(v)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in [fields] + rows)
+
+
+TABLE_FIELDS = ["x", "nu", "cos_part", "sin_part", "d_cos", "d_sin", "terms", "bound"]
+
+
+def test_table_bytes_match_the_per_value_rule():
+    from imbessel import Kind, eval_pair
+    from imbessel.cli import _grid_points
+
+    nus = "-0.0,0,0.5,3"
+    for kind, flag in ((Kind.OSCILLATORY, "osc"), (Kind.MODIFIED, "mod")):
+        for x_min, x_max, steps, scale, terms in ((1e-300, 2.0, 9, "log", None),
+                                                  (0.1, 5.0, 7, "linear", None),
+                                                  (0.25, 3.0, 4, "linear", 12)):
+            args = ["table", "--kind", flag, "--nu=" + nus, "--x-min", repr(x_min),
+                    "--x-max", repr(x_max), "--x-steps", str(steps), "--x-scale", scale]
+            if terms is not None:
+                args += ["--terms", str(terms)]
+            code, out = run_cli(args)
+            assert code == 0, args
+            rows = []
+            for nu in (-0.0, 0.0, 0.5, 3.0):
+                for x in _grid_points(x_min, x_max, steps, scale):
+                    r = eval_pair(kind, nu, x, 1e-12, terms=terms)
+                    rows.append([x, nu, r.cos_part, r.sin_part, r.d_cos, r.d_sin,
+                                 r.terms_used, r.tail_bound])
+            assert out == per_value_csv(TABLE_FIELDS, rows), args
+            assert out.splitlines()[1].split(",")[1] == "-0"
+
+
+def test_compare_bytes_match_the_per_value_rule():
+    from imbessel import Kind, eval_pair, oracle_pair
+    from imbessel.cli import COMPARE_SLACK
+
+    code, out = run_cli(["compare", "--kind", "mod", "--nu=-0.0,1.5", "--x-steps", "3",
+                         "--tol", "1e-10"])
+    assert code == 0
+    rows = []
+    for nu in (-0.0, 1.5):
+        for x in (0.1, 1.05, 2.0):
+            r = eval_pair(Kind.MODIFIED, nu, x, 1e-10)
+            gold_cos, gold_sin = oracle_pair(Kind.MODIFIED, nu, x, digits=50)
+            err_cos, err_sin = abs(r.cos_part - gold_cos), abs(r.sin_part - gold_sin)
+            err = max(err_cos, err_sin)
+            rows.append([x, nu, err_cos, err_sin, r.tail_bound,
+                         err <= r.tail_bound + COMPARE_SLACK, err <= 1e-10])
+    max_err = max(max(row[2], row[3]) for row in rows)
+    status = "PASS" if all(row[5] for row in rows) else "FAIL"
+    expected = per_value_csv(["x", "nu", "err_cos", "err_sin", "bound", "ok", "within_tol"], rows)
+    expected += (f"status={status} points={len(rows)} max_err={format(max_err, '.17g')} "
+                 f"tol={format(1e-10, '.17g')}\n")
+    assert out == expected
+
+
+def test_eval_bounds_classify_bytes_match_the_per_value_rule():
+    from imbessel import ImaginaryOrder, Kind, classify, eval_pair, oracle_pair, tail_bound
+
+    for nu, x, terms in ((-0.0, 1e-300, None), (2.5, 3.0, 9)):
+        args = ["eval", "--kind", "osc", f"--nu={nu!r}", f"--x={x!r}"]
+        if terms is not None:
+            args += ["--terms", str(terms)]
+        code, out = run_cli(args)
+        assert code == 0
+        r = eval_pair(Kind.OSCILLATORY, nu, x, 1e-12, terms=terms)
+        fields = ["cos_part", "sin_part", "d_cos", "d_sin", "terms_used", "tail_bound"]
+        row = [r.cos_part, r.sin_part, r.d_cos, r.d_sin, r.terms_used, r.tail_bound]
+        assert out == per_value_csv(fields, [row])
+
+    code, out = run_cli(["bounds", "--nu", "1", "--x", "2", "--terms", "1,4,16"])
+    assert code == 0
+    gold_cos, gold_sin = oracle_pair(Kind.OSCILLATORY, 1.0, 2.0, digits=50)
+    rows = []
+    for n in (1, 4, 16):
+        r = eval_pair(Kind.OSCILLATORY, 1.0, 2.0, terms=n)
+        empirical = max(abs(r.cos_part - gold_cos), abs(r.sin_part - gold_sin))
+        rows.append([n, tail_bound(1.0, 2.0, n), empirical, r.tail_bound])
+    assert out == per_value_csv(["N", "tail_bound", "empirical_error", "bound"], rows)
+
+    fields = ["a", "b", "c", "beta", "prefactor_exponent", "gamma", "order_type", "nu"]
+    for a, b, c, beta in ((1.0, 2.25, 1.0, 1.0), (2.0, -3.0, 4.0, -0.5)):
+        code, out = run_cli(["classify", "--a", repr(a), "--b", repr(b), "--c", repr(c),
+                             "--beta", repr(beta)])
+        assert code == 0
+        sol = classify(a, b, c, beta)
+        order_type = "imaginary" if isinstance(sol.order, ImaginaryOrder) else "real"
+        row = [a, b, c, beta, sol.prefactor_exponent, sol.gamma, order_type, sol.order.nu]
+        assert out == per_value_csv(fields, [row])

@@ -258,9 +258,15 @@ def test_envelope_tail_below_normal_range_is_monotone_and_encloses():
 def test_derivative_tail_bound_is_positive_and_encloses_at_extreme_scales():
     # The derivative's 2/x is applied inside the envelope's exponential:
     # a tail below the double range can no longer round to 0 after the
-    # product, and 2/x can no longer overflow to inf at tiny x.
+    # product, and 2/x can no longer overflow to inf at tiny x.  The
+    # rotation term (|nu|/x) tail_bound is formed in log space too, so
+    # |nu|/x cannot overflow below x ~ 1e-308 either.
+    cases = [(0.0, 5.0, 128), (1.0, 10.0, 400), (0.0, 1e-308, 1), (0.0, 1e-300, 1)]
+    cases += [(nu, x, N) for nu in (0.5, 1.0, 3.0) for x in (1e-300, 1e-309, 5e-324)
+              for N in (1, 5)]
+    cases += [(8.0, 1.0, 1), (8.0, 1e-309, 1)]  # |nu| > 2 (N + 1): the rotation term dominates
     with mp.workdps(30):
-        for nu, x, N in ((0.0, 5.0, 128), (1.0, 10.0, 400), (0.0, 1e-308, 1), (0.0, 1e-300, 1)):
+        for nu, x, N in cases:
             bound = derivative_tail_bound(nu, x, N)
             assert 0.0 < bound < math.inf, (nu, x, N, bound)
             v, w = abs(nu), (mpf(x) / 2) ** 2
@@ -300,13 +306,20 @@ def test_tail_bound_is_within_the_papers_closed_form():
 
 def test_required_terms_is_the_first_count_of_a_linear_scan():
     rng = random.Random(20)
+    cases = []
     for i in range(120):
         nu = rng.uniform(-8.0, 8.0)
         if i % 3 == 0:
             x = rng.uniform(35.0, 120.0)
         else:
             x = math.exp(rng.uniform(math.log(1e-4), math.log(35.0)))
-        tol = 10.0 ** rng.uniform(-16.0, -1.0)
+        cases.append((nu, x, 10.0 ** rng.uniform(-16.0, -1.0)))
+    # the bracket grows from a first guess near e x/2: answers below, at
+    # and above the guess, and guesses past MAX_TERMS
+    cases += [(nu, x, tol) for nu in (0.0, 2.5)
+              for x in (1e-4, 0.01, 1.0, 5.0, 50.0, 150.0, 290.0, 300.0)
+              for tol in (1e-16, 1e-10, 1e-3, 1.0, 1e3, 1e9)]
+    for nu, x, tol in cases:
         first = next((n for n in range(1, MAX_TERMS + 1) if tail_bound(nu, x, n) <= tol), None)
         if first is None:
             with pytest.raises(ToleranceError):
@@ -359,6 +372,8 @@ def test_bound_chain_saturates_instead_of_overflowing():
     # +inf or a ToleranceError, never an OverflowError or NaN
     with pytest.raises(ToleranceError):
         required_terms(0.5, 1e8, 1e-12)
+    with pytest.raises(ToleranceError):  # the first guess e x/2 overflows
+        required_terms(0.5, 1.7e308, 1e-12)
     assert tail_bound(1.5, 1e200, 5) == math.inf
     assert tail_bound(1.5, 1e104, 30) == math.inf
     assert m_of_nu(1e200) == math.inf

@@ -12,6 +12,7 @@ from imbessel import (
     CoeffPair,
     DomainError,
     Kind,
+    PairResult,
     ToleranceError,
     advance_modified,
     advance_oscillatory,
@@ -215,6 +216,26 @@ def test_eval_terms_override():
     assert r.terms_used == 5
     with pytest.raises(DomainError):
         eval_pair(OSC, 1.0, 1.0, terms=0)
+
+
+def test_pair_result_is_an_immutable_named_tuple():
+    # the CLI writes r[:6] through a row template that takes terms_used
+    # as an int, so the field order and that type are part of the contract
+    fields = ("cos_part", "sin_part", "d_cos", "d_sin", "terms_used", "tail_bound",
+              "d_tail_bound")
+    assert PairResult._fields == fields
+    r = eval_pair(OSC, 1.5, 2.0, 1e-12)
+    assert r[:6] == (r.cos_part, r.sin_part, r.d_cos, r.d_sin, r.terms_used, r.tail_bound)
+    assert tuple(r) == tuple(getattr(r, name) for name in fields)
+    with pytest.raises(AttributeError):
+        r.cos_part = 0.0
+    again = eval_pair(OSC, 1.5, 2.0, 1e-12)
+    assert again == r and hash(again) == hash(r)
+    # searched, forced, forced before the ratio falls below 1 (a-priori
+    # fallback) and below the normal range, searched and forced
+    for kind in (OSC, MOD):
+        for x, terms in ((2.0, None), (2.0, 7), (30.0, 3), (1e-200, None), (1e-200, 3)):
+            assert type(eval_pair(kind, 1.0, x, 1e-12, terms=terms).terms_used) is int
 
 
 def test_eval_rejects_a_kind_that_is_not_a_kind():
