@@ -7,9 +7,7 @@ classifier for generalized Bessel-form equations, and a CLI.
 
 from .errors import DomainError, ToleranceError
 from .error_bounds import (
-    BoundReport,
     MAX_TERMS,
-    bound_report,
     derivative_tail_bound,
     factor_F,
     m_of_nu,
@@ -18,13 +16,8 @@ from .error_bounds import (
     tail_bound,
 )
 from .series_core import (
-    CoeffPair,
-    CoeffTable,
     Kind,
     PairResult,
-    advance_modified,
-    advance_oscillatory,
-    build_table,
     eval_pair,
     gamma_modulus_imag,
     wronskian_residual,
@@ -34,9 +27,6 @@ from .lommel import ImaginaryOrder, LommelSolution, RealOrder, classify
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundReport",
-    "CoeffPair",
-    "CoeffTable",
     "DomainError",
     "ImaginaryOrder",
     "Kind",
@@ -46,10 +36,6 @@ __all__ = [
     "PairResult",
     "RealOrder",
     "ToleranceError",
-    "advance_modified",
-    "advance_oscillatory",
-    "bound_report",
-    "build_table",
     "classify",
     "derivative_tail_bound",
     "eval_pair",

@@ -28,6 +28,8 @@ DEFAULT_NUS = "0,0.5,1,1.5,2"
 #: round-off allowance used by the compare PASS/FAIL flag, matching the
 #: double-precision slack of the oracle-equivalence guarantee
 COMPARE_SLACK = 1e-13
+#: how a negative number starts
+_NEGATIVE_STARTS = frozenset("-" + c for c in "0123456789.")
 
 
 def _parse_kind(text: str) -> Kind:
@@ -222,10 +224,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_nu(argv):
+    # argparse takes a value such as "-0.5,1" for an option (it is not one
+    # negative number), so "--nu -0.5,1" is passed on as "--nu=-0.5,1"
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] == "--nu" and argv[i][:2] in _NEGATIVE_STARTS:
+            argv[i - 1:i + 1] = ["--nu=" + argv[i]]
+    return argv
+
+
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_nu(argv))
     try:
         return args.run(args, out)
     except DomainError as exc:

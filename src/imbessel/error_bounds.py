@@ -42,7 +42,6 @@ double range saturate to +inf rather than raising or turning into NaN.
 
 import math
 import sys
-from dataclasses import dataclass
 
 from .errors import DomainError, ToleranceError
 
@@ -53,16 +52,6 @@ SUM_INV_CUBES = 0.2021
 
 #: Hard ceiling on the admissible number of series terms.
 MAX_TERMS = 400
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Snapshot of the bound chain at a given order, point and term count."""
-
-    F: float
-    m_nu: float
-    N: int
-    tail: float
 
 
 def _check_finite(value, name):
@@ -276,8 +265,3 @@ def required_terms(nu: float, x: float, tol: float) -> int:
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
     return _PointBounds(nu, x).terms(tol)
-
-
-def bound_report(nu: float, x: float, N: int) -> BoundReport:
-    """Bundle F(nu), m(nu) and the tail bound for reporting."""
-    return BoundReport(F=factor_F(nu), m_nu=m_of_nu(nu), N=N, tail=tail_bound(nu, x, N))

@@ -14,30 +14,44 @@ though the order may not be.
 
 Negative beta is accepted; its sign folds into the argument transform
 x -> g x^beta, so the reported scale g and order stay nonnegative.
+
+The records are named tuples.  The two orders have the same shape, so
+each compares equal only to an order of its own type:
+RealOrder(v) != ImaginaryOrder(v).
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class RealOrder:
+def _eq(self, other):
+    # tuple equality alone would make RealOrder(v) == ImaginaryOrder(v)
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _ne(self, other):
+    return not _eq(self, other)
+
+
+class RealOrder(NamedTuple):
     """Classical Bessel order nu >= 0."""
 
     nu: float
+    __eq__ = _eq
+    __ne__ = _ne
 
 
-@dataclass(frozen=True)
-class ImaginaryOrder:
+class ImaginaryOrder(NamedTuple):
     """Pure imaginary Bessel order i*nu with nu > 0."""
 
     nu: float
+    __eq__ = _eq
+    __ne__ = _ne
 
 
-@dataclass(frozen=True)
-class LommelSolution:
+class LommelSolution(NamedTuple):
     """Bessel form of a classified equation.
 
     Solutions are x^prefactor_exponent * w(gamma * x^beta) with w a
@@ -69,7 +83,7 @@ def classify(a: float, b: float, c: float, beta: float) -> LommelSolution:
     disc = s * s - b
     scale = math.sqrt(c) / abs(beta)
     if disc >= 0.0:
-        order: RealOrder | ImaginaryOrder = RealOrder(nu=math.sqrt(disc) / abs(beta))
+        order: RealOrder | ImaginaryOrder = RealOrder(math.sqrt(disc) / abs(beta))
     else:
-        order = ImaginaryOrder(nu=math.sqrt(-disc) / abs(beta))
-    return LommelSolution(prefactor_exponent=-s, gamma=scale, order=order)
+        order = ImaginaryOrder(math.sqrt(-disc) / abs(beta))
+    return LommelSolution(-s, scale, order)

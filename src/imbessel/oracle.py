@@ -219,6 +219,26 @@ def oracle_pair_derivs_hp(kind: Kind, nu: float, x: float, digits: int = 50) -> 
 
 
 @_locked
+def coefficients_hp(kind: Kind, nu: float, seed, n_terms: int, digits: int = 50):
+    """The coefficient pairs (a_n, b_n), n = 1..n_terms, of one seed.
+
+    The recurrence `truncated_pair_hp` sums, run at `digits` + 10
+    working digits and returned as mpf pairs: exact enough for checks of
+    the coefficient envelope, which must not see double rounding.
+    """
+    sign = 1 if _is_modified(kind) else -1
+    with mp.workdps(max(50, digits) + 10):
+        nu_m = mpf(nu)
+        a, b = mpf(seed[0]), mpf(seed[1])
+        pairs = []
+        for n in range(1, n_terms + 1):
+            denom = n * (n * n + nu_m * nu_m)
+            a, b = sign * (n * a - nu_m * b) / denom, sign * (nu_m * a + n * b) / denom
+            pairs.append((a, b))
+        return pairs
+
+
+@_locked
 def truncated_pair_hp(kind: Kind, nu: float, x: float, n_terms: int, digits: int = 50):
     """The exact N-step partial sums of both basis functions.
 
@@ -229,40 +249,29 @@ def truncated_pair_hp(kind: Kind, nu: float, x: float, n_terms: int, digits: int
 
     Returns (cos_val, sin_val, d_cos, d_sin) as mpf values.
     """
-    modified = _is_modified(kind)
     if x <= 0.0:
         raise DomainError("x must be > 0")
-    wp = max(50, digits) + 10
-    with mp.workdps(wp):
+    with mp.workdps(max(50, digits) + 10):
         nu_m = mpf(nu)
         w = (mpf(x) / 2) ** 2
-        sums = []
-        for a0, b0 in ((mpf(1), mpf(0)), (mpf(0), mpf(1))):
-            a, b = a0, b0
-            p, q = a0, b0
-            dp = mpf(0)
-            dq = mpf(0)
-            t = mpf(1)
-            for n in range(1, n_terms + 1):
-                denom = n * (n * n + nu_m * nu_m)
-                if modified:
-                    a, b = (n * a - nu_m * b) / denom, (nu_m * a + n * b) / denom
-                else:
-                    a, b = -(n * a - nu_m * b) / denom, -(nu_m * a + n * b) / denom
-                t = t * w
-                p += a * t
-                q += b * t
-                dp += n * a * t
-                dq += n * b * t
-            sums.append((p, q, dp, dq))
+        # the (1, 0) seed; the (0, 1) seed's sums are its exact quarter
+        # turn (-q, p, -dq, dp), as in `eval_pair`
+        p, q = mpf(1), mpf(0)
+        dp = dq = mpf(0)
+        t = mpf(1)
+        for n, (a, b) in enumerate(coefficients_hp(kind, nu, (1, 0), n_terms, digits), start=1):
+            t = t * w
+            p += a * t
+            q += b * t
+            dp += n * a * t
+            dq += n * b * t
         lnx = mp.log(mpf(x))
         c = mp.cos(nu_m * lnx)
         s = mp.sin(nu_m * lnx)
-        (p1, q1, dp1, dq1), (p0, q0, dp0, dq0) = sums
-        cos_val = p1 * c + q1 * s
-        sin_val = p0 * c + q0 * s
-        d_cos = (2 / mpf(x)) * (dp1 * c + dq1 * s) + (nu_m / mpf(x)) * (q1 * c - p1 * s)
-        d_sin = (2 / mpf(x)) * (dp0 * c + dq0 * s) + (nu_m / mpf(x)) * (q0 * c - p0 * s)
+        cos_val = p * c + q * s
+        sin_val = p * s - q * c
+        d_cos = (2 / mpf(x)) * (dp * c + dq * s) + (nu_m / mpf(x)) * (q * c - p * s)
+        d_sin = (2 / mpf(x)) * (dp * s - dq * c) + (nu_m / mpf(x)) * (p * c + q * s)
         return cos_val, sin_val, d_cos, d_sin
 
 

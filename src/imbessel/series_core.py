@@ -26,17 +26,16 @@ kernel once and rotates its sums to get the sine-type solution.
 
 All recurrence denominators are n (n^2 + nu^2) >= n^3 >= 1, so nu = 0
 needs no special casing anywhere.  Every function here is pure and
-thread-safe; tables are immutable once built.
+thread-safe.
 """
 
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import _backend
-from .error_bounds import MAX_TERMS, _PointBounds
+from .error_bounds import MAX_TERMS, _PointBounds, _check_finite
 # Unused here (eval_pair's kernel chooses N), but the benchmark's tracer
 # binds these module attributes by name.
 from .error_bounds import derivative_tail_bound, required_terms, tail_bound  # noqa: F401
@@ -55,25 +54,6 @@ class Kind(enum.Enum):
 
     OSCILLATORY = "oscillatory"
     MODIFIED = "modified"
-
-
-@dataclass(frozen=True)
-class CoeffPair:
-    """Coefficient pair (a, b) at half-index n of one recurrence sequence."""
-
-    a: float
-    b: float
-    n: int
-
-
-@dataclass(frozen=True)
-class CoeffTable:
-    """Seed plus the coefficient pairs for n = 0..N of one sequence."""
-
-    kind: Kind
-    nu: float
-    seed: tuple
-    entries: tuple
 
 
 class PairResult(NamedTuple):
@@ -100,18 +80,6 @@ class PairResult(NamedTuple):
     d_tail_bound: float
 
 
-def _check_nu(nu):
-    if not math.isfinite(nu):
-        raise DomainError(f"nu must be finite, got {nu!r}")
-
-
-def _check_x(x):
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if x <= 0.0:
-        raise DomainError("x must be > 0")
-
-
 def _is_modified(kind):
     # The recurrence variant for `kind`; anything that is not a Kind is
     # refused rather than read as the oscillatory equation.
@@ -120,62 +88,6 @@ def _is_modified(kind):
     if kind is Kind.OSCILLATORY:
         return False
     raise DomainError(f"kind must be a Kind, got {kind!r}")
-
-
-def _advance(a, b, n, nu, modified):
-    # One recurrence step to half-index n on the bare coefficients;
-    # `_backend.series_sums` folds w into the same step, so a table fold
-    # and the kernel agree to rounding, within the kernel's drift bound.
-    f = float(n)
-    denom = f * (f * f + nu * nu)
-    if modified:
-        return (f * a - nu * b) / denom, (nu * a + f * b) / denom
-    return (-(f * a - nu * b)) / denom, (-(nu * a + f * b)) / denom
-
-
-def advance_oscillatory(prev: CoeffPair, nu: float) -> CoeffPair:
-    """Step the oscillatory-equation recurrence from half-index n to n+1.
-
-    a' = -(n a - nu b) / (n (n^2 + nu^2)),
-    b' = -(nu a + n b) / (n (n^2 + nu^2)),   with n = prev.n + 1.
-    """
-    _check_nu(nu)
-    if prev.n < 0:
-        raise DomainError(f"half-index must be >= 0, got {prev.n}")
-    n = prev.n + 1
-    a, b = _advance(prev.a, prev.b, n, nu, modified=False)
-    return CoeffPair(a=a, b=b, n=n)
-
-
-def advance_modified(prev: CoeffPair, nu: float) -> CoeffPair:
-    """Step the modified-equation recurrence; signs flip relative to the
-    oscillatory case (the series argument rotates by a quarter turn).
-
-    a' = (n a - nu b) / (n (n^2 + nu^2)),
-    b' = (nu a + n b) / (n (n^2 + nu^2)).
-    """
-    _check_nu(nu)
-    if prev.n < 0:
-        raise DomainError(f"half-index must be >= 0, got {prev.n}")
-    n = prev.n + 1
-    a, b = _advance(prev.a, prev.b, n, nu, modified=True)
-    return CoeffPair(a=a, b=b, n=n)
-
-
-def build_table(kind: Kind, seed, nu: float, N: int) -> CoeffTable:
-    """Materialize coefficient pairs n = 0..N for one seed."""
-    modified = _is_modified(kind)
-    _check_nu(nu)
-    a0, b0 = float(seed[0]), float(seed[1])
-    if not (math.isfinite(a0) and math.isfinite(b0)):
-        raise DomainError(f"seed must be finite, got {seed!r}")
-    if N < 0:
-        raise DomainError(f"N must be >= 0, got {N}")
-    advance = advance_modified if modified else advance_oscillatory
-    entries = [CoeffPair(a=a0, b=b0, n=0)]
-    for _ in range(N):
-        entries.append(advance(entries[-1], nu))
-    return CoeffTable(kind=kind, nu=nu, seed=(a0, b0), entries=tuple(entries))
 
 
 def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
@@ -228,8 +140,10 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     carries the round-off honestly.
     """
     modified = _is_modified(kind)
-    _check_nu(nu)
-    _check_x(x)
+    _check_finite(nu, "nu")
+    _check_finite(x, "x")
+    if x <= 0.0:
+        raise DomainError("x must be > 0")
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
     if terms is not None:
@@ -334,7 +248,7 @@ def gamma_modulus_imag(nu: float) -> float:
     Computed in log space so large |nu| underflows gracefully instead of
     overflowing sinh.  nu = 0 is a pole.
     """
-    _check_nu(nu)
+    _check_finite(nu, "nu")
     if nu == 0.0:
         raise DomainError("Gamma(i nu) has a pole at nu = 0")
     v = abs(nu)

@@ -5,6 +5,8 @@ import io
 import json
 import math
 
+import pytest
+
 from imbessel.cli import main
 
 
@@ -150,6 +152,27 @@ def test_table_rejects_empty_grid():
     assert code == 2
     code, _ = run_cli(["table", "--x-min", "2", "--x-max", "1"])
     assert code == 2
+
+
+def test_nu_list_may_start_with_a_negative_order():
+    # "--nu -0.5,1" is read as "--nu=-0.5,1", not as an unknown option
+    for command in ("table", "compare"):
+        for nus in ("-0.5,1", "-.5", "-1e-3,2", "-0.0"):
+            grid = ["--x-steps", "2", "--x-max", "1.5"]
+            code, out = run_cli([command, "--nu", nus] + grid)
+            assert code == 0, (command, nus)
+            assert (code, out) == run_cli([command, "--nu=" + nus] + grid), (command, nus)
+    code, out = run_cli(["eval", "--nu", "-0.5", "--x", "1"])
+    assert (code, out) == run_cli(["eval", "--nu=-0.5", "--x", "1"])
+
+
+def test_nu_without_a_value_is_still_a_usage_error(capsys):
+    for args in (["table", "--nu"], ["table", "--nu", "--kind", "osc"],
+                 ["compare", "--x-steps", "2", "--nu"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(args)
+        assert exc.value.code == 2, args
+        assert "argument --nu: expected one argument" in capsys.readouterr().err, args
 
 
 # ------------------------------------------------------------------- compare

@@ -12,8 +12,6 @@ from imbessel import (
     DomainError,
     Kind,
     ToleranceError,
-    bound_report,
-    build_table,
     derivative_tail_bound,
     eval_pair,
     factor_F,
@@ -28,6 +26,7 @@ from imbessel import (
 )
 from imbessel.cli import COMPARE_SLACK
 from imbessel.error_bounds import MAX_TERMS, SUM_INV_CUBES, SUM_INV_SQUARES
+from imbessel.oracle import coefficients_hp
 
 
 def test_factor_F_vanishes_at_unit_and_zero_order():
@@ -100,25 +99,27 @@ def test_majorant_bound_log_space_is_consistent_and_finite():
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 4.0])
 @pytest.mark.parametrize("seed", [(1.0, 0.0), (0.0, 1.0)])
 def test_majorant_dominates_coefficients(nu, seed):
+    # the envelope is a claim about the exact coefficients, so they come
+    # from the extended-precision recurrence and are compared unrounded
     for kind in (Kind.OSCILLATORY, Kind.MODIFIED):
-        table = build_table(kind, seed, nu, 50)
-        for pair in table.entries[1:]:
-            assert abs(pair.a) + abs(pair.b) <= majorant_bound(nu, pair.n)
+        with mp.workdps(60):
+            for n, (a, b) in enumerate(coefficients_hp(kind, nu, seed, 50), start=1):
+                assert abs(a) + abs(b) <= majorant_bound(nu, n)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.5, 1.0, 2.0, 4.0])
 def test_envelope_ratio_inequality(nu):
-    # The per-step envelope ratio recovered from an actual table obeys
-    # (1 + |nu|/n)(1 - 1/n)^|nu| for n >= 2.
-    table = build_table(Kind.OSCILLATORY, (1.0, 0.0), nu, 40)
+    # The per-step envelope ratio recovered from the exact coefficients
+    # obeys (1 + |nu|/n)(1 - 1/n)^|nu| for n >= 2.
     v = abs(nu)
     prev = None
-    for pair in table.entries[1:]:
-        m_emp = (abs(pair.a) + abs(pair.b)) * math.factorial(pair.n) ** 2 / pair.n ** v
-        if prev is not None and pair.n >= 2:
-            limit = (1 + v / pair.n) * (1 - 1.0 / pair.n) ** v
-            assert m_emp / prev <= limit * (1 + 1e-12)
-        prev = m_emp
+    with mp.workdps(60):
+        for n, (a, b) in enumerate(coefficients_hp(Kind.OSCILLATORY, nu, (1.0, 0.0), 40), start=1):
+            m_emp = (abs(a) + abs(b)) * mp.factorial(n) ** 2 / mpf(n) ** v
+            if prev is not None:
+                limit = (1 + v / n) * (1 - mpf(1) / n) ** v
+                assert m_emp / prev <= limit * (1 + 1e-12)
+            prev = m_emp
 
 
 def test_tail_bound_eight_terms_at_x2():
@@ -185,14 +186,6 @@ def test_huge_order_bound_is_honestly_infinite():
     assert tail_bound(40.0, 1.0, 8) == math.inf
     with pytest.raises(ToleranceError):
         required_terms(40.0, 1.0, 1e-10)
-
-
-def test_bound_report_fields():
-    rep = bound_report(1.0, 2.0, 8)
-    assert rep.F == factor_F(1.0)
-    assert rep.m_nu == m_of_nu(1.0)
-    assert rep.N == 8
-    assert rep.tail == tail_bound(1.0, 2.0, 8)
 
 
 @pytest.mark.parametrize("nu", [2.5, 4.0])
@@ -385,8 +378,7 @@ def test_bound_chain_saturates_instead_of_overflowing():
         for x in (1000.0, 1e8):
             assert derivative_tail_bound(nu, x, 1) == math.inf
     for nu, x in ((1e200, 1.0), (0.5, 1e8)):
-        rep = bound_report(nu, x, 5)
-        assert not any(math.isnan(v) for v in (rep.F, rep.m_nu, rep.tail))
+        assert not any(math.isnan(v) for v in (factor_F(nu), m_of_nu(nu), tail_bound(nu, x, 5)))
         for kind in (Kind.OSCILLATORY, Kind.MODIFIED):
             with pytest.raises(ToleranceError):
                 eval_pair(kind, nu, x)

@@ -1,5 +1,6 @@
 """Tests for the generalized-equation classifier and its round trips."""
 
+import io
 import math
 import random
 
@@ -11,11 +12,13 @@ from imbessel import (
     DomainError,
     ImaginaryOrder,
     Kind,
+    LommelSolution,
     RealOrder,
     classify,
     eval_pair,
     hp_bessel_j_int,
 )
+from imbessel.cli import main as cli_main
 
 
 def test_classify_recovers_imaginary_unit_case():
@@ -162,3 +165,72 @@ def test_real_order_round_trip_integer_case():
 
     ok, info = _ode_residual_ok(1.0, -1.0, 1.0, 1.0, y_dy)
     assert ok, info
+
+
+# ------------------------------------------------------------ record contract
+
+def test_order_records_compare_only_within_their_type():
+    # named tuples, but a real and an imaginary order of the same nu differ
+    assert RealOrder(1.0) != ImaginaryOrder(1.0)
+    assert not RealOrder(1.0) == ImaginaryOrder(1.0)
+    assert RealOrder(1.0) != (1.0,) and (1.0,) != ImaginaryOrder(1.0)
+    for cls in (RealOrder, ImaginaryOrder):
+        assert cls(1.5) == cls(1.5) and not cls(1.5) != cls(1.5)
+        assert hash(cls(1.5)) == hash(cls(1.5))
+        assert cls(1.5) != cls(2.5)
+        assert len({cls(1.5), cls(1.5), cls(2.5)}) == 2
+    real, imaginary = classify(1.0, -2.25, 1.0, 1.0), classify(1.0, 2.25, 1.0, 1.0)
+    assert real != imaginary and real[:2] == imaginary[:2]
+    assert classify(2.0, 1.0, 4.0, 1.0) == classify(2.0, 1.0, 4.0, 1.0)
+    assert hash(classify(2.0, 1.0, 4.0, 1.0)) == hash(classify(2.0, 1.0, 4.0, 1.0))
+
+
+def test_lommel_records_are_immutable_with_a_stable_repr():
+    sol = classify(2.0, 1.0, 4.0, 1.0)
+    assert isinstance(sol, LommelSolution) and isinstance(sol.order, ImaginaryOrder)
+    assert LommelSolution._fields == ("prefactor_exponent", "gamma", "order")
+    assert RealOrder._fields == ImaginaryOrder._fields == ("nu",)
+    assert repr(sol) == ("LommelSolution(prefactor_exponent=-0.5, gamma=2.0, "
+                         "order=ImaginaryOrder(nu=0.8660254037844386))")
+    assert repr(RealOrder(1.5)) == "RealOrder(nu=1.5)"
+    for record, name in ((sol, "gamma"), (sol, "order"), (sol.order, "nu")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    with pytest.raises(AttributeError):
+        sol.order.extra = 0.0
+
+
+CLASSIFY_BYTES = {
+    ("1.5", "3", "2", "1"): (
+        "a,b,c,beta,prefactor_exponent,gamma,order_type,nu\n"
+        "1.5,3,2,1,-0.25,1.4142135623730951,imaginary,1.713913650100261\n",
+        '[\n  {\n    "a": 1.5,\n    "b": 3.0,\n    "c": 2.0,\n    "beta": 1.0,\n'
+        '    "prefactor_exponent": -0.25,\n    "gamma": 1.4142135623730951,\n'
+        '    "order_type": "imaginary",\n    "nu": 1.713913650100261\n  }\n]\n',
+    ),
+    ("2", "-3", "4", "-0.5"): (
+        "a,b,c,beta,prefactor_exponent,gamma,order_type,nu\n"
+        "2,-3,4,-0.5,-0.5,4,real,3.6055512754639891\n",
+        '[\n  {\n    "a": 2.0,\n    "b": -3.0,\n    "c": 4.0,\n    "beta": -0.5,\n'
+        '    "prefactor_exponent": -0.5,\n    "gamma": 4.0,\n'
+        '    "order_type": "real",\n    "nu": 3.605551275463989\n  }\n]\n',
+    ),
+    ("3", "1", "1", "1"): (
+        "a,b,c,beta,prefactor_exponent,gamma,order_type,nu\n"
+        "3,1,1,1,-1,1,real,0\n",
+        '[\n  {\n    "a": 3.0,\n    "b": 1.0,\n    "c": 1.0,\n    "beta": 1.0,\n'
+        '    "prefactor_exponent": -1.0,\n    "gamma": 1.0,\n'
+        '    "order_type": "real",\n    "nu": 0.0\n  }\n]\n',
+    ),
+}
+
+
+def test_classify_command_bytes_are_pinned():
+    # CSV and JSON bytes of `imbessel classify`, frozen from the release
+    # whose records were frozen dataclasses
+    for (a, b, c, beta), (csv_text, json_text) in CLASSIFY_BYTES.items():
+        for fmt, want in (("csv", csv_text), ("json", json_text)):
+            out = io.StringIO()
+            args = ["classify", "--a", a, "--b", b, "--c", c, "--beta", beta, "--format", fmt]
+            assert cli_main(args, out=out) == 0
+            assert out.getvalue() == want, (a, b, c, beta, fmt)

@@ -6,18 +6,15 @@ import struct
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from imbessel import (
     MAX_TERMS,
-    CoeffPair,
     DomainError,
     Kind,
     PairResult,
     ToleranceError,
-    advance_modified,
-    advance_oscillatory,
     _backend,
-    build_table,
     eval_pair,
     gamma_modulus_imag,
     hp_gamma,
@@ -27,124 +24,110 @@ from imbessel import (
     truncated_pair_hp,
     wronskian_residual,
 )
+from imbessel.oracle import coefficients_hp
 
 OSC = Kind.OSCILLATORY
 MOD = Kind.MODIFIED
 
 
 # ---------------------------------------------------------------- recurrence
+#
+# Coefficients come from the extended-precision recurrence of the oracle
+# (the one `truncated_pair_hp` sums); the kernel is checked against it in
+# tests/test_backend.py.
 
-@pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.5, -1.7])
+def first_step(kind, nu, seed):
+    return tuple(float(v) for v in coefficients_hp(kind, nu, seed, 1)[0])
+
+
+@pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.0, 2.5, -1.7])
 def test_first_oscillatory_step_from_sine_seed(nu):
-    nxt = advance_oscillatory(CoeffPair(0.0, 1.0, 0), nu)
-    assert nxt.n == 1
-    assert nxt.a == pytest.approx(nu / (1 + nu * nu), rel=1e-15)
-    assert nxt.b == pytest.approx(-1.0 / (1 + nu * nu), rel=1e-15)
+    a, b = first_step(OSC, nu, (0.0, 1.0))
+    assert a == pytest.approx(nu / (1 + nu * nu), rel=1e-15)
+    assert b == pytest.approx(-1.0 / (1 + nu * nu), rel=1e-15)
 
 
 def test_oscillatory_zero_order_reproduces_alternating_squares():
     # seed (1, 0), nu = 0: a_n = (-1)^n / (n!)^2, b stays zero
-    pair = CoeffPair(1.0, 0.0, 0)
-    pair = advance_oscillatory(pair, 0.0)
-    assert (pair.a, pair.b) == (-1.0, 0.0)
-    for n in range(2, 8):
-        pair = advance_oscillatory(pair, 0.0)
-        assert pair.a == pytest.approx((-1.0) ** n / math.factorial(n) ** 2, rel=1e-14)
-        assert pair.b == 0.0
+    pairs = coefficients_hp(OSC, 0.0, (1.0, 0.0), 7)
+    assert pairs[0] == (-1, 0)
+    assert pairs[1] == (mpf(1) / 4, 0)
+    for n, (a, b) in enumerate(pairs, start=1):
+        assert float(a) == pytest.approx((-1.0) ** n / math.factorial(n) ** 2, rel=1e-15)
+        assert b == 0
 
 
 def test_oscillatory_step_unit_order():
-    nxt = advance_oscillatory(CoeffPair(1.0, 0.0, 0), 1.0)
-    assert nxt.a == pytest.approx(-0.5, rel=1e-15)
-    assert nxt.b == pytest.approx(-0.5, rel=1e-15)
+    a, b = first_step(OSC, 1.0, (1.0, 0.0))
+    assert a == pytest.approx(-0.5, rel=1e-15)
+    assert b == pytest.approx(-0.5, rel=1e-15)
 
 
 @pytest.mark.parametrize("nu", [0.0, 0.3, 1.0, 2.5, -1.7])
 def test_first_modified_step_from_sine_seed(nu):
-    nxt = advance_modified(CoeffPair(0.0, 1.0, 0), nu)
-    assert nxt.a == pytest.approx(-nu / (1 + nu * nu), rel=1e-15)
-    assert nxt.b == pytest.approx(1.0 / (1 + nu * nu), rel=1e-15)
+    a, b = first_step(MOD, nu, (0.0, 1.0))
+    assert a == pytest.approx(-nu / (1 + nu * nu), rel=1e-15)
+    assert b == pytest.approx(1.0 / (1 + nu * nu), rel=1e-15)
 
 
 def test_modified_zero_order_loses_alternating_sign():
-    pair = CoeffPair(1.0, 0.0, 0)
-    for n in range(1, 8):
-        pair = advance_modified(pair, 0.0)
-        assert pair.a == pytest.approx(1.0 / math.factorial(n) ** 2, rel=1e-14)
+    for n, (a, b) in enumerate(coefficients_hp(MOD, 0.0, (1.0, 0.0), 7), start=1):
+        assert float(a) == pytest.approx(1.0 / math.factorial(n) ** 2, rel=1e-15)
+        assert b == 0
 
 
 def test_modified_two_steps_unit_order():
-    pair = advance_modified(CoeffPair(0.0, 1.0, 0), 1.0)
-    assert (pair.a, pair.b) == (pytest.approx(-0.5), pytest.approx(0.5))
-    pair = advance_modified(pair, 1.0)
-    assert pair.a == pytest.approx(-3.0 / 20.0, rel=1e-15)
-    assert pair.b == pytest.approx(1.0 / 20.0, rel=1e-15)
-
-
-def test_build_table_zero_order_cosine_seed():
-    table = build_table(OSC, (1.0, 0.0), 0.0, 3)
-    assert [p.a for p in table.entries] == pytest.approx([1.0, -1.0, 0.25, -1.0 / 36.0])
-    assert table.entries[0] == CoeffPair(1.0, 0.0, 0)
-
-
-def test_build_table_modified_example():
-    table = build_table(MOD, (0.0, 1.0), 1.0, 2)
-    got = [(p.a, p.b) for p in table.entries]
-    assert got[0] == (0.0, 1.0)
-    assert got[1] == (pytest.approx(-0.5), pytest.approx(0.5))
-    assert got[2] == (pytest.approx(-3.0 / 20.0), pytest.approx(1.0 / 20.0))
-
-
-def test_build_table_oscillatory_order_two():
-    table = build_table(OSC, (0.0, 1.0), 2.0, 1)
-    assert table.entries[1].a == pytest.approx(2.0 / 5.0, rel=1e-15)
-    assert table.entries[1].b == pytest.approx(-1.0 / 5.0, rel=1e-15)
-
-
-def test_build_table_rejects_bad_input():
-    with pytest.raises(DomainError):
-        build_table(OSC, (float("nan"), 0.0), 1.0, 4)
-    with pytest.raises(DomainError):
-        build_table(OSC, (1.0, 0.0), float("inf"), 4)
-    with pytest.raises(DomainError):
-        build_table(OSC, (1.0, 0.0), 1.0, -1)
-
-
-def test_table_entries_satisfy_recurrence_exactly():
-    # entries are produced by the same float expressions the checker uses,
-    # so the residual is identically zero (well under the 2-ulp budget)
-    for kind, advance in ((OSC, advance_oscillatory), (MOD, advance_modified)):
-        table = build_table(kind, (0.0, 1.0), 1.3, 30)
-        for prev, cur in zip(table.entries, table.entries[1:]):
-            again = advance(prev, 1.3)
-            assert (again.a, again.b) == (cur.a, cur.b)
+    (a1, b1), (a2, b2) = coefficients_hp(MOD, 1.0, (0.0, 1.0), 2)
+    assert (a1, b1) == (-0.5, 0.5)
+    assert float(a2) == pytest.approx(-3.0 / 20.0, rel=1e-15)
+    assert float(b2) == pytest.approx(1.0 / 20.0, rel=1e-15)
 
 
 @settings(max_examples=50, deadline=None)
-@given(nu=st.floats(-4.0, 4.0), n=st.integers(0, 60))
+@given(nu=st.floats(-4.0, 4.0), n=st.integers(1, 60))
 def test_parity_of_tables_in_nu(nu, n):
-    # cosine seed: a even in nu, b odd; sine seed: a odd, b even.
-    # Exact float equality holds because negation is exact.
-    for kind in (OSC, MOD):
-        plus = build_table(kind, (1.0, 0.0), nu, n)
-        minus = build_table(kind, (1.0, 0.0), -nu, n)
-        for p, m in zip(plus.entries, minus.entries):
-            assert p.a == m.a and p.b == -m.b
-        plus = build_table(kind, (0.0, 1.0), nu, n)
-        minus = build_table(kind, (0.0, 1.0), -nu, n)
-        for p, m in zip(plus.entries, minus.entries):
-            assert p.a == -m.a and p.b == m.b
+    # cosine seed: a even in nu, b odd; sine seed: a odd, b even.  Exact
+    # equality holds because negation is exact (compared at a precision
+    # above the coefficients', so that the negation does not round).
+    with mp.workdps(100):
+        for kind in (OSC, MOD):
+            plus = coefficients_hp(kind, nu, (1.0, 0.0), n)
+            minus = coefficients_hp(kind, -nu, (1.0, 0.0), n)
+            for (pa, pb), (ma, mb) in zip(plus, minus):
+                assert pa == ma and pb == -mb
+            plus = coefficients_hp(kind, nu, (0.0, 1.0), n)
+            minus = coefficients_hp(kind, -nu, (0.0, 1.0), n)
+            for (pa, pb), (ma, mb) in zip(plus, minus):
+                assert pa == -ma and pb == mb
 
 
 @settings(max_examples=50, deadline=None)
-@given(nu=st.floats(-4.0, 4.0), n=st.integers(0, 60))
+@given(nu=st.floats(-4.0, 4.0), n=st.integers(1, 60))
 def test_quarter_turn_links_the_two_kinds(nu, n):
-    # with equal seeds, modified entries are (-1)^n times oscillatory ones
-    osc = build_table(OSC, (1.0, 0.0), nu, n)
-    mod = build_table(MOD, (1.0, 0.0), nu, n)
-    for o, m in zip(osc.entries, mod.entries):
-        sign = -1.0 if o.n % 2 else 1.0
-        assert m.a == sign * o.a and m.b == sign * o.b
+    # with equal seeds, modified coefficients are (-1)^n times oscillatory ones
+    with mp.workdps(100):
+        osc = coefficients_hp(OSC, nu, (1.0, 0.0), n)
+        mod = coefficients_hp(MOD, nu, (1.0, 0.0), n)
+        for k, ((oa, ob), (ma, mb)) in enumerate(zip(osc, mod), start=1):
+            sign = -1 if k % 2 else 1
+            assert ma == sign * oa and mb == sign * ob
+
+
+@settings(max_examples=200, deadline=None)
+@given(nu=st.floats(-20.0, 20.0), x=st.floats(1e-6, 60.0), n=st.integers(1, 120),
+       stop=st.sampled_from([-1.0, 1e-6, 1e-12]))
+def test_negating_nu_conjugates_the_kernel_sums(nu, x, n, stop):
+    # the (1, 0) seed gives (p, -q, dp, -dq) and the (0, 1) seed
+    # (-p, q, -dp, dq) at -nu, with the step count, tails and round-off
+    # bounds unchanged: the recurrence only changes signs, so every field
+    # is the same double (a zero may change sign)
+    w = (0.5 * x) * (0.5 * x)
+    for modified in (0, 1):
+        for seed, flip in (((1.0, 0.0), (1, -1, 1, -1)), ((0.0, 1.0), (-1, 1, -1, 1))):
+            plus = _backend.series_sums(modified, *seed, nu, w, n, stop)
+            minus = _backend.series_sums(modified, *seed, -nu, w, n, stop)
+            want = tuple(f * v for f, v in zip(flip, plus[:4])) + plus[4:]
+            assert minus == want, (modified, seed)
 
 
 # ---------------------------------------------------------------- evaluation
@@ -244,7 +227,7 @@ def test_eval_rejects_a_kind_that_is_not_a_kind():
         with pytest.raises(DomainError):
             eval_pair(bad, 1.0, 1.0)
         with pytest.raises(DomainError):
-            build_table(bad, (1.0, 0.0), 1.0, 4)
+            coefficients_hp(bad, 1.0, (1.0, 0.0), 4)
         with pytest.raises(DomainError):
             oracle_pair_hp(bad, 1.0, 1.0)
         with pytest.raises(DomainError):
