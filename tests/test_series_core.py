@@ -83,6 +83,25 @@ def test_modified_two_steps_unit_order():
     assert float(b2) == pytest.approx(1.0 / 20.0, rel=1e-15)
 
 
+def coefficient_table(kind, seed, nu, n_terms):
+    """The seed followed by its first `n_terms` exact steps, as floats."""
+    steps = coefficients_hp(kind, nu, seed, n_terms)
+    return [tuple(seed)] + [(float(a), float(b)) for a, b in steps]
+
+
+def test_build_table_zero_order_cosine_seed():
+    table = coefficient_table(OSC, (1.0, 0.0), 0.0, 3)
+    assert [a for a, _ in table] == pytest.approx([1.0, -1.0, 0.25, -1.0 / 36.0])
+    assert table[0] == (1.0, 0.0)
+
+
+def test_build_table_modified_example():
+    got = coefficient_table(MOD, (0.0, 1.0), 1.0, 2)
+    assert got[0] == (0.0, 1.0)
+    assert got[1] == (pytest.approx(-0.5), pytest.approx(0.5))
+    assert got[2] == (pytest.approx(-3.0 / 20.0), pytest.approx(1.0 / 20.0))
+
+
 @settings(max_examples=50, deadline=None)
 @given(nu=st.floats(-4.0, 4.0), n=st.integers(1, 60))
 def test_parity_of_tables_in_nu(nu, n):
