@@ -2,17 +2,26 @@
 
 Output is deterministic byte for byte for identical flags: floats are
 printed with 17 significant digits (which round-trips doubles exactly),
-CSV uses '.' decimals, ',' separators and Unix newlines, and grid rows
-are evaluated and emitted in order (outer loop over the nu list, inner
-over x), each CSV row through one `%` template made from the first
-row's types (`%.17g` for a float, else `%s`), so a column keeps one
-type.  Grid evaluation is serial: the work is pure Python and holds
-the interpreter lock, so threads could not overlap it.
+CSV uses '.' decimals, ',' separators and Unix newlines, and each CSV
+row goes through one `%` template made from the first row's types
+(`%.17g` for a float, else `%s`), so a column keeps one type.
+
+Grid rows come in order, outer loop over the nu list, inner over x.
+`table` and `compare` evaluate one order at a time through
+`series_core._eval_row`, which checks the order once and runs
+`eval_pair`'s per-point body at each x, so a row holds `eval_pair`'s
+values bit for bit.  Both evaluate the whole grid before they write a
+byte, so a refusal anywhere writes nothing.  `table`'s CSV formats
+each x once per grid and each nu once per order, into a per-order
+template that follows the same rule.  Evaluation is serial: the work
+is pure Python and holds the interpreter lock, so threads could not
+overlap it.
 
 Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -21,7 +30,7 @@ from .errors import DomainError, ToleranceError
 from .error_bounds import tail_bound
 from .lommel import ImaginaryOrder, classify
 from .oracle import oracle_pair
-from .series_core import Kind, eval_pair
+from .series_core import Kind, _eval_row, eval_pair
 
 DEFAULT_TOL = 1e-12
 DEFAULT_NUS = "0,0.5,1,1.5,2"
@@ -57,8 +66,17 @@ def _grid_points(x_min, x_max, x_steps, scale):
     if x_steps == 1:
         return [x_min]
     if scale == "log":
-        ratio = math.log(x_max / x_min)
-        return [x_min * math.exp(i * ratio / (x_steps - 1)) for i in range(x_steps)]
+        quotient = x_max / x_min
+        if quotient < math.inf:
+            ratio = math.log(quotient)
+            return [x_min * math.exp(i * ratio / (x_steps - 1)) for i in range(x_steps)]
+        # the quotient overflows (x-min near the bottom of the double
+        # range), so step the logarithm itself; exp(i * ratio) alone could
+        # overflow where x-min times it would not
+        log_min = math.log(x_min)
+        ratio = math.log(x_max) - log_min
+        inner = [math.exp(log_min + i * ratio / (x_steps - 1)) for i in range(1, x_steps - 1)]
+        return [x_min] + inner + [x_max]
     step = (x_max - x_min) / (x_steps - 1)
     return [x_min + i * step for i in range(x_steps)]
 
@@ -90,32 +108,44 @@ def _grid_from_args(args):
     xs = _grid_points(args.x_min, args.x_max, args.x_steps, args.x_scale)
     if not nus:
         raise DomainError("empty nu list")
-    return [(nu, x) for nu in nus for x in xs]
+    return nus, xs
 
 
 def cmd_table(args, out) -> int:
     kind = _parse_kind(args.kind)
-    rows = []
-    for nu, x in _grid_from_args(args):
-        r = eval_pair(kind, nu, x, args.tol, terms=args.terms)
-        rows.append((x, nu) + r[:6])
+    nus, xs = _grid_from_args(args)
+    # the whole grid evaluates before a byte is written
+    orders = [_eval_row(kind, nu, xs, args.tol, args.terms) for nu in nus]
     fields = ["x", "nu", "cos_part", "sin_part", "d_cos", "d_sin", "terms", "bound"]
-    _emit(out, fields, rows, args.format)
+    if args.format == "json":
+        rows = [(x, nu) + r[:6] for nu, row in zip(nus, orders) for x, r in zip(xs, row)]
+        _emit(out, fields, rows, "json")
+        return 0
+    # `_emit`'s per-value rule, with each x formatted once per grid and
+    # each nu once per order
+    out.write(",".join(fields))
+    out.write("\n")
+    x_texts = ["%.17g" % x for x in xs]
+    for nu, row in zip(nus, orders):
+        template = ",%.17g,%%.17g,%%.17g,%%.17g,%%.17g,%%s,%%.17g\n" % nu
+        for x_text, r in zip(x_texts, row):
+            out.write(x_text + template % r[:6])
     return 0
 
 
 def cmd_compare(args, out) -> int:
     kind = _parse_kind(args.kind)
+    nus, xs = _grid_from_args(args)
     rows = []
-    for nu, x in _grid_from_args(args):
-        r = eval_pair(kind, nu, x, args.tol, terms=args.terms)
-        gold_cos, gold_sin = oracle_pair(kind, nu, x, digits=args.oracle_digits)
-        err_cos = abs(r.cos_part - gold_cos)
-        err_sin = abs(r.sin_part - gold_sin)
-        bound = r.tail_bound
-        ok = max(err_cos, err_sin) <= bound + COMPARE_SLACK
-        within_tol = max(err_cos, err_sin) <= args.tol
-        rows.append([x, nu, err_cos, err_sin, bound, ok, within_tol])
+    for nu in nus:
+        for x, r in zip(xs, _eval_row(kind, nu, xs, args.tol, args.terms)):
+            cos_part, sin_part, _, _, _, bound, _ = r
+            gold_cos, gold_sin = oracle_pair(kind, nu, x, digits=args.oracle_digits)
+            err_cos = abs(cos_part - gold_cos)
+            err_sin = abs(sin_part - gold_sin)
+            ok = max(err_cos, err_sin) <= bound + COMPARE_SLACK
+            within_tol = max(err_cos, err_sin) <= args.tol
+            rows.append([x, nu, err_cos, err_sin, bound, ok, within_tol])
     fields = ["x", "nu", "err_cos", "err_sin", "bound", "ok", "within_tol"]
     _emit(out, fields, rows, args.format)
     max_err = max(max(row[2], row[3]) for row in rows)
@@ -234,10 +264,15 @@ def _glue_nu(argv):
     return argv
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args keeps no state between calls, so one parser serves them all
+    return build_parser()
+
+
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = build_parser()
-    args = parser.parse_args(_glue_nu(argv))
+    args = _parser().parse_args(_glue_nu(argv))
     try:
         return args.run(args, out)
     except DomainError as exc:

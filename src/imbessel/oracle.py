@@ -26,7 +26,7 @@ oscillatory x = 300, where it reruns with ~130 more digits.
 import functools
 import math
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 import mpmath
@@ -49,9 +49,12 @@ def _locked(fn):
     return wrapper
 
 
-@dataclass(frozen=True)
-class OracleValue:
-    """Extended-precision complex value with its guaranteed digit count."""
+class OracleValue(NamedTuple):
+    """Extended-precision complex value with its guaranteed digit count.
+
+    A named tuple: fields by name or index, and assignment raises
+    AttributeError.
+    """
 
     re: mpf
     im: mpf

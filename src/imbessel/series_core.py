@@ -137,13 +137,45 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     MAX_TERMS steps, nu^2 or a value overflows the double range; the
     refusal uses m * eps, not R, so large arguments (oscillatory x over
     roughly 20) stay computable with a forced count, and their bound
-    carries the round-off honestly.
+    carries the round-off honestly.  The arguments are checked in the
+    order kind, nu, x, tol, terms, nu^2, and the first that fails is
+    raised; `_eval_row` runs the same checks, with x's last.
     """
     modified = _is_modified(kind)
     _check_finite(nu, "nu")
+    # x before tol and terms, as documented; `_point` checks it again
+    # for `_eval_row`, which checks it last
+    if not 0.0 < x < math.inf:
+        _refuse_x(x)
+    nu2 = _check_order(nu, tol, terms)
+    # what PairResult._make does, without its Python frame
+    return tuple.__new__(PairResult, _point(modified, nu, nu2, x, tol, terms))
+
+
+def _eval_row(kind: Kind, nu: float, xs, tol: float = 1e-12,
+              terms: int | None = None) -> list:
+    """`eval_pair` of one order at each x in `xs`, as plain 7-tuples.
+
+    The order's checks run once, before any x: kind, nu, tol, terms and
+    nu^2, with `eval_pair`'s messages; each x then gets its own checks
+    and the same per-point body as `eval_pair`, so every tuple equals
+    `tuple(eval_pair(kind, nu, x, tol, terms))` bit for bit.  The first
+    refusal is raised, as `eval_pair` raises it at that point.
+    """
+    modified = _is_modified(kind)
+    _check_finite(nu, "nu")
+    nu2 = _check_order(nu, tol, terms)
+    return [_point(modified, nu, nu2, x, tol, terms) for x in xs]
+
+
+def _refuse_x(x):
+    # the error for an x outside (0, inf)
     _check_finite(x, "x")
-    if x <= 0.0:
-        raise DomainError("x must be > 0")
+    raise DomainError("x must be > 0")
+
+
+def _check_order(nu, tol, terms):
+    # the checks that do not depend on x; returns nu^2
     if not (tol > 0.0):
         raise DomainError(f"tol must be > 0, got {tol}")
     if terms is not None:
@@ -154,7 +186,15 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     nu2 = nu * nu
     if nu2 == math.inf:
         raise ToleranceError(f"nu={nu} is beyond the double range (nu^2 overflows)")
+    return nu2
 
+
+def _point(modified, nu, nu2, x, tol, terms):
+    # The per-point body of `eval_pair` (see there): x's checks, the
+    # kernel pass, the rotation, the refusals and both bounds, for an
+    # order whose checks have passed.  Returns the seven PairResult fields.
+    if not 0.0 < x < math.inf:
+        _refuse_x(x)
     half = 0.5 * x
     w = half * half
     # One pass for the (1, 0) seed; the (0, 1) sums are its quarter turn
@@ -227,7 +267,7 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
             d_bound = apriori.d_tail(n, tail) + r_der / x
         else:
             d_bound = (2.0 * d_tail + v * tail + r_der) / x
-    return PairResult(cos_part, sin_part, d_cos, d_sin, n, tail + r_val, d_bound)
+    return cos_part, sin_part, d_cos, d_sin, n, tail + r_val, d_bound
 
 
 def wronskian_residual(kind: Kind, nu: float, x: float, tol: float = 1e-12) -> float:

@@ -4,9 +4,14 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import imbessel
 from imbessel.cli import main
 
 
@@ -401,3 +406,80 @@ def test_eval_bounds_classify_bytes_match_the_per_value_rule():
         order_type = "imaginary" if isinstance(sol.order, ImaginaryOrder) else "real"
         row = [a, b, c, beta, sol.prefactor_exponent, sol.gamma, order_type, sol.order.nu]
         assert out == per_value_csv(fields, [row])
+
+
+# ------------------------------------------------------------- grid rows
+#
+# `table` and `compare` evaluate each order through one row call and
+# write nothing until the whole grid has evaluated.
+
+def test_grid_failing_only_in_its_last_order_writes_nothing(capsys):
+    from imbessel import Kind, ToleranceError, eval_pair
+
+    with pytest.raises(ToleranceError) as exc:
+        eval_pair(Kind.OSCILLATORY, 1e200, 0.1, 1e-12)
+    for command in ("table", "compare"):
+        for fmt in ("csv", "json"):
+            code, out = run_cli([command, "--nu=0,1e200", "--x-steps", "3", "--format", fmt])
+            assert (code, out) == (3, ""), (command, fmt)
+            assert capsys.readouterr().err == str(exc.value) + "\n"
+
+
+def test_log_grid_reaches_the_bottom_of_the_double_range(capsys):
+    # x-max / x-min overflows for these grids; the points are still
+    # finite and increasing, from x-min to x-max
+    from imbessel.cli import _grid_points
+
+    for x_min, x_max in ((1e-310, 10.0), (1e-300, 1e10)):
+        points = _grid_points(x_min, x_max, 4, "log")
+        assert points[0] == x_min
+        assert all(math.isfinite(x) for x in points)
+        assert all(a < b for a, b in zip(points, points[1:]))
+        assert points[-1] == x_max
+        code, _ = run_cli(["table", "--x-min", repr(x_min), "--x-max", repr(x_max),
+                           "--x-scale", "log"])
+        assert code == 3
+        assert "nan" not in capsys.readouterr().err
+    code, out = run_cli(["table", "--nu", "0", "--x-min", "1e-310", "--x-max", "10",
+                         "--x-scale", "log", "--x-steps", "4"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert [float(row[0]) for row in rows] == _grid_points(1e-310, 10.0, 4, "log")
+
+
+_CLI_PROBE = """
+import contextlib, io, json, sys
+from imbessel.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv, out=out)
+        except SystemExit as exc:
+            code = exc.code
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_one_process_runs_commands_like_separate_processes():
+    # main reuses one parser: nothing of one call's flags reaches the next
+    src = str(Path(imbessel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argvs = [["table", "--kind", "mod", "--nu=-0.5,2", "--x-steps", "3", "--format", "json",
+              "--terms", "9"],
+             ["eval", "--nu", "1", "--x", "2"],
+             ["table", "--x-steps", "3"],
+             ["table", "--x-steps", "two"]]
+
+    def run(batch):
+        done = subprocess.run([sys.executable, "-c", _CLI_PROBE, json.dumps(batch)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return json.loads(done.stdout)
+
+    together = run(argvs)
+    assert together == [result for argv in argvs for result in run([argv])]
+    assert [code for code, _, _ in together] == [0, 0, 0, 2]
+    assert "argument --x-steps: invalid int value: 'two'" in together[3][2]

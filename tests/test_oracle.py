@@ -297,17 +297,24 @@ def test_package_import_leaves_mpmath_unloaded():
 
 def test_package_import_leaves_dataclasses_unloaded():
     # `dataclasses` pulls in inspect, ast, dis and tokenize; nothing on
-    # the import path or behind classify and eval_pair may need it.  -S
-    # keeps site hooks of the environment out of the module list.
+    # the import path or behind classify and eval_pair may need it, and
+    # nothing behind the CLI either (mpmath alone loads neither).  -S
+    # keeps site hooks of the environment out of the module list, so
+    # mpmath's directory is put on the path by hand.
     src = str(Path(imbessel.__file__).resolve().parents[1])
+    mpmath_dir = str(Path(mpmath.__file__).resolve().parents[1])
     probe = (
-        "import sys, imbessel\n"
+        "import io, sys, imbessel\n"
         "imbessel.classify(2.0, 1.0, 4.0, 1.0)\n"
         "imbessel.eval_pair(imbessel.Kind.OSCILLATORY, 1.0, 1.0)\n"
         "loaded = {'dataclasses', 'inspect', 'mpmath'} & set(sys.modules)\n"
         "assert not loaded, sorted(loaded)\n"
+        "import imbessel.cli\n"
+        "imbessel.cli.main(['table', '--x-steps', '2'], out=io.StringIO())\n"
+        "loaded = {'dataclasses', 'inspect'} & set(sys.modules)\n"
+        "assert not loaded, sorted(loaded)\n"
     )
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((src, mpmath_dir)))
     done = subprocess.run([sys.executable, "-S", "-c", probe], env=env, capture_output=True,
                           text=True, timeout=60)
     assert done.returncode == 0, done.stderr

@@ -4,7 +4,7 @@ import math
 import struct
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -25,6 +25,7 @@ from imbessel import (
     wronskian_residual,
 )
 from imbessel.oracle import coefficients_hp
+from imbessel.series_core import _eval_row
 
 OSC = Kind.OSCILLATORY
 MOD = Kind.MODIFIED
@@ -259,6 +260,70 @@ def test_eval_rejects_bad_term_counts():
         with pytest.raises(DomainError):
             eval_pair(OSC, 1.0, 1.0, terms=bad)
     assert eval_pair(OSC, 1.0, 1.0, terms=MAX_TERMS).terms_used == MAX_TERMS
+
+
+def test_eval_pair_checks_its_arguments_in_order():
+    # several bad arguments at once: the first in the order kind, nu, x,
+    # tol, terms, nu^2 is the one reported, with its own message
+    cases = (
+        (("osc", math.nan, -1.0, -1.0, 0), DomainError, "kind must be a Kind, got 'osc'"),
+        ((OSC, math.nan, -1.0, -1.0, 0), DomainError, "nu must be finite, got nan"),
+        ((OSC, 1e200, math.inf, -1.0, 0), DomainError, "x must be finite, got inf"),
+        ((OSC, 1e200, -1.0, -1.0, 0), DomainError, "x must be > 0"),
+        ((OSC, 1e200, 1.0, -1.0, 0), DomainError, "tol must be > 0, got -1.0"),
+        ((OSC, 1e200, 1.0, 1e-12, 0), DomainError, f"terms must be in 1..{MAX_TERMS}, got 0"),
+        ((OSC, 1e200, 1.0, 1e-12, 2.0), DomainError, "terms must be an int, got 2.0"),
+        ((OSC, 1e200, 1.0, 1e-12, None), ToleranceError,
+         "nu=1e+200 is beyond the double range (nu^2 overflows)"),
+    )
+    for (kind, nu, x, tol, terms), error, message in cases:
+        with pytest.raises(error) as exc:
+            eval_pair(kind, nu, x, tol, terms=terms)
+        assert str(exc.value) == message
+        # the row checks the order first and then each x
+        if x == 1.0:
+            with pytest.raises(error) as exc:
+                _eval_row(kind, nu, [math.nan, x], tol, terms=terms)
+            assert str(exc.value) == message
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (DomainError, ToleranceError) as exc:
+        return exc
+
+
+def _bits(values):
+    return tuple(struct.pack("<q", v) if type(v) is int else struct.pack("<d", v)
+                 for v in values)
+
+
+# x reaches down to the least subnormal: below ~1e-150 the bounds take
+# the branch where r_N leaves the normal range
+_ROW_X = st.one_of(st.floats(5e-324, 1e-150), st.floats(1e-150, 40.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from([OSC, MOD]),
+       nu=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-30.0, 30.0)),
+       xs=st.lists(_ROW_X, min_size=1, max_size=6),
+       terms=st.one_of(st.none(), st.integers(1, MAX_TERMS)))
+@example(kind=MOD, nu=-0.0, xs=[5e-324, 1e-200, 1e-160, 0.5, 3.0], terms=None)
+@example(kind=OSC, nu=0.0, xs=[5e-324, 1e-200, 2.0], terms=3)
+@example(kind=OSC, nu=1.5, xs=[1e-300, 0.25, 30.0, 2.0], terms=None)
+def test_row_values_equal_eval_pair_bit_for_bit(kind, nu, xs, terms):
+    # the CLI's grid path and the scalar path share one per-point body:
+    # every value and its type match, and a row raises the refusal that
+    # eval_pair raises at its first failing point
+    singles = [_outcome(eval_pair, kind, nu, x, 1e-12, terms=terms) for x in xs]
+    row = _outcome(_eval_row, kind, nu, xs, 1e-12, terms=terms)
+    first_error = next((r for r in singles if isinstance(r, Exception)), None)
+    if first_error is None:
+        assert [_bits(r) for r in row] == [_bits(r) for r in singles]
+        assert all(type(r) is tuple and type(r[4]) is int for r in row)
+    else:
+        assert type(row) is type(first_error) and str(row) == str(first_error)
 
 
 def test_eval_never_returns_non_finite_values():
