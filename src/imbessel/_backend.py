@@ -63,6 +63,56 @@ also covers the second-order remainder for N <= MAX_TERMS).
   6 N 2^-1075 (`S_FLOOR` covers sqrt(2) times that), the sums by
   6 N^2 2^-1074.  r_k itself must stay normal: `series_core.eval_pair`
   treats w / (N (N^2 + nu^2)) below the normal range separately.
+
+Frozen sums.  A forced count (`tol` < 0, N <= MAX_TERMS) runs every
+step, but past some step no addition can change a sum; from there the
+loop runs the recurrence alone, and every returned byte is the one the
+full loop gives.  The argument, in round to nearest:
+
+* An addition X + d with |d| <= (u/4)|X| returns X for a normal X.
+  With 2^e <= |X| < 2^(e+1), the floats next to X lie 2^(e-52) away,
+  or 2^(e-53) below X = +-2^e; |d| < 2^(e-54) is under half of either
+  gap, so X + d rounds to X, with no tie for ties-to-even to break.  An
+  infinite X absorbs a finite d.
+* Zero sums.  No accumulator is ever -0.0: each starts at +0.0 or at a
+  seed component, the seeds being (1, 0) (`series_core`) and (0, 1)
+  (the tests), and in round to nearest a sum is -0.0 only when both
+  addends are.  A zero sum has threshold 0 and fails the test.  At
+  nu = 0 the seed's zero component stays zero at every step, so such a
+  call never freezes and runs the full loop.
+* The test.  It runs only in the `else` of ``if s > um``, so it costs
+  nothing while the terms exceed u m.  With s, g = k s and h = k g the
+  computed addends of step k, which bound all of its additions (|a|,
+  |b| <= s and |fl(k a)| <= g, rounding being monotone), it asks for
+  s + 2^-1022 <= (u/4)|p| and (u/4)|q|, g + 2^-1022 <= (u/4)|dp|,
+  (u/4)|dq| and (u/4) s1, h + 2^-1022 <= (u/4) s2, a finite m, and
+  (k + 1)^2 rho_{k+1} / k^2 <= 1/2, computed from w (1 + 16u) like the
+  stop test's rho, so that the exact ratio meets it.  The 2^-1022 puts
+  every threshold (u/4)|X| in the normal range, where it is exact, and
+  keeps it above any subnormal noise.
+* Later steps.  K^2 rho_K / (K - 1)^2 decreases in K (its log
+  derivative, 1/(K + |nu|) + 1/K - 2/(K - 1) - 2K/(K^2 + nu^2), is
+  negative), so it stays <= 1/2.  By the term drift above, a step
+  multiplies the l1 size of the term by at most rho_K (1 + 12u), and
+  forming s by (1 + u) / (1 - u).  Gradual underflow adds at most
+  6 2^-1075 to the l1 size per step, and a subnormal r_K an absolute
+  2^-1075, below 2^-50 of the term since K + |nu| < 2^1025.  So
+  E_K = K^2 s_K obeys E_K <= 0.51 E_(K-1) + 2^-1054 (K^2 < 2^18), and
+  every later E_K is below 0.51 E_k + 2^-1052.  Each later s, g and h,
+  with its own roundings, is then below 0.6 times the step-k value plus
+  2^-1045, so below the test's left side and its threshold.  By
+  induction no later addition moves p, q, dp, dq, s1 or s2, and the
+  thresholds stay as they are.  m is finite, so s is, and so is every
+  later addend: an infinite sum absorbs them, and a NaN sum fails its
+  comparison.  Where den overflows (|nu| above ~1e152), r_K is 0 and
+  the later terms are zeros.
+* m, um and j.  p and q do not move, so neither do m and um; every
+  later s is below s_k + 2^-1022 <= (u/4) m < u m, so j stays.
+* The end.  The loop after the freeze repeats r_k, the (a, b) update,
+  k + 1 and den in the same operations and order, and s is recomputed
+  as |a| + |b| of the last term, so the tails and the round-off bounds
+  see the same values.  A searched call never tests for a freeze:
+  `eval_pair` asks for tol >= m eps, and the ratio stop fires first.
 """
 
 from .error_bounds import MAX_TERMS
@@ -81,6 +131,10 @@ _DRIFT = 8.5 * _U
 #: Gradual underflow, 6 * 2^-1074 per N^2 (values) or N^3 (derivatives).
 _TINY6 = 6.0 * 2.0 ** -1074
 _INF = float("inf")
+#: The frozen-sums test: an addend <= _Q |X| leaves X unchanged, and
+#: every threshold _Q |X| must be at least _NORMAL (see "Frozen sums").
+_Q = 0.25 * _U
+_NORMAL = 2.0 ** -1022
 
 
 def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
@@ -91,7 +145,9 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     parameter, `w = (x/2)**2`, `n_terms` the most steps to take past the
     seed, and `tol` the target for the value tail: the loop stops after
     the first step N whose tail bound is <= `tol`.  A negative `tol` (the
-    default) runs all `n_terms` steps.
+    default) runs all `n_terms` steps; once its sums are frozen (see
+    "Frozen sums") the rest of them advance only the recurrence, so the
+    cost follows the steps until the freeze and the result is the same.
 
     Returns ``(p, q, dp, dq, m, n, tail, d_tail, err, d_err)`` where, with
     t_k = (a_k, b_k) w^k and N = n the steps taken,
@@ -111,7 +167,13 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     """
     sw = w if modified else -w
     # e / den is rho_{k+1}; e = inf turns the stop test off
-    wr = w * RHO_UP if tol >= 0.0 else _INF
+    if tol >= 0.0:
+        wr = w * RHO_UP
+        freeze = False
+    else:  # a forced count, which may freeze its sums
+        wr = _INF
+        wu = w * RHO_UP
+        freeze = n_terms <= MAX_TERMS
     factor = TAIL_FACTOR
     nu2 = nu * nu
     v = abs(nu)
@@ -146,15 +208,29 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
             m = max(abs(p), abs(q), m)
             lo = -m
             um = m * _U
-        if s > um:
-            j = k
         fk = fk + 1.0
         den = fk * (fk * fk + nu2)
+        if s > um:
+            j = k
+        elif (freeze and (fk - 1.0) * g + _NORMAL <= _Q * s2 and g + _NORMAL <= _Q * s1
+              and s + _NORMAL <= _Q * abs(p) and s + _NORMAL <= _Q * abs(q)
+              and g + _NORMAL <= _Q * abs(dp) and g + _NORMAL <= _Q * abs(dq)
+              and wu * (fk + v) * fk * fk <= 0.5 * (k * k) * den and m < _INF):
+            break  # the sums are frozen (see "Frozen sums")
         e = wr * (fk + v)
         # the tail below without S_FLOOR, which only raises it: a step
         # that fails this test reports a tail > tol
         if e < den and s * e / (den - e) * factor <= tol:
             break
+    if freeze and k < n_terms:
+        # no later addition can change a sum, m or j: run the recurrence
+        # alone to the last term, with the loop's operations in its order
+        for k in range(k + 1, n_terms + 1):
+            r = sw / den
+            a, b = (fk * a - nu * b) * r, (nu * a + fk * b) * r
+            fk = fk + 1.0
+            den = fk * (fk * fk + nu2)
+        s = abs(a) + abs(b)
     # fk = N + 1 and den = (N + 1)((N + 1)^2 + nu^2) here
     e = w * RHO_UP * (fk + v)
     tail = d_tail = _INF

@@ -69,16 +69,21 @@ def _grid_points(x_min, x_max, x_steps, scale):
         quotient = x_max / x_min
         if quotient < math.inf:
             ratio = math.log(quotient)
-            return [x_min * math.exp(i * ratio / (x_steps - 1)) for i in range(x_steps)]
-        # the quotient overflows (x-min near the bottom of the double
-        # range), so step the logarithm itself; exp(i * ratio) alone could
-        # overflow where x-min times it would not
-        log_min = math.log(x_min)
-        ratio = math.log(x_max) - log_min
-        inner = [math.exp(log_min + i * ratio / (x_steps - 1)) for i in range(1, x_steps - 1)]
-        return [x_min] + inner + [x_max]
-    step = (x_max - x_min) / (x_steps - 1)
-    return [x_min + i * step for i in range(x_steps)]
+            points = [x_min * math.exp(i * ratio / (x_steps - 1)) for i in range(x_steps)]
+        else:
+            # the quotient overflows (x-min near the bottom of the double
+            # range), so step the logarithm itself; exp(i * ratio) alone
+            # could overflow where x-min times it would not
+            log_min = math.log(x_min)
+            ratio = math.log(x_max) - log_min
+            points = [x_min] + [math.exp(log_min + i * ratio / (x_steps - 1))
+                                for i in range(1, x_steps - 1)] + [x_max]
+    else:
+        step = (x_max - x_min) / (x_steps - 1)
+        points = [x_min + i * step for i in range(x_steps)]
+    # rounding can carry the last point past x-max, and in a log grid
+    # whose x-max is a few ulps above x-min the points before it too
+    return [x if x <= x_max else x_max for x in points]
 
 
 def _emit(out, fields, rows, fmt):

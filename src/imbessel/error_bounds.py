@@ -144,14 +144,23 @@ class _PointBounds:
         """`tail_bound` after N steps (N >= 1, unchecked)."""
         return self._envelope(self.v, N + 1)
 
-    def d_tail(self, N: int, tail: float) -> float:
-        """`derivative_tail_bound` after N steps, given `tail` = tail(N)."""
+    def d_tail(self, N: int, tail: float | None = None) -> float:
+        """`derivative_tail_bound` after N steps.
+
+        The rotation term (|nu|/x) sum_{n>N} M_n w^n is its own envelope
+        sum at scale log|nu| - log x.  Given a value `tail` instead (what
+        `eval_pair` passes: the kernel's ratio tail, or tail(N) where that
+        is inf), it is that tail times |nu|/x.
+        """
         d = self._envelope(self.v + 1.0, N + 1, math.log(2.0) - math.log(self.x))
         if self.v == 0.0:  # no nu/x rotation term
             return d
-        # (v/x) tail in log space (v/x overflows below x ~ 1e-308); inf stays inf
-        rot = math.log(self.v) - math.log(self.x) + math.log(tail)
-        return d + _exp_sat(rot) * 1.01 + 5e-324
+        # in log space: v/x overflows below x ~ 1e-308
+        scale = math.log(self.v) - math.log(self.x)
+        if tail is None:
+            return d + self._envelope(self.v, N + 1, scale)
+        # inf stays inf
+        return d + _exp_sat(scale + math.log(tail)) * 1.01 + 5e-324
 
     def terms(self, tol: float) -> int:
         """The smallest N <= MAX_TERMS with tail(N) <= tol, by bisection.
@@ -249,11 +258,14 @@ def derivative_tail_bound(nu: float, x: float, N: int) -> float:
     The derivative series carries an extra factor n * 2/x per term plus
     the nu/x rotation term, so its tail is bounded by
 
-        (2/x) * sum_{n>N} n * M_n (x/2)^(2n)  +  (|nu|/x) * tail_bound(N).
+        (2/x) * sum_{n>N} n * M_n (x/2)^(2n)  +  (|nu|/x) * sum_{n>N} M_n (x/2)^(2n),
+
+    each sum taken as one envelope with its factor in log space, so
+    neither 2/x nor |nu|/x scales a rounded or underflowed tail.
     """
     bounds = _PointBounds(nu, x)
     _check_terms(N)
-    return bounds.d_tail(N, bounds.tail(N))
+    return bounds.d_tail(N)
 
 
 def required_terms(nu: float, x: float, tol: float) -> int:

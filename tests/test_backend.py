@@ -5,12 +5,99 @@ import math
 import struct
 from pathlib import Path
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from imbessel import Kind, _backend, eval_pair
+from imbessel._backend import _DRIFT, _INF, _TINY6, _U, RHO_UP, S_FLOOR, TAIL_FACTOR
 from imbessel.oracle import coefficients_hp
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def reference_series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
+    # The kernel as it was before forced counts finished on the bare
+    # recurrence: every step adds its term to every sum.  Kept verbatim
+    # as the reference the kernel must reproduce byte for byte.
+    sw = w if modified else -w
+    # e / den is rho_{k+1}; e = inf turns the stop test off
+    wr = w * RHO_UP if tol >= 0.0 else _INF
+    factor = TAIL_FACTOR
+    nu2 = nu * nu
+    v = abs(nu)
+    a = a0
+    b = b0
+    p = a0
+    q = b0
+    dp = 0.0
+    dq = 0.0
+    s1 = 0.0
+    s2 = 0.0
+    m = max(abs(a0), abs(b0))
+    lo = -m
+    um = m * _U
+    j = 0
+    s = abs(a0) + abs(b0)
+    fk = 1.0
+    den = 1.0 + nu2
+    k = 0
+    for k in range(1, n_terms + 1):
+        r = sw / den
+        a, b = (fk * a - nu * b) * r, (nu * a + fk * b) * r
+        p = p + a
+        q = q + b
+        dp = dp + fk * a
+        dq = dq + fk * b
+        s = abs(a) + abs(b)
+        g = fk * s
+        s1 = s1 + g
+        s2 = s2 + fk * g
+        if p > m or p < lo or q > m or q < lo:
+            m = max(abs(p), abs(q), m)
+            lo = -m
+            um = m * _U
+        if s > um:
+            j = k
+        fk = fk + 1.0
+        den = fk * (fk * fk + nu2)
+        e = wr * (fk + v)
+        # the tail below without S_FLOOR, which only raises it: a step
+        # that fails this test reports a tail > tol
+        if e < den and s * e / (den - e) * factor <= tol:
+            break
+    # fk = N + 1 and den = (N + 1)((N + 1)^2 + nu^2) here
+    e = w * RHO_UP * (fk + v)
+    tail = d_tail = _INF
+    if e < den:
+        s = s + S_FLOOR
+        tail = s * e / (den - e) * factor
+        if k:
+            ed = fk * e / k  # rd = (N + 1) rho / N = ed / den
+            if ed < den:
+                d_tail = fk * s * e / (den - ed) * factor
+
+    # Partial sums: adding a term rounds by at most u |sum| and at most
+    # the term itself.  Up to step j (the last term above u m) take u m
+    # per addition; the terms after it are <= u m and fall off with the
+    # ratio from step j + 2 on.
+    n = fk - 1.0
+    sums = 1.5 * n * um
+    d_sums = fk * _U * s1
+    if j < k:
+        f2 = j + 2.0
+        rho = w * RHO_UP * (f2 + v) / (f2 * (f2 * f2 + nu2))
+        rd = f2 * rho / (j + 1.0)
+        if rd < 1.0:  # then rho < 1 as well
+            split = 1.5 * j * um + um * factor / (1.0 - rho)
+            if split < sums:
+                sums = split
+            split = (j + 1.0) * (_U * s1 + um * factor / (1.0 - rd))
+            if split < d_sums:
+                d_sums = split
+    err = _DRIFT * s1 + sums + n * n * _TINY6
+    d_err = _DRIFT * s2 + d_sums + n * n * n * _TINY6
+    return p, q, dp, dq, m, k, tail, d_tail, err, d_err
 
 
 def test_series_sums_match_tables():
@@ -90,3 +177,41 @@ def test_benchmark_trace_bindings_resolve(monkeypatch):
     monkeypatch.setattr(_backend, "series_sums", counting)
     assert eval_pair(Kind.OSCILLATORY, 1.0, 1.0) == expected
     assert len(calls) == 1
+
+
+def _pack(values):
+    return b"".join(struct.pack("<d", v) if isinstance(v, float) else struct.pack("<q", v)
+                    for v in values)
+
+
+_X = st.one_of(st.floats(5e-324, 40.0),
+               st.floats(-323.3, 1.6).map(lambda e: max(10.0 ** e, 5e-324)))
+_NU = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), st.floats(-40.0, 40.0))
+
+
+@settings(max_examples=600, deadline=None)
+@given(modified=st.booleans(), seed=st.sampled_from([(1.0, 0.0), (0.0, 1.0)]), nu=_NU, x=_X,
+       n_terms=st.integers(1, 400),
+       tol=st.one_of(st.just(-1.0), st.floats(-323.0, -1.0).map(lambda e: 10.0 ** e)))
+# forced counts whose sums freeze after a few steps
+@example(modified=False, seed=(1.0, 0.0), nu=1.3, x=0.01, n_terms=64, tol=-1.0)
+@example(modified=True, seed=(0.0, 1.0), nu=-0.7, x=0.01, n_terms=64, tol=-1.0)
+# p near a zero of J0 (-8.3e-17), so its threshold (u/4)|p| is tiny
+@example(modified=False, seed=(1.0, 0.0), nu=1e-8, x=2.404825557695773, n_terms=400, tol=-1.0)
+# at nu = 0 the seed's zero component keeps two sums at zero: no freeze
+@example(modified=False, seed=(1.0, 0.0), nu=0.0, x=2.404825557695773, n_terms=400, tol=-1.0)
+@example(modified=False, seed=(0.0, 1.0), nu=0.0, x=2.404825557695773, n_terms=400, tol=-1.0)
+# a (0, 1) seed, whose p and dp start at +0.0
+@example(modified=True, seed=(0.0, 1.0), nu=24.833157163793572, x=20.732502395989144,
+         n_terms=170, tol=-1.0)
+# the last terms are subnormal
+@example(modified=True, seed=(1.0, 0.0), nu=0.5, x=1e-3, n_terms=400, tol=-1.0)
+@example(modified=False, seed=(0.0, 1.0), nu=2.5, x=1e-3, n_terms=400, tol=-1.0)
+def test_series_sums_equal_the_full_loop_byte_for_byte(modified, seed, nu, x, n_terms, tol):
+    # A forced count stops adding once its sums are frozen; every value it
+    # returns must still be the full loop's, bit for bit.
+    w = (0.5 * x) * (0.5 * x)
+    got = _backend.series_sums(modified, *seed, nu, w, n_terms, tol)
+    want = reference_series_sums(modified, *seed, nu, w, n_terms, tol)
+    assert type(got[5]) is type(want[5]) is int
+    assert _pack(got) == _pack(want), (got, want)

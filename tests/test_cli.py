@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import imbessel
 from imbessel.cli import main
@@ -445,6 +447,47 @@ def test_log_grid_reaches_the_bottom_of_the_double_range(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert [float(row[0]) for row in rows] == _grid_points(1e-310, 10.0, 4, "log")
+
+
+_GRID_MIN = st.floats(5e-324, 1e300)
+
+
+@st.composite
+def _grid_bounds(draw):
+    x_min = draw(_GRID_MIN)
+    if draw(st.booleans()):
+        x_max = draw(st.floats(x_min, 1e308))
+    else:  # a few ulps above x-min, where the points crowd together
+        x_max = x_min
+        for _ in range(draw(st.integers(0, 40))):
+            x_max = math.nextafter(x_max, math.inf)
+    return x_min, x_max
+
+
+@settings(max_examples=400, deadline=None)
+@given(bounds=_grid_bounds(), steps=st.integers(1, 2000), scale=st.sampled_from(["log", "linear"]))
+@example(bounds=(1e-300, 1e8), steps=5, scale="log")
+@example(bounds=(6.219732926352284e+236, 6.2197329263523115e+236), steps=1385, scale="log")
+def test_grid_points_stay_within_x_min_and_x_max(bounds, steps, scale):
+    # the last point rounded past x-max (1e8 came out as 100000000.00000136)
+    # and, in a grid a few ulps wide, the points before it did too
+    from imbessel.cli import _grid_points
+
+    x_min, x_max = bounds
+    points = _grid_points(x_min, x_max, steps, scale)
+    assert len(points) == steps and points[0] == x_min
+    assert all(x_min <= x <= x_max for x in points)
+    assert all(a <= b for a, b in zip(points, points[1:]))
+
+
+def test_grid_points_below_x_max_keep_their_values():
+    # only points past x-max move: the benchmark's grid still ends just
+    # below 10, and a grid that ended at x-max still does
+    from imbessel.cli import _grid_points
+
+    assert _grid_points(1e-2, 10.0, 500, "log")[-1] == 9.999999999999998
+    assert _grid_points(1e-300, 1e8, 5, "log")[-1] == 1e8
+    assert _grid_points(0.1, 5.0, 7, "linear") == [0.1 + i * (4.9 / 6) for i in range(7)]
 
 
 _CLI_PROBE = """

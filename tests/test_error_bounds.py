@@ -274,6 +274,14 @@ def test_derivative_tail_bound_is_positive_and_encloses_at_extreme_scales():
             assert mpf(bound) >= exact, (nu, x, N, bound, exact)
 
 
+def test_derivative_rotation_term_is_tight_at_tiny_x():
+    # the rotation term is summed as its own envelope at scale |nu|/x, so
+    # the value tail's one-subnormal floor is no longer multiplied by 1/x
+    # (it read 1.01 and 5.0e-15 here); the exact tails are far below 5e-324
+    assert derivative_tail_bound(1.0, 5e-324, 1) <= 1e-320
+    assert derivative_tail_bound(1.0, 1e-309, 1) <= 1e-320
+
+
 def test_tail_bound_is_continuous_at_order_two():
     # one summed envelope serves every order, so nothing jumps at |nu| = 2
     for x in (0.1, 1.0, 5.0, 20.0, 50.0):
