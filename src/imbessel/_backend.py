@@ -166,13 +166,13 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
       modulus 1 and w / (N (N^2 + nu^2)) in the normal range.
     """
     sw = w if modified else -w
+    wu = w * RHO_UP
     # e / den is rho_{k+1}; e = inf turns the stop test off
     if tol >= 0.0:
-        wr = w * RHO_UP
+        wr = wu
         freeze = False
     else:  # a forced count, which may freeze its sums
         wr = _INF
-        wu = w * RHO_UP
         freeze = n_terms <= MAX_TERMS
     factor = TAIL_FACTOR
     nu2 = nu * nu
@@ -185,11 +185,13 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     dq = 0.0
     s1 = 0.0
     s2 = 0.0
-    m = max(abs(a0), abs(b0))
+    aa = abs(a0)
+    ab = abs(b0)
+    m = max(aa, ab)
     lo = -m
     um = m * _U
     j = 0
-    s = abs(a0) + abs(b0)
+    s = aa + ab
     fk = 1.0
     den = 1.0 + nu2
     k = 0
@@ -232,7 +234,7 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
             den = fk * (fk * fk + nu2)
         s = abs(a) + abs(b)
     # fk = N + 1 and den = (N + 1)((N + 1)^2 + nu^2) here
-    e = w * RHO_UP * (fk + v)
+    e = wu * (fk + v)
     tail = d_tail = _INF
     if e < den:
         s = s + S_FLOOR
@@ -251,7 +253,7 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     d_sums = fk * _U * s1
     if j < k:
         f2 = j + 2.0
-        rho = w * RHO_UP * (f2 + v) / (f2 * (f2 * f2 + nu2))
+        rho = wu * (f2 + v) / (f2 * (f2 * f2 + nu2))
         rd = f2 * rho / (j + 1.0)
         if rd < 1.0:  # then rho < 1 as well
             split = 1.5 * j * um + um * factor / (1.0 - rho)

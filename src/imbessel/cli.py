@@ -30,7 +30,7 @@ from .errors import DomainError, ToleranceError
 from .error_bounds import tail_bound
 from .lommel import ImaginaryOrder, classify
 from .oracle import oracle_pair
-from .series_core import Kind, _eval_row, eval_pair
+from .series_core import _MODIFIED, _OSCILLATORY, Kind, _eval_row, eval_pair
 
 DEFAULT_TOL = 1e-12
 DEFAULT_NUS = "0,0.5,1,1.5,2"
@@ -42,7 +42,7 @@ _NEGATIVE_STARTS = frozenset("-" + c for c in "0123456789.")
 
 
 def _parse_kind(text: str) -> Kind:
-    return Kind.MODIFIED if text == "mod" else Kind.OSCILLATORY
+    return _MODIFIED if text == "mod" else _OSCILLATORY
 
 
 def _parse_nu_list(text: str):

@@ -55,7 +55,11 @@ MAX_TERMS = 400
 
 
 def _check_finite(value, name):
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except TypeError:
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    if not finite:
         raise DomainError(f"{name} must be finite, got {value!r}")
 
 
@@ -149,8 +153,8 @@ class _PointBounds:
 
         The rotation term (|nu|/x) sum_{n>N} M_n w^n is its own envelope
         sum at scale log|nu| - log x.  Given a value `tail` instead (what
-        `eval_pair` passes: the kernel's ratio tail, or tail(N) where that
-        is inf), it is that tail times |nu|/x.
+        `eval_pair` passes where the kernel's value tail is finite but its
+        derivative tail is not), it is that tail times |nu|/x.
         """
         d = self._envelope(self.v + 1.0, N + 1, math.log(2.0) - math.log(self.x))
         if self.v == 0.0:  # no nu/x rotation term

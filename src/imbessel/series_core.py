@@ -47,6 +47,12 @@ _U = 0.5 * _EPS
 _TINY = 2.0 ** -1074
 #: w / (N (N^2 + nu^2)) below this leaves the normal range
 _R_MIN = 2.0 * sys.float_info.min
+_INF = math.inf
+_log = math.log
+_cos = math.cos
+_sin = math.sin
+_isfinite = math.isfinite
+_new = tuple.__new__
 
 
 class Kind(enum.Enum):
@@ -80,12 +86,19 @@ class PairResult(NamedTuple):
     d_tail_bound: float
 
 
+# Module constants for the members: on Python 3.11 a member read such as
+# Kind.MODIFIED goes through the enum machinery and costs ~0.13 us, a
+# module global ~0.01 us, and `_is_modified` runs on every evaluation.
+_MODIFIED = Kind.MODIFIED
+_OSCILLATORY = Kind.OSCILLATORY
+
+
 def _is_modified(kind):
     # The recurrence variant for `kind`; anything that is not a Kind is
     # refused rather than read as the oscillatory equation.
-    if kind is Kind.MODIFIED:
+    if kind is _MODIFIED:
         return True
-    if kind is Kind.OSCILLATORY:
+    if kind is _OSCILLATORY:
         return False
     raise DomainError(f"kind must be a Kind, got {kind!r}")
 
@@ -130,8 +143,9 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     them count as lost: their exact sums are bounded by the ratio chain
     from the seed, their computed ones are S - 1 and D.
 
-    Raises DomainError for x <= 0, a `kind` that is not a Kind, or a
-    `terms` that is not an int in 1..MAX_TERMS, and ToleranceError when
+    Raises DomainError for x <= 0, a `kind` that is not a Kind, a nu, x
+    or tol that is not a real number (int or float), or a `terms` that is
+    not an int in 1..MAX_TERMS, and ToleranceError when
     `tol` lies below the double-precision round-off floor m * eps at
     this point (m the largest partial sum), is unreachable within
     MAX_TERMS steps, nu^2 or a value overflows the double range; the
@@ -142,14 +156,19 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     raised; `_eval_row` runs the same checks, with x's last.
     """
     modified = _is_modified(kind)
-    _check_finite(nu, "nu")
-    # x before tol and terms, as documented; `_point` checks it again
-    # for `_eval_row`, which checks it last
-    if not 0.0 < x < math.inf:
-        _refuse_x(x)
-    nu2 = _check_order(nu, tol, terms)
-    # what PairResult._make does, without its Python frame
-    return tuple.__new__(PairResult, _point(modified, nu, nu2, x, tol, terms))
+    try:
+        if not _isfinite(nu):
+            _check_finite(nu, "nu")  # raises, with the message
+        # x before tol and terms, as documented; `_point` checks it again
+        # for `_eval_row`, which checks it last
+        if not 0.0 < x < _INF:
+            _refuse_x(x)
+        nu2 = _check_order(nu, tol, terms)
+        # what PairResult._make does, without its Python frame
+        return _new(PairResult, _point(modified, nu, nu2, x, tol, terms))
+    except TypeError:
+        _refuse_type(("nu", nu), ("x", x), ("tol", tol))
+        raise
 
 
 def _eval_row(kind: Kind, nu: float, xs, tol: float = 1e-12,
@@ -164,8 +183,20 @@ def _eval_row(kind: Kind, nu: float, xs, tol: float = 1e-12,
     """
     modified = _is_modified(kind)
     _check_finite(nu, "nu")
-    nu2 = _check_order(nu, tol, terms)
-    return [_point(modified, nu, nu2, x, tol, terms) for x in xs]
+    try:
+        nu2 = _check_order(nu, tol, terms)
+        return [_point(modified, nu, nu2, x, tol, terms) for x in xs]
+    except TypeError:
+        _refuse_type(("nu", nu), ("tol", tol), *(("x", x) for x in xs))
+        raise
+
+
+def _refuse_type(*named):
+    # A check or the evaluation raised TypeError: the error for the first
+    # argument, in check order, that is not an int or a float
+    for name, value in named:
+        if not isinstance(value, (int, float)):
+            raise DomainError(f"{name} must be a real number, got {value!r}") from None
 
 
 def _refuse_x(x):
@@ -184,7 +215,7 @@ def _check_order(nu, tol, terms):
         if not 1 <= terms <= MAX_TERMS:
             raise DomainError(f"terms must be in 1..{MAX_TERMS}, got {terms}")
     nu2 = nu * nu
-    if nu2 == math.inf:
+    if nu2 == _INF:
         raise ToleranceError(f"nu={nu} is beyond the double range (nu^2 overflows)")
     return nu2
 
@@ -193,7 +224,7 @@ def _point(modified, nu, nu2, x, tol, terms):
     # The per-point body of `eval_pair` (see there): x's checks, the
     # kernel pass, the rotation, the refusals and both bounds, for an
     # order whose checks have passed.  Returns the seven PairResult fields.
-    if not 0.0 < x < math.inf:
+    if not 0.0 < x < _INF:
         _refuse_x(x)
     half = 0.5 * x
     w = half * half
@@ -210,17 +241,17 @@ def _point(modified, nu, nu2, x, tol, terms):
             f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={nu}, x={x}"
         )
 
-    phase = nu * math.log(x)
-    c = math.cos(phase)
-    s = math.sin(phase)
+    phase = nu * _log(x)
+    c = _cos(phase)
+    s = _sin(phase)
 
     cos_part = p * c + q * s
     sin_part = (0.0 - q) * c + p * s
     # divided by x last: 2/x alone overflows below x ~ 1e-308
     d_cos = (2.0 * (dp * c + dq * s) + nu * (q * c - p * s)) / x
     d_sin = (2.0 * ((0.0 - dq) * c + dp * s) + nu * (p * c - (0.0 - q) * s)) / x
-    if not (math.isfinite(cos_part) and math.isfinite(sin_part)
-            and math.isfinite(d_cos) and math.isfinite(d_sin)):
+    if not (_isfinite(cos_part) and _isfinite(sin_part)
+            and _isfinite(d_cos) and _isfinite(d_sin)):
         raise ToleranceError(f"values overflow the double range at nu={nu}, x={x}")
 
     floor = m * _EPS
@@ -237,8 +268,7 @@ def _point(modified, nu, nu2, x, tol, terms):
     r_val = (ph + 4.0) * _U * size
     r_der = 2.0 * (ph + 6.0) * _U * d_size + v * (ph + 7.0) * _U * size
 
-    fn = float(n)
-    if w < _R_MIN * fn * (fn * fn + nu2):
+    if w < _R_MIN * n * (n * n + nu2):
         # r_N below the normal range: the terms past the seed are not
         # computed to relative accuracy, so count them all as lost.  Their
         # exact sums are at most rho_1 / (1 - rho_1) and, weighted by k,
@@ -260,11 +290,15 @@ def _point(modified, nu, nu2, x, tol, terms):
         r_der += 2.0 * d_err
         if v:  # v * inf would be NaN at nu = 0
             r_der += v * err
-        if d_tail == math.inf:  # a forced count before a ratio falls below 1
+        if d_tail == _INF:  # a forced count before a ratio falls below 1
             apriori = _PointBounds(nu, x)
-            if tail == math.inf:
+            if tail == _INF:
+                # both truncation parts from the envelope, as
+                # `tail_bound` and `derivative_tail_bound` give them
                 tail = apriori.tail(n)
-            d_bound = apriori.d_tail(n, tail) + r_der / x
+                d_bound = apriori.d_tail(n) + r_der / x
+            else:
+                d_bound = apriori.d_tail(n, tail) + r_der / x
         else:
             d_bound = (2.0 * d_tail + v * tail + r_der) / x
     return cos_part, sin_part, d_cos, d_sin, n, tail + r_val, d_bound

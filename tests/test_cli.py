@@ -303,6 +303,14 @@ def test_classify_rejects_zero_c():
     assert code == 2
 
 
+def test_classify_beyond_the_double_range_is_a_tolerance_error():
+    # gamma underflows to 0 or overflows, or the discriminant overflows
+    for a, b, c, beta in (("1", "1", "1e-300", "1e300"), ("1", "1", "1e300", "1e-300"),
+                          ("3e154", "1", "1", "1")):
+        code, out = run_cli(["classify", "--a", a, "--b", b, "--c", c, "--beta", beta])
+        assert (code, out) == (3, ""), (a, b, c, beta)
+
+
 def test_eval_beyond_the_double_range_is_a_tolerance_error():
     # the bound chain saturates to inf there; no traceback, no exit 1
     for nu, x in (("1", "1e8"), ("1e200", "1")):

@@ -146,6 +146,12 @@ def test_tail_bound_domain_checks():
         tail_bound(1.0, -1.0, 4)
     with pytest.raises(DomainError):
         tail_bound(1.0, 1.0, 0)
+    # an order or argument that is not a real number is named, not a TypeError
+    for args, message in (((1j, 1.0, 4), "nu must be a real number, got 1j"),
+                          ((1.0, None, 4), "x must be a real number, got None")):
+        with pytest.raises(DomainError) as exc:
+            tail_bound(*args)
+        assert str(exc.value) == message
 
 
 @settings(max_examples=60, deadline=None)

@@ -14,6 +14,7 @@ from imbessel import (
     Kind,
     LommelSolution,
     RealOrder,
+    ToleranceError,
     classify,
     eval_pair,
     hp_bessel_j_int,
@@ -59,6 +60,41 @@ def test_classify_rejects_bad_input():
         classify(1.0, 1.0, 0.0, 1.0)  # an Euler equation, no Bessel form
     with pytest.raises(DomainError):
         classify(float("nan"), 1.0, 1.0, 1.0)
+
+
+def test_classify_refuses_values_beyond_the_double_range():
+    cases = (
+        ((1.0, 1.0, 1e-300, 1e300),
+         "gamma = sqrt(c)/|beta| = 0.0 leaves the double range at c=1e-300, beta=1e+300"),
+        ((1.0, 1.0, 1e300, 1e-300),
+         "gamma = sqrt(c)/|beta| = inf leaves the double range at c=1e+300, beta=1e-300"),
+        ((3e154, 1.0, 1.0, 1.0),
+         "order nu = inf leaves the double range at a=3e+154, b=1.0, beta=1.0"),
+        # an imaginary order that underflows to 0 would read as RealOrder(0)'s twin
+        ((1.0, 1e-300, 1.0, 1e300),
+         "order nu = 0.0 leaves the double range at a=1.0, b=1e-300, beta=1e+300"),
+        ((1.0, -1.0, 1e-300, 1e-310),
+         "order nu = inf leaves the double range at a=1.0, b=-1.0, beta=1e-310"),
+    )
+    for args, message in cases:
+        with pytest.raises(ToleranceError) as exc:
+            classify(*args)
+        assert str(exc.value) == message
+
+
+def test_classify_names_an_argument_that_is_not_a_real_number():
+    # in the order a, b, c, beta, each checked for its type, then finiteness
+    cases = (
+        (("1", 1, 1, 1), "a must be a real number, got '1'"),
+        ((1, None, 1, 1), "b must be a real number, got None"),
+        ((1, 1, 1j, math.nan), "c must be a real number, got 1j"),
+        ((math.nan, "1", 1, 1), "a must be finite, got nan"),
+        ((1, 1, 1, math.inf), "beta must be finite, got inf"),
+    )
+    for args, message in cases:
+        with pytest.raises(DomainError) as exc:
+            classify(*args)
+        assert str(exc.value) == message
 
 
 def test_classify_scale_consistency():

@@ -1,6 +1,8 @@
 """Tests for the recurrence, evaluation, Wronskian and limit behavior."""
 
+import hashlib
 import math
+import random
 import struct
 
 import pytest
@@ -24,6 +26,7 @@ from imbessel import (
     truncated_pair_hp,
     wronskian_residual,
 )
+from imbessel.error_bounds import derivative_tail_bound, tail_bound
 from imbessel.oracle import coefficients_hp
 from imbessel.series_core import _eval_row
 
@@ -287,6 +290,32 @@ def test_eval_pair_checks_its_arguments_in_order():
             assert str(exc.value) == message
 
 
+def test_eval_pair_names_an_argument_that_is_not_a_real_number():
+    # in the check order nu, x, tol; a row checks nu and tol, then each x
+    cases = (
+        ((OSC, "1", 1.0), "nu must be a real number, got '1'"),
+        ((OSC, 1.0, None), "x must be a real number, got None"),
+        ((OSC, 1j, 1.0), "nu must be a real number, got 1j"),
+        ((OSC, 1.0, 1.0, "1e-8"), "tol must be a real number, got '1e-8'"),
+        ((OSC, 1.0, "1", math.nan), "x must be a real number, got '1'"),
+        ((OSC, math.nan, "1"), "nu must be finite, got nan"),
+        ((OSC, 1.0, -1.0, "1e-8"), "x must be > 0"),
+    )
+    for args, message in cases:
+        with pytest.raises(DomainError) as exc:
+            eval_pair(*args)
+        assert str(exc.value) == message
+    for args, message in (
+        ((OSC, "1", [1.0]), "nu must be a real number, got '1'"),
+        ((OSC, 1.0, [1.0, None, "1"]), "x must be a real number, got None"),
+        ((OSC, 1.0, [math.nan, None]), "x must be finite, got nan"),
+        ((OSC, 1.0, [None], "1e-8"), "tol must be a real number, got '1e-8'"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            _eval_row(*args)
+        assert str(exc.value) == message
+
+
 def _outcome(fn, *args, **kwargs):
     try:
         return fn(*args, **kwargs)
@@ -324,6 +353,51 @@ def test_row_values_equal_eval_pair_bit_for_bit(kind, nu, xs, terms):
         assert all(type(r) is tuple and type(r[4]) is int for r in row)
     else:
         assert type(row) is type(first_error) and str(row) == str(first_error)
+
+
+#: sha256 of all seven fields over `_pinned_requests()`: any change to a
+#: returned byte in the benchmark's scalar ranges shows here
+_PAIR_DIGEST = "ff35eba265e421ce47ffcefd22b602b7e7b55e89de177f28660a5011d4f0bec4"
+
+
+def _pinned_requests():
+    # the benchmark's scalar ranges: both kinds, nu in [0, 3.5], x
+    # log-uniform on [1e-2, 10], the `point` tolerances searched and the
+    # `sweep` counts 8, 16, ..., 64 forced
+    rng = random.Random("pair-result-pin")
+    requests = []
+    for i in range(1200):
+        kind = (OSC, MOD)[i % 2]
+        nu = rng.uniform(0.0, 3.5)
+        x = math.exp(rng.uniform(math.log(1e-2), math.log(10.0)))
+        if i % 4 < 2:
+            requests.append((kind, nu, x, (1e-6, 1e-10, 1e-12)[rng.randrange(3)], None))
+        else:
+            requests.append((kind, nu, x, 1e-12, 8 * rng.randint(1, 8)))
+    return requests
+
+
+def test_pair_result_bytes_are_pinned():
+    # all seven fields, where the benchmark's `point` digest covers only
+    # terms_used, cos_part and sin_part
+    digest = hashlib.sha256()
+    for kind, nu, x, tol, terms in _pinned_requests():
+        digest.update(struct.pack("<ddddqdd", *eval_pair(kind, nu, x, tol, terms=terms)))
+    assert digest.hexdigest() == _PAIR_DIGEST
+
+
+@pytest.mark.parametrize("kind", [OSC, MOD])
+def test_forced_count_before_the_ratio_falls_takes_both_envelope_bounds(kind):
+    # where the kernel's value tail is inf, both bounds are the a-priori
+    # ones of `error_bounds` plus the round-off of the evaluation
+    for nu, x, n in ((1.0, 20.0, 3), (-2.5, 12.0, 2), (0.0, 30.0, 5), (0.5, 40.0, 8)):
+        r = eval_pair(kind, nu, x, terms=n)
+        tail = tail_bound(nu, x, n)
+        d_tail = derivative_tail_bound(nu, x, n)
+        assert tail <= r.tail_bound <= tail * (1.0 + 1e-12), (nu, x, n)
+        assert d_tail <= r.d_tail_bound <= d_tail * (1.0 + 1e-12), (nu, x, n)
+    # the rotation term was a 1.01-inflated product with the value tail
+    assert eval_pair(kind, 1.0, 20.0, terms=3).d_tail_bound == 879273429.9374468
 
 
 def test_eval_never_returns_non_finite_values():
