@@ -36,14 +36,15 @@ chain only for a forced term count whose ratio has not dropped below 1.
 
 Everything above that depends only on the point (nu, x) -- log m(nu),
 (x/2)^2 and its log -- is computed once per point in `_PointBounds`;
-the public functions are thin wrappers over it.  Bounds beyond the
+the public functions are thin wrappers over it that check their
+arguments (counts N and n are ints in 1..MAX_TERMS).  Bounds beyond the
 double range saturate to +inf rather than raising or turning into NaN.
 """
 
 import math
 import sys
 
-from .errors import DomainError, ToleranceError
+from .errors import ToleranceError, check_count, check_positive, check_real, check_tol
 
 # sum_{n>=2} 1/n^2 = pi^2/6 - 1 and sum_{n>=2} 1/n^3 = zeta(3) - 1,
 # both to the four decimals used by the envelope's derivation.
@@ -52,15 +53,6 @@ SUM_INV_CUBES = 0.2021
 
 #: Hard ceiling on the admissible number of series terms.
 MAX_TERMS = 400
-
-
-def _check_finite(value, name):
-    try:
-        finite = math.isfinite(value)
-    except TypeError:
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
-    if not finite:
-        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _exp_sat(arg: float) -> float:
@@ -82,7 +74,7 @@ def _pow_sat(base: float, exponent) -> float:
 
 def factor_F(nu: float) -> float:
     """Piecewise cubic-correction factor of the coefficient envelope."""
-    _check_finite(nu, "nu")
+    nu = check_real(nu, "nu")
     v = abs(nu)
     if v <= 2.0:
         return nu * nu * abs(v - 1.0) * 2.0 ** (1.0 - v)
@@ -100,18 +92,17 @@ def _log_m_of_nu(nu: float) -> float:
 
 def m_of_nu(nu: float) -> float:
     """Envelope constant m(nu); equals 1 at nu = 0 and grows with |nu|."""
-    _check_finite(nu, "nu")
+    nu = check_real(nu, "nu")
     return _exp_sat(_log_m_of_nu(nu))
 
 
 def majorant_bound(nu: float, n: int) -> float:
-    """Envelope m(nu) * n^|nu| / (n!)^2 on |a_n| + |b_n| for n >= 1.
+    """Envelope m(nu) * n^|nu| / (n!)^2 on |a_n| + |b_n|, n in 1..MAX_TERMS.
 
     Switches to log-space past n = 20 so the factorial cannot overflow.
     """
-    _check_finite(nu, "nu")
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
+    nu = check_real(nu, "nu")
+    check_count(n, "n", MAX_TERMS)
     v = abs(nu)
     if n <= 20:
         return m_of_nu(nu) * _pow_sat(float(n), v) / float(math.factorial(n)) ** 2
@@ -119,7 +110,7 @@ def majorant_bound(nu: float, n: int) -> float:
 
 
 class _PointBounds:
-    """The bound chain at one point (nu, x), its constants computed once.
+    """The bound chain at one checked point (nu, x), its constants computed once.
 
     The term search (`terms`), the value bound (`tail`) and the
     derivative bound (`d_tail`) all read the same log m(nu), (x/2)^2 and
@@ -129,10 +120,6 @@ class _PointBounds:
     __slots__ = ("nu", "x", "v", "log_m", "w", "log_w")
 
     def __init__(self, nu: float, x: float):
-        _check_finite(nu, "nu")
-        _check_finite(x, "x")
-        if x <= 0.0:
-            raise DomainError(f"x must be > 0, got {x}")
         self.nu = nu
         self.x = x
         self.v = abs(nu)
@@ -230,11 +217,6 @@ class _PointBounds:
                 )
 
 
-def _check_terms(N):
-    if N < 1:
-        raise DomainError(f"N must be >= 1, got {N}")
-
-
 def tail_bound(nu: float, x: float, N: int) -> float:
     """Guaranteed bound on the series error after N recurrence steps.
 
@@ -251,8 +233,8 @@ def tail_bound(nu: float, x: float, N: int) -> float:
     tolerance below 1e12 is therefore crossed once, as the bisection in
     `required_terms` needs.
     """
-    bounds = _PointBounds(nu, x)
-    _check_terms(N)
+    bounds = _PointBounds(check_real(nu, "nu"), check_positive(x, "x"))
+    check_count(N, "N", MAX_TERMS)
     return bounds.tail(N)
 
 
@@ -267,8 +249,8 @@ def derivative_tail_bound(nu: float, x: float, N: int) -> float:
     each sum taken as one envelope with its factor in log space, so
     neither 2/x nor |nu|/x scales a rounded or underflowed tail.
     """
-    bounds = _PointBounds(nu, x)
-    _check_terms(N)
+    bounds = _PointBounds(check_real(nu, "nu"), check_positive(x, "x"))
+    check_count(N, "N", MAX_TERMS)
     return bounds.d_tail(N)
 
 
@@ -278,6 +260,6 @@ def required_terms(nu: float, x: float, tol: float) -> int:
     Nondecreasing in x, nonincreasing in tol.  Raises ToleranceError when
     even 400 terms cannot reach the tolerance (absurd x / tol pairings).
     """
-    if not (tol > 0.0):
-        raise DomainError(f"tol must be > 0, got {tol}")
-    return _PointBounds(nu, x).terms(tol)
+    bounds = _PointBounds(check_real(nu, "nu"), check_positive(x, "x"))
+    check_tol(tol)
+    return bounds.terms(tol)

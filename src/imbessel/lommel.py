@@ -23,8 +23,7 @@ RealOrder(v) != ImaginaryOrder(v).
 import math
 from typing import NamedTuple
 
-from .error_bounds import _check_finite
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, check_real
 
 _isfinite = math.isfinite
 _sqrt = math.sqrt
@@ -90,11 +89,11 @@ def classify(a: float, b: float, c: float, beta: float) -> LommelSolution:
     """
     try:
         finite = _isfinite(a) and _isfinite(b) and _isfinite(c) and _isfinite(beta)
-    except TypeError:
+    except (TypeError, OverflowError):
         finite = False
     if not finite:
         for name, value in (("a", a), ("b", b), ("c", c), ("beta", beta)):
-            _check_finite(value, name)
+            check_real(value, name)
     if beta == 0.0:
         raise DomainError("beta must be nonzero")
     if c <= 0.0:

@@ -31,7 +31,8 @@ from typing import NamedTuple
 from mpmath import mp, mpc, mpf
 import mpmath
 
-from .errors import DomainError, ToleranceError
+from .error_bounds import MAX_TERMS
+from .errors import DomainError, ToleranceError, check_count, check_positive, check_real
 from .series_core import Kind, _is_modified
 
 # mpmath precision is process-global state; serializing oracle entry
@@ -91,6 +92,8 @@ def hp_gamma(z_re: float, z_im: float, digits: int = 50) -> OracleValue:
     until the Stirling series converges below the working precision.
     Nonpositive real integers are poles and rejected.
     """
+    check_real(z_re, "z_re")
+    check_real(z_im, "z_im")
     if z_im == 0.0 and z_re <= 0.0 and z_re == math.floor(z_re):
         raise DomainError(f"Gamma pole at z = {z_re}")
     wp = digits + 15
@@ -142,6 +145,7 @@ def _defining_series(kind: Kind, order, x: float, digits: int):
     # `_norm_series` to max(50, digits) digits: run with 15 guard digits,
     # and where the digits it may have lost to cancellation exceed them,
     # rerun at max(50, digits) + 5 plus the digits lost.
+    check_positive(x, "x")
     declared = max(50, digits)
     wp = declared + 15
     while True:
@@ -161,8 +165,7 @@ def hp_bessel_imag(nu: float, x: float, kind: Kind, digits: int = 50) -> OracleV
     at a higher precision where cancellation would eat into the declared
     digits, so they hold at large x as well.
     """
-    if x <= 0.0:
-        raise DomainError("x must be > 0")
+    check_real(nu, "nu")
     norm = _defining_series(kind, mpc(0, nu), x, digits)
     with mp.workdps(max(50, digits) + 15):
         g = hp_gamma(1.0, nu, digits=max(50, digits) + 5)
@@ -179,8 +182,8 @@ def _pair_hp(kind: Kind, nu: float, x: float, digits: int, derivative: bool) -> 
     # Wronskian nu / x keeps the complex derivative away from 0.  Measured,
     # they cancel by a factor ~|nu|^(1/3), at the modified kind's turning
     # point x ~ |nu| (23 at |nu| = 1e4), far inside the 15 guard digits.
-    if x <= 0.0:
-        raise DomainError("x must be > 0")
+    check_real(nu, "nu")
+    check_positive(x, "x")
     with mp.workdps(max(50, digits) + 15):
         xm = mpf(x)
         z = (xm / 2) ** 2
@@ -252,8 +255,9 @@ def truncated_pair_hp(kind: Kind, nu: float, x: float, n_terms: int, digits: int
 
     Returns (cos_val, sin_val, d_cos, d_sin) as mpf values.
     """
-    if x <= 0.0:
-        raise DomainError("x must be > 0")
+    check_real(nu, "nu")
+    check_positive(x, "x")
+    check_count(n_terms, "n_terms", MAX_TERMS)
     with mp.workdps(max(50, digits) + 10):
         nu_m = mpf(nu)
         w = (mpf(x) / 2) ** 2
@@ -309,8 +313,8 @@ def kl_macdonald(tau: float, x: float, digits: int = 13) -> OracleValue:
     only away from 0: x below 0.05 is refused (the integrand then decays
     too slowly for this truncation to represent the function well).
     """
-    if x <= 0.0:
-        raise DomainError("x must be > 0")
+    check_real(tau, "tau")
+    check_positive(x, "x")
     if x < 0.05:
         raise ToleranceError("kl_macdonald is declared unreliable for x < 0.05")
     t_abs = abs(tau)
@@ -337,7 +341,7 @@ def kl_macdonald(tau: float, x: float, digits: int = 13) -> OracleValue:
 def hp_bessel_j_int(n: int, x: float, digits: int = 50) -> OracleValue:
     """Classical integer-order J_n(x), for real-order cross checks, by
     the same defining series as `hp_bessel_imag`."""
-    if n < 0:
+    if check_real(n, "n") < 0:
         raise DomainError("order must be >= 0")
     norm = _defining_series(Kind.OSCILLATORY, n, x, digits)
     with mp.workdps(max(50, digits) + 15):

@@ -35,11 +35,12 @@ import sys
 from typing import NamedTuple
 
 from . import _backend
-from .error_bounds import MAX_TERMS, _PointBounds, _check_finite
+from .error_bounds import MAX_TERMS, _PointBounds
 # Unused here (eval_pair's kernel chooses N), but the benchmark's tracer
 # binds these module attributes by name.
 from .error_bounds import derivative_tail_bound, required_terms, tail_bound  # noqa: F401
-from .errors import DomainError, ToleranceError
+from .errors import (_MAX, DomainError, ToleranceError, check_count, check_positive,
+                     check_real, check_tol, refuse)
 
 _EPS = sys.float_info.epsilon
 _U = 0.5 * _EPS
@@ -144,7 +145,7 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     from the seed, their computed ones are S - 1 and D.
 
     Raises DomainError for x <= 0, a `kind` that is not a Kind, a nu, x
-    or tol that is not a real number (int or float), or a `terms` that is
+    or tol that is not a real number (see `errors`), or a `terms` that is
     not an int in 1..MAX_TERMS, and ToleranceError when
     `tol` lies below the double-precision round-off floor m * eps at
     this point (m the largest partial sum), is unreachable within
@@ -158,16 +159,16 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     modified = _is_modified(kind)
     try:
         if not _isfinite(nu):
-            _check_finite(nu, "nu")  # raises, with the message
+            check_real(nu, "nu")  # raises, with the message
         # x before tol and terms, as documented; `_point` checks it again
         # for `_eval_row`, which checks it last
-        if not 0.0 < x < _INF:
-            _refuse_x(x)
+        if not 0.0 < x <= _MAX:  # also an int past the double range
+            check_positive(x, "x")
         nu2 = _check_order(nu, tol, terms)
         # what PairResult._make does, without its Python frame
         return _new(PairResult, _point(modified, nu, nu2, x, tol, terms))
-    except TypeError:
-        _refuse_type(("nu", nu), ("x", x), ("tol", tol))
+    except (TypeError, OverflowError):
+        refuse(("nu", nu), ("x", x), ("tol", tol))
         raise
 
 
@@ -182,40 +183,23 @@ def _eval_row(kind: Kind, nu: float, xs, tol: float = 1e-12,
     refusal is raised, as `eval_pair` raises it at that point.
     """
     modified = _is_modified(kind)
-    _check_finite(nu, "nu")
+    check_real(nu, "nu")
     try:
         nu2 = _check_order(nu, tol, terms)
         return [_point(modified, nu, nu2, x, tol, terms) for x in xs]
-    except TypeError:
-        _refuse_type(("nu", nu), ("tol", tol), *(("x", x) for x in xs))
+    except (TypeError, OverflowError):
+        refuse(("tol", tol), *(("x", x) for x in xs))
         raise
-
-
-def _refuse_type(*named):
-    # A check or the evaluation raised TypeError: the error for the first
-    # argument, in check order, that is not an int or a float
-    for name, value in named:
-        if not isinstance(value, (int, float)):
-            raise DomainError(f"{name} must be a real number, got {value!r}") from None
-
-
-def _refuse_x(x):
-    # the error for an x outside (0, inf)
-    _check_finite(x, "x")
-    raise DomainError("x must be > 0")
 
 
 def _check_order(nu, tol, terms):
     # the checks that do not depend on x; returns nu^2
     if not (tol > 0.0):
-        raise DomainError(f"tol must be > 0, got {tol}")
-    if terms is not None:
-        if isinstance(terms, bool) or not isinstance(terms, int):
-            raise DomainError(f"terms must be an int, got {terms!r}")
-        if not 1 <= terms <= MAX_TERMS:
-            raise DomainError(f"terms must be in 1..{MAX_TERMS}, got {terms}")
+        check_tol(tol)  # raises, with the message
+    if terms is not None and not (type(terms) is int and 1 <= terms <= MAX_TERMS):
+        check_count(terms, "terms", MAX_TERMS)
     nu2 = nu * nu
-    if nu2 == _INF:
+    if nu2 > _MAX:  # inf, or the exact square of a large int
         raise ToleranceError(f"nu={nu} is beyond the double range (nu^2 overflows)")
     return nu2
 
@@ -224,8 +208,8 @@ def _point(modified, nu, nu2, x, tol, terms):
     # The per-point body of `eval_pair` (see there): x's checks, the
     # kernel pass, the rotation, the refusals and both bounds, for an
     # order whose checks have passed.  Returns the seven PairResult fields.
-    if not 0.0 < x < _INF:
-        _refuse_x(x)
+    if not 0.0 < x <= _MAX:
+        check_positive(x, "x")
     half = 0.5 * x
     w = half * half
     # One pass for the (1, 0) seed; the (0, 1) sums are its quarter turn
@@ -322,7 +306,7 @@ def gamma_modulus_imag(nu: float) -> float:
     Computed in log space so large |nu| underflows gracefully instead of
     overflowing sinh.  nu = 0 is a pole.
     """
-    _check_finite(nu, "nu")
+    check_real(nu, "nu")
     if nu == 0.0:
         raise DomainError("Gamma(i nu) has a pole at nu = 0")
     v = abs(nu)

@@ -1,0 +1,145 @@
+"""The package-wide argument rule.
+
+Every public function answers, with no NaN among its returned numbers,
+or raises DomainError or ToleranceError: whatever it is handed in a
+numeric argument position, and within a time limit.
+"""
+
+import math
+import signal
+
+import mpmath
+import pytest
+
+import imbessel
+from imbessel import (
+    DomainError,
+    Kind,
+    ToleranceError,
+    classify,
+    derivative_tail_bound,
+    eval_pair,
+    gamma_modulus_imag,
+    hp_gamma,
+    kl_macdonald,
+    m_of_nu,
+    majorant_bound,
+    oracle_pair,
+    required_terms,
+    tail_bound,
+)
+from imbessel.series_core import _eval_row
+
+OSC = Kind.OSCILLATORY
+
+# Each public function with a valid call and the names of its numeric
+# arguments.  The oracle's `digits` is not probed: it sets the working
+# precision of mpmath, and an int past the double range asks for that
+# many digits.
+CALLS = {
+    "classify": (dict(a=1.0, b=1.0, c=1.0, beta=1.0), ("a", "b", "c", "beta")),
+    "derivative_tail_bound": (dict(nu=1.0, x=1.0, N=4), ("nu", "x", "N")),
+    "eval_pair": (dict(kind=OSC, nu=1.0, x=1.0, tol=1e-12, terms=None),
+                  ("nu", "x", "tol", "terms")),
+    "factor_F": (dict(nu=1.0), ("nu",)),
+    "gamma_modulus_imag": (dict(nu=1.0), ("nu",)),
+    "hp_bessel_imag": (dict(nu=1.0, x=1.0, kind=OSC), ("nu", "x")),
+    "hp_bessel_j_int": (dict(n=1, x=1.0), ("n", "x")),
+    "hp_gamma": (dict(z_re=1.5, z_im=0.5), ("z_re", "z_im")),
+    "kl_macdonald": (dict(tau=1.0, x=1.0), ("tau", "x")),
+    "m_of_nu": (dict(nu=1.0), ("nu",)),
+    "majorant_bound": (dict(nu=1.0, n=3), ("nu", "n")),
+    "oracle_pair": (dict(kind=OSC, nu=1.0, x=1.0), ("nu", "x")),
+    "oracle_pair_derivs_hp": (dict(kind=OSC, nu=1.0, x=1.0), ("nu", "x")),
+    "oracle_pair_hp": (dict(kind=OSC, nu=1.0, x=1.0), ("nu", "x")),
+    "required_terms": (dict(nu=1.0, x=1.0, tol=1e-8), ("nu", "x", "tol")),
+    "tail_bound": (dict(nu=1.0, x=1.0, N=4), ("nu", "x", "N")),
+    "truncated_pair_hp": (dict(kind=OSC, nu=1.0, x=1.0, n_terms=4), ("nu", "x", "n_terms")),
+    "wronskian_residual": (dict(kind=OSC, nu=1.0, x=1.0, tol=1e-12), ("nu", "x", "tol")),
+}
+
+PROBES = ("1", None, 1j, math.nan, math.inf, 10 ** 400, -1.0, 2.5)
+#: seconds per call; every valid probe answers in well under one
+LIMIT = 5.0
+
+
+def _numbers(value):
+    # the numbers in a result: floats, mpmath values and ints, through
+    # tuples and named tuples
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _numbers(item)
+    elif isinstance(value, (int, float, mpmath.mpf)):
+        yield value
+
+
+def test_every_public_function_answers_or_raises_a_library_error():
+    public = {name: getattr(imbessel, name) for name in imbessel.__all__}
+    functions = {name for name, obj in public.items()
+                 if callable(obj) and not isinstance(obj, type)}
+    assert functions == set(CALLS)
+    leaks = []
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    try:
+        for name, (base, numeric) in CALLS.items():
+            for arg in numeric:
+                for probe in PROBES:
+                    outcome = _outcome(public[name], dict(base, **{arg: probe}))
+                    if outcome is not None:
+                        leaks.append((name, arg, probe, outcome))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert not leaks
+
+
+def _out_of_time(signum, frame):
+    raise TimeoutError
+
+
+def _outcome(fn, kwargs):
+    # None for an answer without NaN or a library error, else what leaked
+    signal.setitimer(signal.ITIMER_REAL, LIMIT)
+    try:
+        result = fn(**kwargs)
+    except (DomainError, ToleranceError):
+        return None
+    except Exception as exc:  # noqa: BLE001 - a leak is what is looked for
+        return type(exc).__name__
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+    return "NaN" if any(v != v for v in _numbers(result)) else None
+
+
+def test_each_refusal_names_its_argument():
+    big = 10 ** 400
+    past = "must be finite, got an int of 1329 bits"
+    cases = (
+        # ints beyond the double range
+        (eval_pair, (OSC, big, 1.0), "nu " + past),
+        (eval_pair, (OSC, 1.0, big), "x " + past),
+        (_eval_row, (OSC, 1.0, [1.0, big]), "x " + past),
+        (classify, (big, 1, 1, 1), "a " + past),
+        (m_of_nu, (big,), "nu " + past),
+        (gamma_modulus_imag, (big,), "nu " + past),
+        (tail_bound, (1.0, 1.0, big), "N " + past),
+        # counts and tolerances of the a-priori chain
+        (tail_bound, (1.0, 1.0, "3"), "N must be an int, got '3'"),
+        (tail_bound, (1.0, 1.0, 2.5), "N must be an int, got 2.5"),
+        (derivative_tail_bound, (1.0, 1.0, None), "N must be an int, got None"),
+        (majorant_bound, (1.0, "3"), "n must be an int, got '3'"),
+        (majorant_bound, (1.0, 2.5), "n must be an int, got 2.5"),
+        (required_terms, (1.0, 1.0, "x"), "tol must be a real number, got 'x'"),
+        # the oracle's entry points
+        (oracle_pair, (OSC, 1.0, math.nan), "x must be finite, got nan"),
+        (oracle_pair, (OSC, 1.0, "a"), "x must be a real number, got 'a'"),
+        (oracle_pair, (OSC, 1.0, -1.0), "x must be > 0"),
+        (kl_macdonald, (1.0, math.nan), "x must be finite, got nan"),
+        (hp_gamma, ("a", 1.0), "z_re must be a real number, got 'a'"),
+    )
+    for fn, args, message in cases:
+        with pytest.raises(DomainError) as exc:
+            fn(*args)
+        assert str(exc.value) == message, (fn.__name__, args)
+    # an int whose square leaves the double range is refused as a float is
+    with pytest.raises(ToleranceError):
+        eval_pair(OSC, 10 ** 200, 1.0)

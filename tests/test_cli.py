@@ -534,3 +534,16 @@ def test_one_process_runs_commands_like_separate_processes():
     assert together == [result for argv in argvs for result in run([argv])]
     assert [code for code, _, _ in together] == [0, 0, 0, 2]
     assert "argument --x-steps: invalid int value: 'two'" in together[3][2]
+
+
+def test_bounds_with_a_term_count_beyond_the_double_range_is_a_domain_error(capsys):
+    code, out = run_cli(["bounds", "--nu", "1", "--x", "2", "--terms", "1" + "0" * 400])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "N must be finite, got an int of 1329 bits\n"
+
+
+def test_table_with_an_order_that_is_not_finite_is_a_domain_error(capsys):
+    # the order is checked where its row is evaluated, before a byte is written
+    code, out = run_cli(["table", "--nu", "0,inf"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "nu must be finite, got inf\n"
