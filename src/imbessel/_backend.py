@@ -53,6 +53,7 @@ also covers the second-order remainder for N <= MAX_TERMS).
   1 + (13 MAX_TERMS + 8) u, which covers the l1 drift of the last term
   for every N <= MAX_TERMS and the rounding of the tail arithmetic; rho
   is computed from w (1 + 16u), which keeps it above the exact ratio.
+  A carried chain (below) uses `CARRY_FACTOR` instead.
 * Gradual underflow.  A product that falls below the normal range adds
   an absolute 2^-1075 instead of a relative error.  Before the largest
   term every term is >= 1 (for a seed of modulus 1), so such an error
@@ -63,6 +64,53 @@ also covers the second-order remainder for N <= MAX_TERMS).
   6 N 2^-1075 (`S_FLOOR` covers sqrt(2) times that), the sums by
   6 N^2 2^-1074.  r_k itself must stay normal: `series_core.eval_pair`
   treats w / (N (N^2 + nu^2)) below the normal range separately.
+
+Carried tails.  Where rd >= 1 after step N (a forced count before the
+ratios fall, or a search that reached its cap or met a huge `tol`), the
+closed forms above do not hold.  The kernel then carries the majorant
+on from the last term, M_N = |a_N| + |b_N| + S_FLOOR and
+M_K = rho_K M_(K-1), which bounds |a_K| + |b_K| for every K > N by the
+step inequality.  It sums M_K and K M_K up to the first L whose
+computed derivative ratio rd = (L + 1) rho_(L+1) / L is below 1/2, and
+adds the closed forms from step L:
+
+    tail   = (sum_{N<K<=L} M_K + M_L rho_(L+1) / (1 - rho_(L+1))) C,
+    d_tail = (sum_{N<K<=L} K M_K + (L + 1) M_L rho_(L+1) / (1 - rd)) C,
+
+with C = `CARRY_FACTOR`, or +inf for both once K M_K overflows (or is
+NaN after the recurrence overflowed).
+
+* Multipliers.  Each step forms fl(fl(M e) / den), e and den as in the
+  stop test.  e = fl(fl(w (1 + 16u)) fl(K + |nu|)) has three roundings,
+  den = fl(K fl(K^2 + fl(nu^2))) three (K^2 is exact for K < 2^26), the
+  product and the quotient two: eight against the 16u of w (1 + 16u),
+  so while the results are normal each computed multiplier is at least
+  rho_K (1 + 7u), and each computed M_K at least the exact majorant.
+* Normal range.  At the start rd >= 1, so rho_(N+1) >= N / (N + 1) >=
+  1/2 and, rho decreasing, rho_k >= 1/2 for every k <= N + 1.  The
+  modulus ratio of consecutive terms, w / (k |k + i nu|), is at least
+  rho_k / sqrt(2), so for a seed of modulus 1 |t_N| >= 2^(-1.5 N) and
+  M_N >= 2^-601 is normal.  While rho_K >= 1, M does not fall, so no
+  product leaves the normal range.  Past that, rho_K < 1, and each
+  operation below the normal range takes at most 2^-1075 off: at most
+  24 600 2^-1074 < 2^-1059 off any M_K, and less than 2^-1028 off either
+  tail, the closed forms included (K < 2^15).  That is below 2^-426 of
+  the first term M_(N+1) >= 2^-602, which each tail contains.
+* Length.  While rho_K >= 4 each computed multiplier is at least 3.99
+  (at least 4 (1 - 2^-11) if M is subnormal, since M >= 2^-1063), so M
+  overflows within 1 046 such steps whatever the seed: rho_K < 4 from
+  some K1 <= N + 1 046 <= 1 446 on.  Since (K + |nu|)^2 <= 2 (K^2 +
+  nu^2), rho_K lies between g(K) = w / (K (K + |nu|)) and 2 g(K), and
+  g(17 K) <= g(K) / 17, so rho_(17 K1) < 8/17 and, with K1 >= 2, rd
+  there is below 0.485 even as computed.  The chain ends before
+  K = 17 K1 <= 24 582: fewer than 24 600 steps.  A scan of x up to
+  1.7e308 and |nu| up to 1e150 at N = 1, 50 and 400 took at most 1 510.
+* Rounding of the chain.  Each term M_K reaches its sum through at most
+  L - N + 1 additions and, weighted, one product, each rounding down by
+  at most u: less than 24 602 u relative, which with the underflow
+  above is far below the 2^-32 that `CARRY_FACTOR` adds to
+  `TAIL_FACTOR`.  `TAIL_FACTOR` keeps covering the drift of M_N and the
+  closed forms.
 
 Frozen sums.  A forced count (`tol` < 0, N <= MAX_TERMS) runs every
 step, but past some step no addition can change a sum; from there the
@@ -123,6 +171,9 @@ _U = 2.0 ** -53
 RHO_UP = 1.0 + 16.0 * _U
 #: Drift of the last term and rounding of the tail, for N <= MAX_TERMS.
 TAIL_FACTOR = 1.0 + (13.0 * MAX_TERMS + 8.0) * _U
+#: TAIL_FACTOR and the rounding of a carried chain's own sums: at most
+#: (steps + 2) u over its fewer than 24 600 steps, rounded up to 2^-32.
+CARRY_FACTOR = TAIL_FACTOR + 2.0 ** -32
 #: Absolute error of the last term from gradual underflow, times sqrt(2):
 #: 2^-1063 >= 1.5 * 6 * MAX_TERMS * 2^-1075.
 S_FLOOR = 2.0 ** -1063
@@ -142,12 +193,13 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
 
     Arguments: `modified` selects the recurrence variant (truthy for the
     modified equation), `(a0, b0)` is the seed pair, `nu` the order
-    parameter, `w = (x/2)**2`, `n_terms` the most steps to take past the
-    seed, and `tol` the target for the value tail: the loop stops after
-    the first step N whose tail bound is <= `tol`.  A negative `tol` (the
-    default) runs all `n_terms` steps; once its sums are frozen (see
-    "Frozen sums") the rest of them advance only the recurrence, so the
-    cost follows the steps until the freeze and the result is the same.
+    parameter, `w = (x/2)**2`, `n_terms` (>= 1) the most steps to take
+    past the seed, and `tol` the target for the value tail: the loop
+    stops after the first step N whose tail bound is <= `tol`.  A
+    negative `tol` (the default) runs all `n_terms` steps; once its sums
+    are frozen (see "Frozen sums") the rest of them advance only the
+    recurrence, so the cost follows the steps until the freeze and the
+    result is the same.
 
     Returns ``(p, q, dp, dq, m, n, tail, d_tail, err, d_err)`` where, with
     t_k = (a_k, b_k) w^k and N = n the steps taken,
@@ -159,8 +211,8 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     * ``m`` is the largest magnitude reached by the running partial sums
       of p and q,
     * ``tail`` bounds sum_{k>N} (|a_k| + |b_k|) w^k and ``d_tail`` bounds
-      sum_{k>N} k (|a_k| + |b_k|) w^k; each is +inf where its ratio is not
-      below 1,
+      sum_{k>N} k (|a_k| + |b_k|) w^k; both are +inf only where a carried
+      chain (see "Carried tails") overflows,
     * ``err`` bounds the round-off |(p + i q) - sum_{k<=N} t_k| and
       ``d_err`` that of dp + i dq against sum_{k<=N} k t_k, for a seed of
       modulus 1 and w / (N (N^2 + nu^2)) in the normal range.
@@ -233,17 +285,9 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
             fk = fk + 1.0
             den = fk * (fk * fk + nu2)
         s = abs(a) + abs(b)
-    # fk = N + 1 and den = (N + 1)((N + 1)^2 + nu^2) here
-    e = wu * (fk + v)
-    tail = d_tail = _INF
-    if e < den:
-        s = s + S_FLOOR
-        tail = s * e / (den - e) * factor
-        if k:
-            ed = fk * e / k  # rd = (N + 1) rho / N = ed / den
-            if ed < den:
-                d_tail = fk * s * e / (den - ed) * factor
-
+    # fk = N + 1 and den = (N + 1)((N + 1)^2 + nu^2) here; the tails
+    # come last, as a carried chain moves both on
+    #
     # Partial sums: adding a term rounds by at most u |sum| and at most
     # the term itself.  Up to step j (the last term above u m) take u m
     # per addition; the terms after it are <= u m and fall off with the
@@ -264,4 +308,27 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
                 d_sums = split
     err = _DRIFT * s1 + sums + n * n * _TINY6
     d_err = _DRIFT * s2 + d_sums + n * n * n * _TINY6
+
+    # The tails, from rho_(N+1) = e / den
+    e = wu * (fk + v)
+    s = s + S_FLOOR
+    ed = fk * e / k  # rd = (N + 1) rho / N = ed / den
+    if ed < den:  # then rho = e / den < 1 as well
+        tail = s * e / (den - e) * factor
+        d_tail = fk * s * e / (den - ed) * factor
+    else:  # carry the step bound on from the last term (see "Carried tails")
+        tail = d_tail = 0.0
+        while not ed < 0.5 * den and d_tail < _INF:
+            s = s * e / den  # M_K = rho_K M_(K-1), with K = fk
+            tail = tail + s
+            d_tail = d_tail + fk * s
+            fk = fk + 1.0
+            den = fk * (fk * fk + nu2)
+            e = wu * (fk + v)
+            ed = fk * e / (fk - 1.0)
+        if d_tail < _INF:
+            tail = (tail + s * e / (den - e)) * CARRY_FACTOR
+            d_tail = (d_tail + fk * s * e / (den - ed)) * CARRY_FACTOR
+        else:  # M overflowed, or is NaN after a term did
+            tail = d_tail = _INF
     return p, q, dp, dq, m, k, tail, d_tail, err, d_err

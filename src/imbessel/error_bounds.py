@@ -29,10 +29,9 @@ against I1 in extended precision.
 This chain is the certified a-priori API: `tail_bound`,
 `derivative_tail_bound` and `required_terms` (and the `bounds` command)
 give bounds from (nu, N, x) alone, before any term is computed.
-`eval_pair` does not search with it: its kernel stops on the
-a-posteriori ratio tail of the terms it computes (see `_backend`), which
-follows the true error instead of the envelope.  It falls back on this
-chain only for a forced term count whose ratio has not dropped below 1.
+`eval_pair` does not use it: its kernel bounds the tail from the terms
+it computes (see `_backend`), which follows the true error instead of
+the envelope.
 
 Everything above that depends only on the point (nu, x) -- log m(nu),
 (x/2)^2 and its log -- is computed once per point in `_PointBounds`;
@@ -135,23 +134,17 @@ class _PointBounds:
         """`tail_bound` after N steps (N >= 1, unchecked)."""
         return self._envelope(self.v, N + 1)
 
-    def d_tail(self, N: int, tail: float | None = None) -> float:
+    def d_tail(self, N: int) -> float:
         """`derivative_tail_bound` after N steps.
 
         The rotation term (|nu|/x) sum_{n>N} M_n w^n is its own envelope
-        sum at scale log|nu| - log x.  Given a value `tail` instead (what
-        `eval_pair` passes where the kernel's value tail is finite but its
-        derivative tail is not), it is that tail times |nu|/x.
+        sum at scale log|nu| - log x.
         """
         d = self._envelope(self.v + 1.0, N + 1, math.log(2.0) - math.log(self.x))
         if self.v == 0.0:  # no nu/x rotation term
             return d
         # in log space: v/x overflows below x ~ 1e-308
-        scale = math.log(self.v) - math.log(self.x)
-        if tail is None:
-            return d + self._envelope(self.v, N + 1, scale)
-        # inf stays inf
-        return d + _exp_sat(scale + math.log(tail)) * 1.01 + 5e-324
+        return d + self._envelope(self.v, N + 1, math.log(self.v) - math.log(self.x))
 
     def terms(self, tol: float) -> int:
         """The smallest N <= MAX_TERMS with tail(N) <= tol, by bisection.

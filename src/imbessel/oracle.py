@@ -13,8 +13,9 @@ cancellation eats the guard digits), and the Macdonald function by
 adaptive panel quadrature of its exponential integral representation.
 `hp_gamma` times `hp_bessel_imag` is therefore a second, independent
 code for the gold pair.  Every returned value declares the number of
-decimal digits it guarantees, and doubling the working precision must
-not move any result past that declaration (tests enforce this).
+decimal digits it guarantees (`digits`, an int in 1..MAX_DIGITS), and
+doubling the working precision must not move any result past that
+declaration (tests enforce this).
 
 Cost, measured on one core of a 2-vCPU VM: the gold pair at 50 digits
 takes ~0.25 ms per point (median over the `compare` benchmark grid,
@@ -34,6 +35,11 @@ import mpmath
 from .error_bounds import MAX_TERMS
 from .errors import DomainError, ToleranceError, check_count, check_positive, check_real
 from .series_core import Kind, _is_modified
+
+#: The most decimal digits an entry point accepts.  `hp_gamma`'s
+#: Stirling series meets its target up to ~300; `kl_macdonald` takes
+#: ~3 s at 40 digits and ~36 s at 60 (one core of a 2-vCPU VM).
+MAX_DIGITS = 200
 
 # mpmath precision is process-global state; serializing oracle entry
 # points keeps them safe to call from concurrent threads.  Reentrant
@@ -94,8 +100,14 @@ def hp_gamma(z_re: float, z_im: float, digits: int = 50) -> OracleValue:
     """
     check_real(z_re, "z_re")
     check_real(z_im, "z_im")
+    check_count(digits, "digits", MAX_DIGITS)
     if z_im == 0.0 and z_re <= 0.0 and z_re == math.floor(z_re):
         raise DomainError(f"Gamma pole at z = {z_re}")
+    return _gamma(z_re, z_im, digits)
+
+
+def _gamma(z_re, z_im, digits):
+    # `hp_gamma` for checked arguments, also at MAX_DIGITS + 5 digits
     wp = digits + 15
     with mp.workdps(wp):
         z = mpc(z_re, z_im)
@@ -146,6 +158,7 @@ def _defining_series(kind: Kind, order, x: float, digits: int):
     # and where the digits it may have lost to cancellation exceed them,
     # rerun at max(50, digits) + 5 plus the digits lost.
     check_positive(x, "x")
+    check_count(digits, "digits", MAX_DIGITS)
     declared = max(50, digits)
     wp = declared + 15
     while True:
@@ -168,7 +181,7 @@ def hp_bessel_imag(nu: float, x: float, kind: Kind, digits: int = 50) -> OracleV
     check_real(nu, "nu")
     norm = _defining_series(kind, mpc(0, nu), x, digits)
     with mp.workdps(max(50, digits) + 15):
-        g = hp_gamma(1.0, nu, digits=max(50, digits) + 5)
+        g = _gamma(1.0, nu, max(50, digits) + 5)
         j = norm / (mpc(g.re, g.im) * mp.exp(mpc(0, nu) * mp.log(mpf(2))))
         return OracleValue(re=j.real, im=j.imag, digits=digits)
 
@@ -184,6 +197,7 @@ def _pair_hp(kind: Kind, nu: float, x: float, digits: int, derivative: bool) -> 
     # point x ~ |nu| (23 at |nu| = 1e4), far inside the 15 guard digits.
     check_real(nu, "nu")
     check_positive(x, "x")
+    check_count(digits, "digits", MAX_DIGITS)
     with mp.workdps(max(50, digits) + 15):
         xm = mpf(x)
         z = (xm / 2) ** 2
@@ -233,6 +247,7 @@ def coefficients_hp(kind: Kind, nu: float, seed, n_terms: int, digits: int = 50)
     the coefficient envelope, which must not see double rounding.
     """
     sign = 1 if _is_modified(kind) else -1
+    check_count(digits, "digits", MAX_DIGITS)
     with mp.workdps(max(50, digits) + 10):
         nu_m = mpf(nu)
         a, b = mpf(seed[0]), mpf(seed[1])
@@ -258,6 +273,7 @@ def truncated_pair_hp(kind: Kind, nu: float, x: float, n_terms: int, digits: int
     check_real(nu, "nu")
     check_positive(x, "x")
     check_count(n_terms, "n_terms", MAX_TERMS)
+    check_count(digits, "digits", MAX_DIGITS)
     with mp.workdps(max(50, digits) + 10):
         nu_m = mpf(nu)
         w = (mpf(x) / 2) ** 2
@@ -315,6 +331,7 @@ def kl_macdonald(tau: float, x: float, digits: int = 13) -> OracleValue:
     """
     check_real(tau, "tau")
     check_positive(x, "x")
+    check_count(digits, "digits", MAX_DIGITS)
     if x < 0.05:
         raise ToleranceError("kl_macdonald is declared unreliable for x < 0.05")
     t_abs = abs(tau)

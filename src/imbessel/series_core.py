@@ -35,7 +35,7 @@ import sys
 from typing import NamedTuple
 
 from . import _backend
-from .error_bounds import MAX_TERMS, _PointBounds
+from .error_bounds import MAX_TERMS
 # Unused here (eval_pair's kernel chooses N), but the benchmark's tracer
 # binds these module attributes by name.
 from .error_bounds import derivative_tail_bound, required_terms, tail_bound  # noqa: F401
@@ -48,7 +48,6 @@ _U = 0.5 * _EPS
 _TINY = 2.0 ** -1074
 #: w / (N (N^2 + nu^2)) below this leaves the normal range
 _R_MIN = 2.0 * sys.float_info.min
-_INF = math.inf
 _log = math.log
 _cos = math.cos
 _sin = math.sin
@@ -137,12 +136,14 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     inherits the bound of that number's modulus.
 
     Where the kernel's ratio is not below 1 (a forced count with few
-    terms for its x), the a-priori chain of `error_bounds` gives the
-    truncation parts instead.  Where r_N = w / (N (N^2 + nu^2)) falls
-    below the normal range (x below about 1e-150, or a huge order), the
-    terms past the seed are not computed to relative accuracy, so all of
-    them count as lost: their exact sums are bounded by the ratio chain
-    from the seed, their computed ones are S - 1 and D.
+    terms for its x), the kernel carries its step bound on from the last
+    term until the ratio falls (see `_backend`), and the same formulas
+    take its tails; they are inf only where that chain leaves the double
+    range.  Where r_N = w / (N (N^2 + nu^2)) falls below the normal
+    range (x below about 1e-150, or a huge order), the terms past the
+    seed are not computed to relative accuracy, so all of them count as
+    lost: their exact sums are bounded by the ratio chain from the seed,
+    their computed ones are S - 1 and D.
 
     Raises DomainError for x <= 0, a `kind` that is not a Kind, a nu, x
     or tol that is not a real number (see `errors`), or a `terms` that is
@@ -272,19 +273,9 @@ def _point(modified, nu, nu2, x, tol, terms):
         # through nu
         r_val += err
         r_der += 2.0 * d_err
-        if v:  # v * inf would be NaN at nu = 0
+        if v:  # v * inf would be NaN at nu = 0 (here and for the tail)
             r_der += v * err
-        if d_tail == _INF:  # a forced count before a ratio falls below 1
-            apriori = _PointBounds(nu, x)
-            if tail == _INF:
-                # both truncation parts from the envelope, as
-                # `tail_bound` and `derivative_tail_bound` give them
-                tail = apriori.tail(n)
-                d_bound = apriori.d_tail(n) + r_der / x
-            else:
-                d_bound = apriori.d_tail(n, tail) + r_der / x
-        else:
-            d_bound = (2.0 * d_tail + v * tail + r_der) / x
+        d_bound = (2.0 * d_tail + (v * tail if v else 0.0) + r_der) / x
     return cos_part, sin_part, d_cos, d_sin, n, tail + r_val, d_bound
 
 

@@ -28,14 +28,13 @@ from imbessel import (
     required_terms,
     tail_bound,
 )
+from imbessel.oracle import MAX_DIGITS
 from imbessel.series_core import _eval_row
 
 OSC = Kind.OSCILLATORY
 
 # Each public function with a valid call and the names of its numeric
-# arguments.  The oracle's `digits` is not probed: it sets the working
-# precision of mpmath, and an int past the double range asks for that
-# many digits.
+# arguments.
 CALLS = {
     "classify": (dict(a=1.0, b=1.0, c=1.0, beta=1.0), ("a", "b", "c", "beta")),
     "derivative_tail_bound": (dict(nu=1.0, x=1.0, N=4), ("nu", "x", "N")),
@@ -43,18 +42,19 @@ CALLS = {
                   ("nu", "x", "tol", "terms")),
     "factor_F": (dict(nu=1.0), ("nu",)),
     "gamma_modulus_imag": (dict(nu=1.0), ("nu",)),
-    "hp_bessel_imag": (dict(nu=1.0, x=1.0, kind=OSC), ("nu", "x")),
-    "hp_bessel_j_int": (dict(n=1, x=1.0), ("n", "x")),
-    "hp_gamma": (dict(z_re=1.5, z_im=0.5), ("z_re", "z_im")),
-    "kl_macdonald": (dict(tau=1.0, x=1.0), ("tau", "x")),
+    "hp_bessel_imag": (dict(nu=1.0, x=1.0, kind=OSC), ("nu", "x", "digits")),
+    "hp_bessel_j_int": (dict(n=1, x=1.0), ("n", "x", "digits")),
+    "hp_gamma": (dict(z_re=1.5, z_im=0.5), ("z_re", "z_im", "digits")),
+    "kl_macdonald": (dict(tau=1.0, x=1.0), ("tau", "x", "digits")),
     "m_of_nu": (dict(nu=1.0), ("nu",)),
     "majorant_bound": (dict(nu=1.0, n=3), ("nu", "n")),
-    "oracle_pair": (dict(kind=OSC, nu=1.0, x=1.0), ("nu", "x")),
-    "oracle_pair_derivs_hp": (dict(kind=OSC, nu=1.0, x=1.0), ("nu", "x")),
-    "oracle_pair_hp": (dict(kind=OSC, nu=1.0, x=1.0), ("nu", "x")),
+    "oracle_pair": (dict(kind=OSC, nu=1.0, x=1.0), ("nu", "x", "digits")),
+    "oracle_pair_derivs_hp": (dict(kind=OSC, nu=1.0, x=1.0), ("nu", "x", "digits")),
+    "oracle_pair_hp": (dict(kind=OSC, nu=1.0, x=1.0), ("nu", "x", "digits")),
     "required_terms": (dict(nu=1.0, x=1.0, tol=1e-8), ("nu", "x", "tol")),
     "tail_bound": (dict(nu=1.0, x=1.0, N=4), ("nu", "x", "N")),
-    "truncated_pair_hp": (dict(kind=OSC, nu=1.0, x=1.0, n_terms=4), ("nu", "x", "n_terms")),
+    "truncated_pair_hp": (dict(kind=OSC, nu=1.0, x=1.0, n_terms=4),
+                          ("nu", "x", "n_terms", "digits")),
     "wronskian_residual": (dict(kind=OSC, nu=1.0, x=1.0, tol=1e-12), ("nu", "x", "tol")),
 }
 
@@ -135,6 +135,12 @@ def test_each_refusal_names_its_argument():
         (oracle_pair, (OSC, 1.0, -1.0), "x must be > 0"),
         (kl_macdonald, (1.0, math.nan), "x must be finite, got nan"),
         (hp_gamma, ("a", 1.0), "z_re must be a real number, got 'a'"),
+        # the oracle's working precision
+        (oracle_pair, (OSC, 1.0, 1.0, "1"), "digits must be an int, got '1'"),
+        (oracle_pair, (OSC, 1.0, 1.0, None), "digits must be an int, got None"),
+        (hp_gamma, (1.0, 1.0, 2.5), "digits must be an int, got 2.5"),
+        (hp_gamma, (1.0, 1.0, True), "digits must be an int, got True"),
+        (kl_macdonald, (1.0, 1.0, MAX_DIGITS + 1), f"digits must be in 1..{MAX_DIGITS}, got 201"),
     )
     for fn, args, message in cases:
         with pytest.raises(DomainError) as exc:

@@ -84,6 +84,54 @@ def test_bounds_enclose_the_oracle_without_slack():
     assert not misses, f"{len(misses)} misses, first: {misses[:3]}"
 
 
+def _rd(nu, x, n):
+    # the exact derivative ratio (N + 1) rho_(N+1) / N after N steps; the
+    # kernel carries its tails on where it is not below 1
+    v = abs(nu)
+    return (0.5 * x) ** 2 * (n + 1 + v) / (n * ((n + 1) ** 2 + nu * nu))
+
+
+def test_forced_counts_before_the_crossing_are_enclosed_without_slack():
+    # 60 seeded points (both kinds, |nu| <= 20, x <= 50), each with up to
+    # three forced counts whose ratio has not fallen below 1
+    rng = random.Random(20261019)
+    misses = []
+    evaluated = 0
+    for i in range(60):
+        kind = KINDS[i % 2]
+        nu = rng.uniform(-20.0, 20.0)
+        x = rng.uniform(2.5, 50.0)
+        counts = [n for n in range(1, MAX_TERMS) if _rd(nu, x, n) >= 1.001]
+        if not counts:
+            continue
+        requests = [(1e-12, n) for n in rng.sample(counts, min(3, len(counts)))]
+        found, refused = _misses(kind, nu, x, requests)
+        assert refused == 0
+        misses += found
+        evaluated += len(requests)
+        for _, n in requests:  # m(nu) made the envelope inf from |nu| ~ 19
+            r = eval_pair(kind, nu, x, terms=n)
+            assert math.isfinite(r.tail_bound) and math.isfinite(r.d_tail_bound), (nu, x, n)
+    assert evaluated >= 150
+    assert not misses, f"{len(misses)} misses, first: {misses[:3]}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_bounds_do_not_jump_at_the_crossing(kind):
+    # N is the last count whose derivative ratio is not below 1 (carried
+    # tails), N + 1 the first closed-form one.  The closed form after
+    # N + 1 steps sums a geometric series at rd_(N+1), so it loosens as
+    # rd_(N+1) nears 1 (0.975 on this grid: 7.7x).
+    for nu in (0.0, 0.5, 3.0, 8.0, 12.0, 20.0):
+        for x in (10.0, 20.0, 40.0):
+            n = max(k for k in range(1, MAX_TERMS) if _rd(nu, x, k) >= 1.0)
+            before = eval_pair(kind, nu, x, terms=n)
+            after = eval_pair(kind, nu, x, terms=n + 1)
+            for b, a in ((before.tail_bound, after.tail_bound),
+                         (before.d_tail_bound, after.d_tail_bound)):
+                assert a <= 8.0 * b and b <= 2.5 * a, (nu, x, n, b, a)
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("nu, x", [(0.0, x) for x in (1e-160, 1e-200, 1e-300, 1e-308, 1e-320)]
                          + [(0.7, 1e-160), (0.7, 1e-300)])

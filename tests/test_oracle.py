@@ -201,7 +201,14 @@ def test_oracle_pair_matches_series_at_unit_point():
 
 
 def test_oracle_pair_is_gamma_normalized_bessel():
-    # the pair is Gamma(1 + i nu) 2^(i nu) J_{i nu}(x) exactly
+    """The normalization: the pair is Gamma(1 + i nu) 2^(i nu) J_{i nu}(x)
+    (I_{i nu} when modified).
+
+    mpmath's `besselj` and `besseli` reach the same `hyp0f1` that the
+    oracle calls, so this checks the Gamma and 2^(i nu) factors and the
+    argument scaling, not the hypergeometric summation; the two tests
+    below compare the pair with independent code.
+    """
     with mp.workdps(60):
         for nu, x in ((0.5, 1.0), (1.5, 2.0)):
             want = (
