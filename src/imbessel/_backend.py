@@ -114,8 +114,9 @@ NaN after the recurrence overflowed).
 
 Frozen sums.  A forced count (`tol` < 0, N <= MAX_TERMS) runs every
 step, but past some step no addition can change a sum; from there the
-loop runs the recurrence alone, and every returned byte is the one the
-full loop gives.  The argument, in round to nearest:
+loop runs the recurrence alone, and every returned byte but the
+absorbed tails (below) is the one the full loop gives.  The argument,
+in round to nearest:
 
 * An addition X + d with |d| <= (u/4)|X| returns X for a normal X.
   With 2^e <= |X| < 2^(e+1), the floats next to X lie 2^(e-52) away,
@@ -161,6 +162,49 @@ full loop gives.  The argument, in round to nearest:
   as |a| + |b| of the last term, so the tails and the round-off bounds
   see the same values.  A searched call never tests for a freeze:
   `eval_pair` asks for tol >= m eps, and the ratio stop fires first.
+
+Absorbed tails.  Past the freeze the loop computes nothing but the last
+term, for the two tails, and `eval_pair` adds those to round-off bounds
+many orders larger.  So after each step K of the recurrence alone the
+loop forms majorants of the tails from step K, in the operations of the
+tails at N (C = `TAIL_FACTOR`, rho and rd from w (1 + 16u)),
+
+    t_K = 2 (s_K + S_FLOOR) rho_(K+1) / (1 - rho_(K+1)) C,
+    d_K = 4 (K + 1)(s_K + S_FLOOR) rho_(K+1) / (1 - rd_(K+1)) C,
+
+and stops with them, k = N and fk = N + 1 (exact, as in the loop),
+once t_K + 2^-1022 <= (u/4) L and 2 d_K + |nu| t_K + 2^-1022 <=
+(u/4) L_d, with L = fl(8.5u s1) and L_d = 2 fl(8.5u s2).  den is not
+read again, and err and d_err read nothing else the loop skips, so
+every other field keeps its bytes.
+
+* Majorants.  At K = N the factors 2 and 4 alone do it; let
+  N > K >= k, the freeze step.  By "Later steps" rho_(K+1) <= 1/2, so
+  a step takes s to at most 0.51 s + 2^-1072 (underflow adding
+  7 2^-1075); then s_N <= 0.51 s_K + 2^-1070 and s_N + S_FLOOR <=
+  1.008 (s_K + S_FLOOR).  rho and rd decrease, so the exact value tail
+  at N is at most 1.008 times the one at K.  rho lies between
+  g(K) = w / (K (K + |nu|)) and 2 g(K) (see "Length"), and
+  K g(K) = w / (K + |nu|) decreases, so (N + 1) rho_(N+1) <=
+  2 (K + 1) rho_(K+1): the exact derivative tail at N is at most 2.016
+  times the one at K.  rd <= 1/2 keeps den - e and den - ed above
+  den / 2, so the roundings of e and den (three each) move those
+  differences by at most 12u relative, and every other operation by u:
+  about 20u on either tail, 40u on a ratio of two.  The computed tails
+  at N are then below 1.01 and 2.02 times the computed ones at K, and
+  so below t_K and d_K, whose factors 2 and 4 are exact.
+* Absorbed.  Every addend of err and d_err, and of `eval_pair`'s
+  round-off bounds R >= err and R_d >= 2 d_err, is >= 0, so with
+  monotone rounding R >= L and R_d >= L_d.  As in the freeze test, each
+  threshold is at least 2^-1022, so it is exact and L and L_d are
+  normal.  Then t_K <= (u/4) R, and D = fl(2 d_K) + fl(|nu| t_K), the
+  first sum of `eval_pair`'s derivative bound, is <= (u/4) R_d: by the
+  first lemma of "Frozen sums", t_K + R returns R and D + R_d returns
+  R_d.  The full loop's tails are at most t_K and d_K, so its own sums
+  are no larger and return R and R_d as well: every `eval_pair` byte is
+  the full loop's.  (At nu = 0 nothing freezes, so |nu| t_K is never
+  0 * inf; where r_N leaves the normal range `eval_pair` does not read
+  the kernel's tails.)
 """
 
 from .error_bounds import MAX_TERMS
@@ -198,8 +242,10 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     stops after the first step N whose tail bound is <= `tol`.  A
     negative `tol` (the default) runs all `n_terms` steps; once its sums
     are frozen (see "Frozen sums") the rest of them advance only the
-    recurrence, so the cost follows the steps until the freeze and the
-    result is the same.
+    recurrence, and only until the tails are absorbed (see "Absorbed
+    tails"), so the cost follows the steps until then.  Every field is
+    the full loop's, except that absorbed tails are majorants of its
+    tails, too small to move a round-off bound of `eval_pair`.
 
     Returns ``(p, q, dp, dq, m, n, tail, d_tail, err, d_err)`` where, with
     t_k = (a_k, b_k) w^k and N = n the steps taken,
@@ -276,17 +322,31 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
         # that fails this test reports a tail > tol
         if e < den and s * e / (den - e) * factor <= tol:
             break
+    tail = None  # set before the end only where the tails are absorbed
     if freeze and k < n_terms:
         # no later addition can change a sum, m or j: run the recurrence
-        # alone to the last term, with the loop's operations in its order
+        # alone, with the loop's operations in its order, to the last
+        # term or until the tails are absorbed (see "Absorbed tails")
+        lim = _Q * (_DRIFT * s1)
+        d_lim = _Q * (2.0 * (_DRIFT * s2))
         for k in range(k + 1, n_terms + 1):
             r = sw / den
             a, b = (fk * a - nu * b) * r, (nu * a + fk * b) * r
             fk = fk + 1.0
             den = fk * (fk * fk + nu2)
+            e = wu * (fk + v)
+            s = abs(a) + abs(b) + S_FLOOR
+            t = 2.0 * (s * e / (den - e) * factor)
+            dt = 4.0 * (fk * s * e / (den - fk * e / k) * factor)
+            if t + _NORMAL <= lim and 2.0 * dt + v * t + _NORMAL <= d_lim:
+                tail, d_tail = t, dt
+                k = n_terms
+                fk = k + 1.0
+                break
         s = abs(a) + abs(b)
-    # fk = N + 1 and den = (N + 1)((N + 1)^2 + nu^2) here; the tails
-    # come last, as a carried chain moves both on
+    # fk = N + 1 here, and den = (N + 1)((N + 1)^2 + nu^2) unless the
+    # tails are absorbed; the tails come last, as a carried chain moves
+    # both on
     #
     # Partial sums: adding a term rounds by at most u |sum| and at most
     # the term itself.  Up to step j (the last term above u m) take u m
@@ -309,26 +369,26 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     err = _DRIFT * s1 + sums + n * n * _TINY6
     d_err = _DRIFT * s2 + d_sums + n * n * n * _TINY6
 
-    # The tails, from rho_(N+1) = e / den
-    e = wu * (fk + v)
-    s = s + S_FLOOR
-    ed = fk * e / k  # rd = (N + 1) rho / N = ed / den
-    if ed < den:  # then rho = e / den < 1 as well
-        tail = s * e / (den - e) * factor
-        d_tail = fk * s * e / (den - ed) * factor
-    else:  # carry the step bound on from the last term (see "Carried tails")
-        tail = d_tail = 0.0
-        while not ed < 0.5 * den and d_tail < _INF:
-            s = s * e / den  # M_K = rho_K M_(K-1), with K = fk
-            tail = tail + s
-            d_tail = d_tail + fk * s
-            fk = fk + 1.0
-            den = fk * (fk * fk + nu2)
-            e = wu * (fk + v)
-            ed = fk * e / (fk - 1.0)
-        if d_tail < _INF:
-            tail = (tail + s * e / (den - e)) * CARRY_FACTOR
-            d_tail = (d_tail + fk * s * e / (den - ed)) * CARRY_FACTOR
-        else:  # M overflowed, or is NaN after a term did
-            tail = d_tail = _INF
+    if tail is None:  # the tails, from rho_(N+1) = e / den
+        e = wu * (fk + v)
+        s = s + S_FLOOR
+        ed = fk * e / k  # rd = (N + 1) rho / N = ed / den
+        if ed < den:  # then rho = e / den < 1 as well
+            tail = s * e / (den - e) * factor
+            d_tail = fk * s * e / (den - ed) * factor
+        else:  # carry the step bound on from the last term (see "Carried tails")
+            tail = d_tail = 0.0
+            while not ed < 0.5 * den and d_tail < _INF:
+                s = s * e / den  # M_K = rho_K M_(K-1), with K = fk
+                tail = tail + s
+                d_tail = d_tail + fk * s
+                fk = fk + 1.0
+                den = fk * (fk * fk + nu2)
+                e = wu * (fk + v)
+                ed = fk * e / (fk - 1.0)
+            if d_tail < _INF:
+                tail = (tail + s * e / (den - e)) * CARRY_FACTOR
+                d_tail = (d_tail + fk * s * e / (den - ed)) * CARRY_FACTOR
+            else:  # M overflowed, or is NaN after a term did
+                tail = d_tail = _INF
     return p, q, dp, dq, m, k, tail, d_tail, err, d_err

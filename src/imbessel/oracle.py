@@ -21,7 +21,10 @@ Cost, measured on one core of a 2-vCPU VM: the gold pair at 50 digits
 takes ~0.25 ms per point (median over the `compare` benchmark grid,
 x <= 20) and 0.4-7 ms at large x or order (x up to 700, |nu| up to 100).
 `hp_bessel_imag` takes ~5-50 ms at those points, and ~250 ms at
-oscillatory x = 300, where it reruns with ~130 more digits.
+oscillatory x = 300, where it reruns with ~130 more digits.  The
+hand-written references refuse, with ToleranceError and before the
+work, an argument shift, a series or a quadrature past the caps below
+(`MAX_SHIFT`, `MAX_SERIES_X`, `MAX_PANELS`, `KL_MAX_DIGITS`).
 """
 
 import functools
@@ -37,9 +40,22 @@ from .errors import DomainError, ToleranceError, check_count, check_positive, ch
 from .series_core import Kind, _is_modified
 
 #: The most decimal digits an entry point accepts.  `hp_gamma`'s
-#: Stirling series meets its target up to ~300; `kl_macdonald` takes
-#: ~3 s at 40 digits and ~36 s at 60 (one core of a 2-vCPU VM).
+#: Stirling series meets its target up to ~300; `kl_macdonald` refuses
+#: more than KL_MAX_DIGITS.
 MAX_DIGITS = 200
+#: The most digits `kl_macdonald` delivers: its quadrature took ~0.9 s
+#: at 30 digits, ~3 s at 40 and ~36 s at 60, and failed to converge
+#: after 16-37 s at 100-200 (one core of a 2-vCPU VM).
+KL_MAX_DIGITS = 30
+#: Cost caps, each checked before the work it bounds: `hp_gamma`'s
+#: argument shift (~0.2 s at 50 digits); the defining series' x, where
+#: it sums ~x/2 terms before its ratio falls below 1 (at orders below
+#: x/2) and the oscillatory kind reruns with ~0.44 x more digits (~3 s
+#: at the cap); and `kl_macdonald`'s panels at 13 digits (~2 s), a panel
+#: at d > 13 digits counting as (d/13)^4 of them.
+MAX_SHIFT = 20_000
+MAX_SERIES_X = 1000.0
+MAX_PANELS = 400
 
 # mpmath precision is process-global state; serializing oracle entry
 # points keeps them safe to call from concurrent threads.  Reentrant
@@ -96,7 +112,9 @@ def hp_gamma(z_re: float, z_im: float, digits: int = 50) -> OracleValue:
 
     Shifts the argument upward through Gamma(z) = Gamma(z+k) / prod(z+m)
     until the Stirling series converges below the working precision.
-    Nonpositive real integers are poles and rejected.
+    Nonpositive real integers are poles and rejected (DomainError); a
+    shift k above MAX_SHIFT (Re z below about -20 000) raises
+    ToleranceError before the product is formed.
     """
     check_real(z_re, "z_re")
     check_real(z_im, "z_im")
@@ -113,6 +131,9 @@ def _gamma(z_re, z_im, digits):
         z = mpc(z_re, z_im)
         threshold = 0.37 * wp + 8.0
         k = max(0, int(math.ceil(threshold - z_re)))
+        if k > MAX_SHIFT:
+            raise ToleranceError(f"Gamma at Re z = {z_re} needs {k} argument shifts, "
+                                 f"more than {MAX_SHIFT}")
         w = z + k
         g = mp.exp(_stirling_log_gamma(w, wp))
         if k:
@@ -156,9 +177,13 @@ def _norm_series(kind: Kind, order, x: float):
 def _defining_series(kind: Kind, order, x: float, digits: int):
     # `_norm_series` to max(50, digits) digits: run with 15 guard digits,
     # and where the digits it may have lost to cancellation exceed them,
-    # rerun at max(50, digits) + 5 plus the digits lost.
+    # rerun at max(50, digits) + 5 plus the digits lost.  Its length
+    # and the digits it loses grow with x, so x past MAX_SERIES_X is
+    # refused before any term is summed.
     check_positive(x, "x")
     check_count(digits, "digits", MAX_DIGITS)
+    if x > MAX_SERIES_X:
+        raise ToleranceError(f"x={x} is above the defining series' cap {MAX_SERIES_X:g}")
     declared = max(50, digits)
     wp = declared + 15
     while True:
@@ -176,7 +201,10 @@ def hp_bessel_imag(nu: float, x: float, kind: Kind, digits: int = 50) -> OracleV
 
     The series stops a posteriori on its exact ratio tail, and is rerun
     at a higher precision where cancellation would eat into the declared
-    digits, so they hold at large x as well.
+    digits, so they hold at large x as well.  x above MAX_SERIES_X
+    (1000) raises ToleranceError before any term is summed: the series
+    would sum some x/2 terms before its ratio falls below 1, and the
+    oscillatory one rerun with some 0.44 x more digits.
     """
     check_real(nu, "nu")
     norm = _defining_series(kind, mpc(0, nu), x, digits)
@@ -328,12 +356,21 @@ def kl_macdonald(tau: float, x: float, digits: int = 13) -> OracleValue:
     cosine period, and each panel is integrated adaptively.  Reliable
     only away from 0: x below 0.05 is refused (the integrand then decays
     too slowly for this truncation to represent the function well).
+
+    Cost caps, checked before the quadrature: `digits` above
+    KL_MAX_DIGITS (30) raises ToleranceError, and so does a panel count
+    n with n (max(digits, 13) / 13)^4 above MAX_PANELS (400), i.e. about
+    |tau| > 65 at x = 1 and 13 digits: the cost of a panel grows like
+    the fourth power of the digits (measured from 13 to 40).
     """
     check_real(tau, "tau")
     check_positive(x, "x")
     check_count(digits, "digits", MAX_DIGITS)
     if x < 0.05:
         raise ToleranceError("kl_macdonald is declared unreliable for x < 0.05")
+    if digits > KL_MAX_DIGITS:
+        raise ToleranceError(f"kl_macdonald delivers at most {KL_MAX_DIGITS} digits, "
+                             f"got {digits}")
     t_abs = abs(tau)
     wp = 2 * digits + 14
     with mp.workdps(wp):
@@ -342,6 +379,9 @@ def kl_macdonald(tau: float, x: float, digits: int = 13) -> OracleValue:
         T = mp.acosh(1 + 25 * mp.log(10) / xm)
         width = mp.pi / (4 * max(t_abs, 1.0))
         n_panels = int(mp.ceil(T / width))
+        if n_panels * (max(digits, 13) / 13) ** 4 > MAX_PANELS:
+            raise ToleranceError(f"kl_macdonald at tau={tau}, x={x} and {digits} digits "
+                                 f"needs more than {MAX_PANELS} 13-digit panels")
         edges = [T * i / n_panels for i in range(n_panels + 1)]
 
         def f(t):

@@ -20,6 +20,8 @@ from imbessel import (
     derivative_tail_bound,
     eval_pair,
     gamma_modulus_imag,
+    hp_bessel_imag,
+    hp_bessel_j_int,
     hp_gamma,
     kl_macdonald,
     m_of_nu,
@@ -28,7 +30,7 @@ from imbessel import (
     required_terms,
     tail_bound,
 )
-from imbessel.oracle import MAX_DIGITS
+from imbessel.oracle import KL_MAX_DIGITS, MAX_DIGITS
 from imbessel.series_core import _eval_row
 
 OSC = Kind.OSCILLATORY
@@ -149,3 +151,40 @@ def test_each_refusal_names_its_argument():
     # an int whose square leaves the double range is refused as a float is
     with pytest.raises(ToleranceError):
         eval_pair(OSC, 10 ** 200, 1.0)
+
+
+def test_oracle_refuses_work_past_its_cost_caps():
+    # a million-step argument shift, ~1e300 quadrature panels and a
+    # series of ~1e300 terms: each is refused before the work starts
+    cases = (
+        (hp_gamma, dict(z_re=-1e6 + 0.5, z_im=0.0)),
+        (kl_macdonald, dict(tau=1e300, x=1.0)),
+        (hp_bessel_imag, dict(nu=1.0, x=1e300, kind=OSC)),
+        (hp_bessel_j_int, dict(n=1, x=1e300)),
+    )
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    try:
+        for fn, kwargs in cases:
+            signal.setitimer(signal.ITIMER_REAL, LIMIT)
+            try:
+                with pytest.raises(ToleranceError):
+                    fn(**kwargs)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_kl_macdonald_refuses_digits_past_its_quadrature():
+    # past KL_MAX_DIGITS the quadrature is refused up front, not after
+    # it has run for seconds and failed to converge
+    assert KL_MAX_DIGITS < MAX_DIGITS
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 0.5)
+    try:
+        for digits in (KL_MAX_DIGITS + 1, 100, MAX_DIGITS):
+            with pytest.raises(ToleranceError, match=f"at most {KL_MAX_DIGITS} digits"):
+                kl_macdonald(1.0, 1.0, digits=digits)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)

@@ -9,8 +9,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from imbessel import Kind, _backend, eval_pair
-from imbessel._backend import _DRIFT, _INF, _TINY6, _U, RHO_UP, S_FLOOR, TAIL_FACTOR
+from imbessel import DomainError, Kind, ToleranceError, _backend, eval_pair
+from imbessel._backend import (_DRIFT, _INF, _NORMAL, _Q, _TINY6, _U, RHO_UP, S_FLOOR,
+                               TAIL_FACTOR)
 from imbessel.oracle import coefficients_hp
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -18,8 +19,10 @@ SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 def reference_series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     # The kernel as it was before forced counts finished on the bare
-    # recurrence: every step adds its term to every sum.  Kept verbatim
-    # as the reference the kernel must reproduce byte for byte.
+    # recurrence: every step adds its term to every sum, and the tails
+    # come from the last term.  Kept verbatim as the reference the kernel
+    # must reproduce byte for byte, apart from the tails named in
+    # `test_series_sums_equal_the_full_loop_byte_for_byte`.
     sw = w if modified else -w
     # e / den is rho_{k+1}; e = inf turns the stop test off
     wr = w * RHO_UP if tol >= 0.0 else _INF
@@ -210,22 +213,77 @@ _NU = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), st.floats(-40.0, 
 # counts before the ratios fall, whose tails are carried
 @example(modified=False, seed=(1.0, 0.0), nu=8.0, x=20.0, n_terms=9, tol=-1.0)
 @example(modified=True, seed=(0.0, 1.0), nu=0.0, x=40.0, n_terms=3, tol=1e-300)
+# frozen counts whose tails are absorbed long before the last step
+@example(modified=False, seed=(1.0, 0.0), nu=1.3, x=0.01, n_terms=400, tol=-1.0)
+@example(modified=True, seed=(1.0, 0.0), nu=3.4, x=9.9, n_terms=64, tol=-1.0)
+# a frozen count whose tails are not absorbed before its last step
+@example(modified=False, seed=(1.0, 0.0), nu=3.4, x=2.0, n_terms=16, tol=-1.0)
 def test_series_sums_equal_the_full_loop_byte_for_byte(modified, seed, nu, x, n_terms, tol):
     # A forced count stops adding once its sums are frozen; every value it
-    # returns must still be the full loop's, bit for bit.  Where the full
-    # loop's derivative tail is inf, the kernel carries its step bound on
-    # instead (see "Carried tails"): there only the two tails differ.
+    # returns must still be the full loop's, bit for bit.  Two kinds of
+    # call return other tails:
+    # * where the full loop's derivative tail is inf, the kernel carries
+    #   its step bound on instead (see "Carried tails");
+    # * where a frozen count stops once its tails are absorbed (see
+    #   "Absorbed tails"), it returns majorants of the full loop's tails,
+    #   small enough that no round-off bound they are added to moves.
     w = (0.5 * x) * (0.5 * x)
     got = _backend.series_sums(modified, *seed, nu, w, n_terms, tol)
     want = reference_series_sums(modified, *seed, nu, w, n_terms, tol)
     assert type(got[5]) is type(want[5]) is int
-    if want[7] < _INF:
-        assert _pack(got) == _pack(want), (got, want)
-    else:
-        assert _pack(got[:6] + got[8:]) == _pack(want[:6] + want[8:]), (got, want)
+    assert _pack(got[:6] + got[8:]) == _pack(want[:6] + want[8:]), (got, want)
+    tail, d_tail, err, d_err = got[6:]
+    if want[7] == _INF:
         # x <= 40 keeps every majorant far inside the double range, so
         # the chain cannot overflow
-        assert got[6] < _INF and got[7] < _INF, got
+        assert tail < _INF and d_tail < _INF, got
+    elif got[6:8] != want[6:8]:
+        assert tol < 0.0, (got, want)
+        assert tail >= want[6] and d_tail >= want[7], (got, want)
+        # the absorption conditions, against err and d_err, which bound
+        # the round-off bounds of `eval_pair` from below
+        assert tail + _NORMAL <= _Q * err, got
+        assert 2.0 * d_tail + abs(nu) * tail + _NORMAL <= _Q * (2.0 * d_err), got
+
+
+_KERNEL = _backend.series_sums
+
+
+def _full_loop(*args):
+    # The reference; where its tails are inf the kernel carries its step
+    # bound on, and those carried tails stand in (they are not what the
+    # freeze and the absorption change).
+    want = reference_series_sums(*args)
+    if want[7] < _INF:
+        return want
+    return want[:6] + _KERNEL(*args)[6:8] + want[8:]
+
+
+def _eval_outcome(kind, nu, x, tol, terms):
+    try:
+        return _pack(eval_pair(kind, nu, x, tol, terms))
+    except (DomainError, ToleranceError) as exc:
+        return repr(exc)
+
+
+@settings(max_examples=800, deadline=None)
+@given(kind=st.sampled_from(list(Kind)), nu=_NU, x=_X,
+       terms=st.one_of(st.none(), st.integers(1, 400)),
+       tol=st.floats(-16.0, 0.0).map(lambda e: 10.0 ** e))
+@example(kind=Kind.OSCILLATORY, nu=1.3, x=0.01, terms=400, tol=1e-12)
+@example(kind=Kind.MODIFIED, nu=3.4, x=9.9, terms=64, tol=1e-12)
+@example(kind=Kind.OSCILLATORY, nu=3.4, x=2.0, terms=16, tol=1e-12)
+def test_eval_pair_bytes_equal_the_full_loop(kind, nu, x, terms, tol):
+    # Whatever tails the kernel returns for a frozen count, `eval_pair`
+    # must answer with the full loop's bytes in all seven fields, or
+    # raise the same refusal.
+    got = _eval_outcome(kind, nu, x, tol, terms)
+    _backend.series_sums = _full_loop
+    try:
+        want = _eval_outcome(kind, nu, x, tol, terms)
+    finally:
+        _backend.series_sums = _KERNEL
+    assert got == want, (got, want)
 
 
 def test_carried_tails_end_finite_or_saturate():
