@@ -78,28 +78,36 @@ adds the closed forms from step L:
     d_tail = (sum_{N<K<=L} K M_K + (L + 1) M_L rho_(L+1) / (1 - rd)) C,
 
 with C = `CARRY_FACTOR`, or +inf for both once K M_K overflows (or is
-NaN after the recurrence overflowed).
+NaN after the recurrence overflowed).  `carried_tails` is this chain;
+`error_bounds` runs it a priori too, from M = 1 (for P_(N+1)) at index
+N + 1 <= 401, with w rounded once, and whatever rd is there (below 1/2,
+the chain is the closed forms alone).  The bullets cover both starts.
 
 * Multipliers.  Each step forms fl(fl(M e) / den), e and den as in the
   stop test.  e = fl(fl(w (1 + 16u)) fl(K + |nu|)) has three roundings,
   den = fl(K fl(K^2 + fl(nu^2))) three (K^2 is exact for K < 2^26), the
   product and the quotient two: eight against the 16u of w (1 + 16u),
   so while the results are normal each computed multiplier is at least
-  rho_K (1 + 7u), and each computed M_K at least the exact majorant.
+  rho_K (1 + 7u), and each computed M_K at least the exact majorant
+  (rho_K (1 + 6u) with the a-priori start's rounded w; `error_bounds`
+  covers a w below the normal range).
 * Normal range.  At the start rd >= 1, so rho_(N+1) >= N / (N + 1) >=
   1/2 and, rho decreasing, rho_k >= 1/2 for every k <= N + 1.  The
   modulus ratio of consecutive terms, w / (k |k + i nu|), is at least
   rho_k / sqrt(2), so for a seed of modulus 1 |t_N| >= 2^(-1.5 N) and
-  M_N >= 2^-601 is normal.  While rho_K >= 1, M does not fall, so no
-  product leaves the normal range.  Past that, rho_K < 1, and each
-  operation below the normal range takes at most 2^-1075 off: at most
-  24 600 2^-1074 < 2^-1059 off any M_K, and less than 2^-1028 off either
-  tail, the closed forms included (K < 2^15).  That is below 2^-426 of
-  the first term M_(N+1) >= 2^-602, which each tail contains.
+  M_N >= 2^-601 is normal; the a-priori start is M = 1.  While
+  rho_K >= 1, M does not fall, so no product leaves the normal range.
+  Past that, rho_K < 1, and each operation below the normal range takes
+  at most 2^-1075 off: at most 24 600 2^-1074 < 2^-1059 off any M_K, and
+  less than 2^-1028 off either tail, the closed forms included
+  (K < 2^15).  That is below 2^-426 of the first term M_(N+1) >= 2^-602,
+  which each tail of the kernel contains; `error_bounds` adds its tails
+  to 1 and N + 1, of which 2^-1028 is below 2^-1028 as well.
 * Length.  While rho_K >= 4 each computed multiplier is at least 3.99
   (at least 4 (1 - 2^-11) if M is subnormal, since M >= 2^-1063), so M
   overflows within 1 046 such steps whatever the seed: rho_K < 4 from
-  some K1 <= N + 1 046 <= 1 446 on.  Since (K + |nu|)^2 <= 2 (K^2 +
+  some K1 <= N + 1 046 <= 1 446 on (from M = 1 within 513 steps:
+  K1 <= 401 + 513 = 914 a priori).  Since (K + |nu|)^2 <= 2 (K^2 +
   nu^2), rho_K lies between g(K) = w / (K (K + |nu|)) and 2 g(K), and
   g(17 K) <= g(K) / 17, so rho_(17 K1) < 8/17 and, with K1 >= 2, rd
   there is below 0.485 even as computed.  The chain ends before
@@ -207,7 +215,8 @@ every other field keeps its bytes.
   the kernel's tails.)
 """
 
-from .error_bounds import MAX_TERMS
+#: Hard ceiling on the admissible number of series terms.
+MAX_TERMS = 400
 
 _U = 2.0 ** -53
 #: Inflation of w in the ratio rho, which keeps the computed ratio above
@@ -377,18 +386,29 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
             tail = s * e / (den - e) * factor
             d_tail = fk * s * e / (den - ed) * factor
         else:  # carry the step bound on from the last term (see "Carried tails")
-            tail = d_tail = 0.0
-            while not ed < 0.5 * den and d_tail < _INF:
-                s = s * e / den  # M_K = rho_K M_(K-1), with K = fk
-                tail = tail + s
-                d_tail = d_tail + fk * s
-                fk = fk + 1.0
-                den = fk * (fk * fk + nu2)
-                e = wu * (fk + v)
-                ed = fk * e / (fk - 1.0)
-            if d_tail < _INF:
-                tail = (tail + s * e / (den - e)) * CARRY_FACTOR
-                d_tail = (d_tail + fk * s * e / (den - ed)) * CARRY_FACTOR
-            else:  # M overflowed, or is NaN after a term did
-                tail = d_tail = _INF
+            tail, d_tail = carried_tails(s, fk, nu2, v, wu)
     return p, q, dp, dq, m, k, tail, d_tail, err, d_err
+
+
+def carried_tails(s, fk, nu2, v, wu):
+    """Bounds on sum_{K>=fk} M_K and sum_{K>=fk} K M_K, M_K = rho_K M_(K-1),
+    from M = `s` at index `fk` - 1 (see "Carried tails"); `nu2` = nu^2,
+    `v` = |nu|, `wu` = w (1 + 16u).  Both are +inf past the double range."""
+    den = fk * (fk * fk + nu2)
+    e = wu * (fk + v)
+    ed = fk * e / (fk - 1.0)
+    tail = d_tail = 0.0
+    while not ed < 0.5 * den and d_tail < _INF:
+        s = s * e / den  # M_K = rho_K M_(K-1), with K = fk
+        tail = tail + s
+        d_tail = d_tail + fk * s
+        fk = fk + 1.0
+        den = fk * (fk * fk + nu2)
+        e = wu * (fk + v)
+        ed = fk * e / (fk - 1.0)
+    if d_tail < _INF:
+        tail = (tail + s * e / (den - e)) * CARRY_FACTOR
+        d_tail = (d_tail + fk * s * e / (den - ed)) * CARRY_FACTOR
+    else:  # M overflowed, or is NaN after a term did
+        tail = d_tail = _INF
+    return tail, d_tail

@@ -81,9 +81,16 @@ def _grid_points(x_min, x_max, x_steps, scale):
     return [x if x <= x_max else x_max for x in points]
 
 
+def _json_value(value):
+    # JSON (RFC 8259) has no Infinity or NaN: write such a float as CSV does
+    if isinstance(value, float) and not math.isfinite(value):
+        return "%.17g" % value
+    return value
+
+
 def _emit(out, fields, rows, fmt):
     if fmt == "json":
-        records = [dict(zip(fields, row)) for row in rows]
+        records = [{f: _json_value(v) for f, v in zip(fields, row)} for row in rows]
         out.write(json.dumps(records, indent=2))
         out.write("\n")
         return

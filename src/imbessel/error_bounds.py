@@ -1,58 +1,73 @@
 """A-priori truncation control for the even-coefficient series.
 
-The coefficient pairs of both equation kinds obey, step for step,
-
-    |a_n| + |b_n|  <=  (n + |nu|) / (n (n^2 + nu^2)) * (|a_{n-1}| + |b_{n-1}|),
-
-which telescopes into the explicit envelope
+The terms t_n = (a_n, b_n) w^n, w = (x/2)^2, of both equation kinds obey
+the step inequality `_backend` proves, |t_n|_1 <= rho_n |t_(n-1)|_1 with
+rho_n = w (n + |nu|) / (n (n^2 + nu^2)), so for a seed of l1 size 1,
+|t_n|_1 <= P_n = prod_{i<=n} rho_i.  The paper loosens P_n into the
+envelope
 
     |a_n| + |b_n|  <  m(nu) * n^|nu| / (n!)^2,        n >= 1,
 
-with m(nu) = (1+|nu|)/(1+nu^2) * exp(0.6449 nu^2 + 0.2021 F(nu)).  The
-constants are the tails sum_{n>=2} 1/n^2 and sum_{n>=2} 1/n^3 to four
-decimals, and F(nu) is a piecewise cubic-correction factor.  Summing the
-envelope over the discarded indices N+1, N+2, ... after N steps gives a
-guaranteed bound on the truncation error of any of the four basis
-functions.  One sum serves every order and every scale: it is taken
-term by term relative to its first term until a geometric-ratio cutoff,
-then the first term, with any outside factor such as the derivative's
-2/x, is applied once in log space and the result inflated by 1%.  For
-|nu| <= 2 the paper collapses the same sum into the corollary
+with m(nu) = (1+|nu|)/(1+nu^2) * exp(0.6449 nu^2 + 0.2021 F(nu)), the
+constants being sum_{n>=2} 1/n^2 and sum_{n>=2} 1/n^3 to four decimals
+and F(nu) a piecewise cubic-correction factor.  That is the paper's
+stated result (`majorant_bound`, `m_of_nu`, `factor_F`); for |nu| <= 2 it
+sums to eps_N <= m(nu) (x/2)^(2N+1) I1(x) / (N!)^2.  No bound uses it: at
+n = 40 it is 10^0.3 (nu = 0.5) to 10^265 (nu = 12) above P_n, and inf
+from |nu| ~ 19.
 
-    eps_N  <=  m(nu) * (x/2)^(2N+1) * I1(x) / (N!)^2,
+After N steps the discarded terms and their n-weighted sizes sum to at
+most P_(N+1) (1 + c) and P_(N+1) (N + 1 + c_d), with c and c_d the chain
+`_backend.carried_tails` runs from M = 1 at index N + 1 (see "Carried
+tails" there): the kernel's bound for a forced count, carried until the
+derivative ratio is below 1/2 and closed with a geometric tail.
+log P_(N+1) is one running sum of log w + log((i + |nu|) / i /
+(i^2 + nu^2)), with log w from log x where w is not normal, so no factor
+leaves the double range.  Then
 
-with I1 the order-one modified Bessel function.  The summed envelope
-is at most 1.01 times that (the 1% inflation; one subnormal step more
-where both underflow) and often far below it, which the tests check
-against I1 in extended precision.
+    tail_bound            = exp(log P_(N+1) + log(1 + c)) 1.01 + 5e-324,
+    derivative_tail_bound = exp(log P_(N+1) - log x
+                                + log(2 (N + 1 + c_d) + |nu| (1 + c))) 1.01 + 5e-324,
 
-This chain is the certified a-priori API: `tail_bound`,
-`derivative_tail_bound` and `required_terms` (and the `bounds` command)
-give bounds from (nu, N, x) alone, before any term is computed.
-`eval_pair` does not use it: its kernel bounds the tail from the terms
-it computes (see `_backend`), which follows the true error instead of
-the envelope.
+the second being (2/x) sum_{n>N} n P_n + (|nu|/x) sum_{n>N} P_n with
+both scales in the exponent, where they can neither overflow nor scale
+an underflowed tail.
 
-Everything above that depends only on the point (nu, x) -- log m(nu),
-(x/2)^2 and its log -- is computed once per point in `_PointBounds`;
-the public functions are thin wrappers over it that check their
-arguments (counts N and n are ints in 1..MAX_TERMS).  Bounds beyond the
-double range saturate to +inf rather than raising or turning into NaN.
+Rounding.  For N <= 401 and x >= 5e-324 the log sum is within 1e-7 of
+its exact value, and 1.01 covers that and the exponential.  Each term
+is at most 1 853 in size (|log w| <= 1 491; the quotient, five roundings
+from nu, lies in [2^-523, 1.21] while nu^2 is finite) and is formed
+within 1e-12; each of the at most 401 running sums is below 7.5e5 and
+rounds by at most 8.3e-11.  So log P_(N+1) is within 4e-8, and the
+exponent, after log x and the log of the chain's total (an upper bound
+already), within 1e-7.  The exponential, 2u more, is then at most a
+factor e^(1e-7) (1 + 2u) below the exact bound, which the 1.01 (rounded
+once more) outweighs; below the normal range it loses at most the one
+subnormal step that 5e-324 restores.  Where w is below the normal range
+the chain's multipliers are not accurate to a relative u, but there
+rho_K <= 2 w < 2^-1021, so the computed 1 + c and N + 1 + c_d, at least
+1 and N + 1, are within a factor 1 + 2^-1000 of the exact ones.
+
+These are the certified a-priori API (`tail_bound`,
+`derivative_tail_bound`, `required_terms` and the `bounds` command):
+bounds from (nu, N, x) alone, before any term is computed.  `eval_pair`
+does not use them; its kernel bounds the tail from the terms it
+computes.  Counts N are ints in 1..MAX_TERMS.  Beyond the double range
+a bound is +inf, never an error or NaN, and so is the bound of an order
+whose square overflows (its log sum would be inf - inf at large x).
 """
 
 import math
 import sys
+from itertools import accumulate, chain, islice
 
+from ._backend import MAX_TERMS, RHO_UP, carried_tails
 from .errors import ToleranceError, check_count, check_positive, check_real, check_tol
 
 # sum_{n>=2} 1/n^2 = pi^2/6 - 1 and sum_{n>=2} 1/n^3 = zeta(3) - 1,
 # both to the four decimals used by the envelope's derivation.
 SUM_INV_SQUARES = 0.6449
 SUM_INV_CUBES = 0.2021
-
-#: Hard ceiling on the admissible number of series terms.
-MAX_TERMS = 400
-
 
 def _exp_sat(arg: float) -> float:
     # exp with saturation instead of OverflowError; huge bounds stay
@@ -108,106 +123,45 @@ def majorant_bound(nu: float, n: int) -> float:
     return _exp_sat(_log_m_of_nu(nu) + v * math.log(n) - 2.0 * math.lgamma(n + 1.0))
 
 
-class _PointBounds:
-    """The bound chain at one checked point (nu, x), its constants computed once.
+def _point(nu, x):
+    # The checked point's |nu|, nu^2, x, w = (x/2)^2 and one lazy running
+    # sum of log P_n, n = 1..MAX_TERMS + 1, which every bound reads (so a
+    # count has the same bytes in each); callers check nu^2 is finite first.
+    nu = check_real(nu, "nu")
+    x = check_positive(x, "x")
+    half = 0.5 * x
+    w = half * half
+    if w >= sys.float_info.min:
+        log_w = math.log(w)
+    else:  # (x/2)^2 underflows or loses digits below x ~ 3e-154
+        log_w = 2.0 * (math.log(x) - math.log(2.0))
+    v, nu2 = abs(nu), nu * nu
+    log_products = accumulate(log_w + math.log((i + v) / i / (i * i + nu2))
+                              for i in range(1, MAX_TERMS + 2))
+    return v, nu2, x, w, log_products
 
-    The term search (`terms`), the value bound (`tail`) and the
-    derivative bound (`d_tail`) all read the same log m(nu), (x/2)^2 and
-    its log, and all three sum the one envelope (`_envelope`).
-    """
 
-    __slots__ = ("nu", "x", "v", "log_m", "w", "log_w")
+def _totals(v, nu2, w, N):
+    # 1 + c and N + 1 + c_d: the tails after N steps over P_(N+1)
+    c, c_d = carried_tails(1.0, N + 2.0, nu2, v, w * RHO_UP)
+    return 1.0 + c, N + 1.0 + c_d
 
-    def __init__(self, nu: float, x: float):
-        self.nu = nu
-        self.x = x
-        self.v = abs(nu)
-        self.log_m = _log_m_of_nu(nu)
-        half = 0.5 * x
-        self.w = w = half * half
-        if w >= sys.float_info.min:
-            self.log_w = math.log(w)
-        else:  # (x/2)^2 underflows or loses digits below x ~ 3e-154
-            self.log_w = 2.0 * (math.log(x) - math.log(2.0))
 
-    def tail(self, N: int) -> float:
-        """`tail_bound` after N steps (N >= 1, unchecked)."""
-        return self._envelope(self.v, N + 1)
+def _bound(log_scale, total):
+    # e^log_scale * total, rounded up (see "Rounding")
+    return _exp_sat(log_scale + math.log(total)) * 1.01 + 5e-324
 
-    def d_tail(self, N: int) -> float:
-        """`derivative_tail_bound` after N steps.
 
-        The rotation term (|nu|/x) sum_{n>N} M_n w^n is its own envelope
-        sum at scale log|nu| - log x.
-        """
-        d = self._envelope(self.v + 1.0, N + 1, math.log(2.0) - math.log(self.x))
-        if self.v == 0.0:  # no nu/x rotation term
-            return d
-        # in log space: v/x overflows below x ~ 1e-308
-        return d + self._envelope(self.v, N + 1, math.log(self.v) - math.log(self.x))
-
-    def terms(self, tol: float) -> int:
-        """The smallest N <= MAX_TERMS with tail(N) <= tol, by bisection.
-
-        Valid because tail(N) crosses the tolerance once (see
-        `tail_bound`).  The bracket grows by doubling steps from a first
-        guess near e x/2, past the envelope's peak at ~x/2.
-        """
-        lo, hi = 0, MAX_TERMS + 1  # sentinels: tail(lo) > tol >= tail(hi)
-        n = int(min(1.36 * self.x, MAX_TERMS)) + 1
-        step = n // 4 + 1
-        while n < hi and self.tail(n) > tol:
-            lo, n, step = n, n + step, 2 * step
-        hi = min(n, hi)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if self.tail(mid) <= tol:
-                hi = mid
-            else:
-                lo = mid
-        if hi > MAX_TERMS:
-            raise ToleranceError(
-                f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={self.nu}, x={self.x}"
-            )
-        return hi
-
-    def _envelope(self, power: float, start: int, log_scale: float = 0.0) -> float:
-        """Upper bound on e^log_scale sum_{n>=start} m(nu) n^power / (n!)^2 (x/2)^(2n).
-
-        Sums the terms relative to the first (t = 1 at `start`); once the
-        term ratio r drops below 1 and the geometric remainder t*r/(1-r)
-        falls under 0.1% of the partial sum, the remainder is added (the
-        ratio only falls with n).  The first term and the scale enter
-        once, as exp(log t_start + log_scale + log(total)), so neither
-        overflows or underflows on its own at any x.  The factor 1.01
-        covers the rounding of the sum and the exponential, and one
-        subnormal step keeps the bound above a positive exact sum where
-        the exponential underflows.
-        """
-        w = self.w
-        log_t = self.log_m + (power * math.log(start) - 2.0 * math.lgamma(start + 1.0)
-                              + start * self.log_w) + log_scale
-        if log_t > 710.0:
-            # the first term alone is beyond the double range (m(nu) for
-            # |nu| above ~33), where the ratio's power could overflow too
-            return math.inf
-        t = total = 1.0
-        n = start
-        while True:
-            r = ((n + 1.0) / n) ** power * w / ((n + 1.0) * (n + 1.0))
-            if r < 1.0:
-                remainder = t * r / (1.0 - r)
-                if remainder < 1e-3 * total:
-                    return _exp_sat(log_t + math.log(total + remainder)) * 1.01 + 5e-324
-            n += 1
-            t *= ((n / (n - 1.0)) ** power) * w / (n * n)
-            total += t
-            if total == math.inf:
-                return math.inf
-            if n > start + 100000:  # ratio < 1 long before this for finite x
-                raise ToleranceError(
-                    f"envelope tail failed to converge at nu={self.nu}, x={self.x}"
-                )
+def _tails(nu, x, N):
+    # log P_(N+1), log x, |nu| and the totals after N steps; None where
+    # nu^2 overflows
+    v, nu2, x, w, log_products = _point(nu, x)
+    check_count(N, "N", MAX_TERMS)
+    if nu2 == math.inf:
+        return None
+    for log_p in islice(log_products, N + 1):
+        pass
+    return (log_p, math.log(x), v) + _totals(v, nu2, w, N)
 
 
 def tail_bound(nu: float, x: float, N: int) -> float:
@@ -215,20 +169,15 @@ def tail_bound(nu: float, x: float, N: int) -> float:
 
     The partial sum keeps coefficient indices 0..N; the bound covers the
     discarded indices N+1, N+2, ...  It applies to each of the four basis
-    functions.
-
-    The exact tail falls strictly with N.  The computed bound is
-    nonincreasing in N past the envelope's peak (the first index whose
-    term ratio is below 1, near x/2).  Before the peak it exceeds the
-    envelope's largest term, which is above 1e12 wherever the rounding
-    of the final exponential lifts consecutive values: by at most
-    1.2e-13 relative for x <= 100 and 1.1e-12 for x up to 1500.  Any
-    tolerance below 1e12 is therefore crossed once, as the bisection in
-    `required_terms` needs.
+    functions.  The majorant falls strictly with N (by P_(N+1), or by a
+    factor below 1/2 where the chain's closing index moves); the computed
+    bound can rise only by its rounding.
     """
-    bounds = _PointBounds(check_real(nu, "nu"), check_positive(x, "x"))
-    check_count(N, "N", MAX_TERMS)
-    return bounds.tail(N)
+    tails = _tails(nu, x, N)
+    if tails is None:
+        return math.inf
+    log_p, _, _, total, _ = tails
+    return _bound(log_p, total)
 
 
 def derivative_tail_bound(nu: float, x: float, N: int) -> float:
@@ -237,22 +186,45 @@ def derivative_tail_bound(nu: float, x: float, N: int) -> float:
     The derivative series carries an extra factor n * 2/x per term plus
     the nu/x rotation term, so its tail is bounded by
 
-        (2/x) * sum_{n>N} n * M_n (x/2)^(2n)  +  (|nu|/x) * sum_{n>N} M_n (x/2)^(2n),
+        (2/x) * sum_{n>N} n P_n  +  (|nu|/x) * sum_{n>N} P_n,
 
-    each sum taken as one envelope with its factor in log space, so
-    neither 2/x nor |nu|/x scales a rounded or underflowed tail.
+    taken as one exponential with 1/x in log space.
     """
-    bounds = _PointBounds(check_real(nu, "nu"), check_positive(x, "x"))
-    check_count(N, "N", MAX_TERMS)
-    return bounds.d_tail(N)
+    tails = _tails(nu, x, N)
+    if tails is None:
+        return math.inf
+    log_p, log_x, v, total, d_total = tails
+    d_total = 2.0 * d_total
+    if v:  # 0 * inf would be NaN at nu = 0
+        d_total += v * total
+    return _bound(log_p - log_x, d_total)
 
 
 def required_terms(nu: float, x: float, tol: float) -> int:
-    """Smallest N <= 400 whose tail bound meets `tol`.
+    """Smallest N <= MAX_TERMS whose `tail_bound` meets `tol`.
 
-    Nondecreasing in x, nonincreasing in tol.  Raises ToleranceError when
-    even 400 terms cannot reach the tolerance (absurd x / tol pairings).
+    A linear scan over the same computation, which skips an N while some
+    P_K, K > N, is above `tol`: P_(N+1) itself, or the peak of P_n while
+    N + 1 is before it (rho_n decreases, so log P_n rises to one peak).
+    The bound after N steps is at least 1.01 exp(log P_K) as computed,
+    within the 1e-7 of the log sums, and so above tol wherever
+    log P_K > log tol.  Raises ToleranceError when even MAX_TERMS terms
+    cannot reach the tolerance (absurd x / tol pairings).
     """
-    bounds = _PointBounds(check_real(nu, "nu"), check_positive(x, "x"))
+    v, nu2, x, w, log_products = _point(nu, x)
     check_tol(tol)
-    return bounds.terms(tol)
+    if nu2 < math.inf:
+        log_tol = math.log(tol)
+        rising = [next(log_products)]  # log P_1, ... up to the first fall
+        for log_p in log_products:
+            rising.append(log_p)
+            if log_p < rising[-2]:
+                break
+        # counts N with N + 1 before the peak keep P_peak in their tails
+        start = len(rising) - 1 if max(rising) > log_tol else 1
+        for N, log_p in enumerate(chain(rising[start:], log_products), start=start):
+            if log_p <= log_tol and _bound(log_p, _totals(v, nu2, w, N)[0]) <= tol:
+                return N
+    raise ToleranceError(
+        f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={float(nu)}, x={x}"
+    )

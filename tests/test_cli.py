@@ -240,11 +240,31 @@ def test_bounds_empirical_error_regime():
 
 
 def test_bounds_empirical_below_bound():
-    code, out = run_cli(["bounds", "--nu", "0.5", "--x", "1.5", "--terms", "2,4,8,16"])
-    assert code == 0
-    _, rows = parse_csv(out)
-    for row in rows:
-        assert float(row[2]) <= float(row[1]) + 1e-13
+    # nu = 20 is past the order (|nu| ~ 19) where the paper's envelope
+    # leaves the double range; the step product the bound takes does not
+    for nu, x in (("0.5", "1.5"), ("20", "10")):
+        code, out = run_cli(["bounds", "--nu", nu, "--x", x, "--terms", "2,4,8,16"])
+        assert code == 0
+        _, rows = parse_csv(out)
+        for row in rows:
+            assert math.isfinite(float(row[1])), (nu, x, row)
+            assert float(row[2]) <= float(row[1]) + 1e-13, (nu, x, row)
+
+
+def test_json_output_is_strict_json():
+    # an infinite bound is written as the string "inf", as in CSV, never
+    # as a bare Infinity, which RFC 8259 does not allow
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    for args, field in ((["eval", "--nu", "1", "--x", "1000", "--terms", "1"], "tail_bound"),
+                        (["bounds", "--nu", "1", "--x", "1000", "--terms", "1"], "bound")):
+        code, out = run_cli(args + ["--format", "json"])
+        assert code == 0
+        record = json.loads(out, parse_constant=refuse)[0]
+        assert record[field] == "inf", record
+        header, rows = parse_csv(run_cli(args)[1])
+        assert rows[0][header.index(field)] == "inf"
 
 
 def test_bounds_result_bound_encloses_empirical_error_without_slack():

@@ -186,12 +186,82 @@ def test_required_terms_unreachable_raises():
         required_terms(1.0, 1.0, 0.0)
 
 
-def test_huge_order_bound_is_honestly_infinite():
-    # m(nu) grows like exp(0.6449 nu^2); past the double range the bound
-    # reports inf promptly and term selection refuses
-    assert tail_bound(40.0, 1.0, 8) == math.inf
-    with pytest.raises(ToleranceError):
-        required_terms(40.0, 1.0, 1e-10)
+def _exact_tails(nu, x, N):
+    """sum_{n>N} P_n and sum_{n>N} n P_n, for the step product P_n and
+    then for the paper's envelope, summed in mpmath (call under workdps)."""
+    v, nu2 = abs(mpf(nu)), mpf(nu) ** 2
+    w = (mpf(x) / 2) ** 2
+    m = mp.e ** (SUM_INV_SQUARES * nu2 + SUM_INV_CUBES * factor_F(nu)) * (1 + v) / (1 + nu2)
+    p = q = mpf(1)  # P_n and w^n / (n!)^2
+    s = s_d = e = e_d = mpf(0)
+    n = 0
+    while True:
+        n += 1
+        p *= w * (n + v) / (n * (n * n + nu2))
+        q *= w / (n * n)
+        if n > N:
+            env = m * mpf(n) ** v * q
+            s, s_d, e, e_d = s + p, s_d + n * p, e + env, e_d + n * env
+            # both ratios fall with n: once below 1/2, the rest is below
+            # twice the last term
+            if (w * (n + 1 + v) / ((n + 1) * ((n + 1) ** 2 + nu2)) < 0.5
+                    and (mpf(n + 1) / n) ** v * w / (n + 1) ** 2 < 0.5
+                    and n * env <= mpf(10) ** -40 * e_d and n * p <= mpf(10) ** -40 * s_d):
+                return s, s_d, e, e_d
+
+
+def _check_apriori_tails(nu, x, N):
+    # Both bounds enclose the exact step-product sums, and stay within
+    # the paper's envelope sum (the 1.0101 is the bounds' 1.01 rounding
+    # allowance).  The chain closes with a geometric tail at a ratio
+    # below 1/2, at most twice the exact remainder; from |nu| = 0.8 on the
+    # envelope is over 2.2 times the product term by term (n >= 2), so the
+    # bounds stay below it.  Nearer nu = 0 the two meet (at nu = 0 they
+    # are equal), and the bounds are held to twice the exact sums.
+    value, d_value = tail_bound(nu, x, N), derivative_tail_bound(nu, x, N)
+    s, s_d, e, e_d = _exact_tails(nu, x, N)
+    v = abs(nu)
+    d_exact = (2 * s_d + v * s) / mpf(x)
+    assert mpf(value) >= s and mpf(d_value) >= d_exact, (nu, x, N, value, d_value)
+    limits = (e, (2 * e_d + v * e) / mpf(x)) if v >= 0.8 else (2 * s, 2 * d_exact)
+    for bound, limit in zip((value, d_value), limits):
+        assert mpf(bound) <= mpf("1.0101") * limit + mpf(5e-324), (nu, x, N, bound, limit)
+
+
+def test_huge_order_bound_is_finite_and_encloses():
+    # m(nu) grows like exp(0.6449 nu^2) and leaves the double range from
+    # |nu| ~ 19, but the step product the bounds take does not: the bound
+    # is finite, encloses the exact tail, and term selection answers
+    with mp.workdps(30):
+        _check_apriori_tails(40.0, 1.0, 8)
+    assert 0.0 < tail_bound(40.0, 1.0, 8) < 1e-20
+    assert required_terms(40.0, 1.0, 1e-10) == 3
+
+
+def test_apriori_tails_enclose_the_step_product_within_the_envelope():
+    # 160 seeded points with |nu| <= 20, x in [1e-300, 300] (half of them
+    # log-uniform, half uniform from 0.5) and N in 1..400 (a third of
+    # them at most x, where the tails are not negligible)
+    rng = random.Random(20261020)
+    cases = []
+    for i in range(160):
+        nu = rng.uniform(-20.0, 20.0)
+        if i % 2:
+            x = math.exp(rng.uniform(math.log(1e-300), math.log(300.0)))
+        else:
+            x = rng.uniform(0.5, 300.0)
+        cases.append((nu, x, rng.randint(1, MAX_TERMS if i % 3 else max(1, int(x)))))
+    # where the chain closes at once with its derivative ratio just below
+    # 1/2, its geometric tail is loosest: up to 1.10 (values) and 1.18
+    # (derivatives) times the exact sums, which at nu = 0 are the envelope's
+    for nu in (0.0, 0.3, 0.8, 3.0):
+        for n in (1, 3, 30):
+            k = n + 2
+            w = 0.999 * 0.5 * (k - 1) * (k * k + nu * nu) / (k + abs(nu))
+            cases.append((nu, 2.0 * math.sqrt(w), n))
+    with mp.workdps(30):
+        for case in cases:
+            _check_apriori_tails(*case)
 
 
 @pytest.mark.parametrize("nu", [2.5, 4.0])
@@ -234,32 +304,28 @@ def test_envelope_tail_survives_underflowing_terms():
 
 
 def test_envelope_tail_below_normal_range_is_monotone_and_encloses():
-    # Once the first envelope term is below the normal range, the whole
-    # geometric tail is taken at once: no bump when N crosses that point,
-    # and never below the exact envelope sum.  After N steps the tail
-    # starts at index N + 1, so tail_bound(N - 1) sums from `start` = N.
+    # Where the tail is below the normal range: no bump when N crosses
+    # into it, never below the exact step-product sum and never above
+    # the envelope sum.  After N steps the tail starts at index N + 1,
+    # so tail_bound(N - 1) sums from `start` = N.
     bounds = [tail_bound(2.01, 0.4687, n) for n in range(60, 101)]
     assert all(b2 <= b1 for b1, b2 in zip(bounds, bounds[1:]))
     with mp.workdps(40):
         for nu, x, start in ((2.01, 0.4687, 78), (2.5, 0.013883533099290456, 48),
                              (3.7, 1e-3, 60), (2.5, 1e-100, 4), (6.0, 0.05, 90)):
-            v = abs(nu)
-            w = (mpf(x) / 2) ** 2
-            m = mp.e ** (mpf(SUM_INV_SQUARES) * mpf(nu) ** 2 + SUM_INV_CUBES * factor_F(nu))
-            m *= (1 + mpf(v)) / (1 + mpf(nu) ** 2)
             for first in (start, start + 1):
-                exact = m * mp.nsum(lambda n: n ** v / mp.factorial(n) ** 2 * w ** n,
-                                    [first, mp.inf])
-                assert exact < mpf(1e-300)
-                assert mpf(tail_bound(nu, x, first - 1)) >= exact
+                product, _, envelope, _ = _exact_tails(nu, x, first - 1)
+                assert envelope < mpf(1e-300)
+                bound = mpf(tail_bound(nu, x, first - 1))
+                assert product <= bound <= mpf("1.0101") * envelope + mpf(5e-324)
 
 
 def test_derivative_tail_bound_is_positive_and_encloses_at_extreme_scales():
-    # The derivative's 2/x is applied inside the envelope's exponential:
-    # a tail below the double range can no longer round to 0 after the
-    # product, and 2/x can no longer overflow to inf at tiny x.  The
-    # rotation term (|nu|/x) tail_bound is formed in log space too, so
-    # |nu|/x cannot overflow below x ~ 1e-308 either.
+    # The derivative's 2/x and the rotation term's |nu|/x are applied
+    # inside the bound's exponential: a tail below the double range can
+    # no longer round to 0 after the product, and neither scale can
+    # overflow to inf below x ~ 1e-308.  The bound encloses the exact
+    # step-product sums and stays within the envelope's.
     cases = [(0.0, 5.0, 128), (1.0, 10.0, 400), (0.0, 1e-308, 1), (0.0, 1e-300, 1)]
     cases += [(nu, x, N) for nu in (0.5, 1.0, 3.0) for x in (1e-300, 1e-309, 5e-324)
               for N in (1, 5)]
@@ -268,16 +334,10 @@ def test_derivative_tail_bound_is_positive_and_encloses_at_extreme_scales():
         for nu, x, N in cases:
             bound = derivative_tail_bound(nu, x, N)
             assert 0.0 < bound < math.inf, (nu, x, N, bound)
-            v, w = abs(nu), (mpf(x) / 2) ** 2
-            m = mp.e ** (mpf(SUM_INV_SQUARES) * mpf(nu) ** 2 + SUM_INV_CUBES * factor_F(nu))
-            m *= (1 + mpf(v)) / (1 + mpf(nu) ** 2)
-
-            def env(power):
-                return m * mp.nsum(lambda n: n ** power / mp.factorial(n) ** 2 * w ** n,
-                                   [N + 1, mp.inf])
-
-            exact = 2 / mpf(x) * env(v + 1) + v / mpf(x) * env(v)
-            assert mpf(bound) >= exact, (nu, x, N, bound, exact)
+            s, s_d, e, e_d = _exact_tails(nu, x, N)
+            exact = (2 * s_d + abs(nu) * s) / mpf(x)
+            envelope = (2 * e_d + abs(nu) * e) / mpf(x)
+            assert exact <= mpf(bound) <= mpf("1.0101") * envelope + mpf(5e-324), (nu, x, N, bound)
 
 
 def test_derivative_rotation_term_is_tight_at_tiny_x():
@@ -332,6 +392,18 @@ def test_required_terms_is_the_first_count_of_a_linear_scan():
             with pytest.raises(ToleranceError):
                 required_terms(nu, x, tol)
         else:
+            assert required_terms(nu, x, tol) == first, (nu, x, tol)
+
+
+def test_required_terms_skips_counts_before_the_peak_only_where_the_scan_does():
+    # Tolerances from the largest bound down past the product's peak
+    # P_peak: below P_peak every count before the peak is skipped, above
+    # it each one is tried; the answer is the linear scan's either way.
+    for nu, x in ((0.0, 100.0), (20.0, 150.0), (-3.5, 40.0), (7.0, 12.0)):
+        bounds = [tail_bound(nu, x, n) for n in range(1, MAX_TERMS + 1)]
+        for k in range(40):
+            tol = max(bounds) * 10.0 ** (-0.25 * k)
+            first = next((n for n in range(1, MAX_TERMS + 1) if bounds[n - 1] <= tol), None)
             assert required_terms(nu, x, tol) == first, (nu, x, tol)
 
 
