@@ -64,6 +64,20 @@ also covers the second-order remainder for N <= MAX_TERMS).
   6 N 2^-1075 (`S_FLOOR` covers sqrt(2) times that), the sums by
   6 N^2 2^-1074.  r_k itself must stay normal: `series_core.eval_pair`
   treats w / (N (N^2 + nu^2)) below the normal range separately.
+* Tails below the normal range.  The closed forms above divide by
+  den - e > den / (N + 1) >= 4 (rd < 1 gives e < den N / (N + 1)) and
+  by den - ed.  An operation of theirs that lands below the normal
+  range rounds by an absolute 2^-1075, not a relative u, and the later
+  divisions and C carry that on: less than 1.6 2^-1074 on either tail
+  where den - ed >= 1.  Where den - ed < 1, rd > 7/8, so every rho_k,
+  k <= N + 1, is above 7/16, the last term is above 0.3^N >= 2^-695
+  and no operation leaves the normal range.  A tail >= 2^-1022 rounds
+  only relatively: its products and quotients are then normal (the sums
+  and fk s are exact where subnormal).  The derivative tail is at least
+  the value tail (fk >= 1 and ed >= e, rounding being monotone).  So
+  where the value tail is below 2^-1022 the kernel raises both by
+  2^-1073 (`_UNDER`), exactly or, for a normal derivative tail, upward,
+  and a positive discarded sum never reads 0.0.
 
 Carried tails.  Where rd >= 1 after step N (a forced count before the
 ratios fall, or a search that reached its cap or met a huge `tol`), the
@@ -122,9 +136,9 @@ the chain is the closed forms alone).  The bullets cover both starts.
 
 Frozen sums.  A forced count (`tol` < 0, N <= MAX_TERMS) runs every
 step, but past some step no addition can change a sum; from there the
-loop runs the recurrence alone, and every returned byte but the
-absorbed tails (below) is the one the full loop gives.  The argument,
-in round to nearest:
+loop runs the recurrence alone, and only until the tails are absorbed
+(below), and every returned byte but those tails is the one the full
+loop gives.  The argument, in round to nearest:
 
 * An addition X + d with |d| <= (u/4)|X| returns X for a normal X.
   With 2^e <= |X| < 2^(e+1), the floats next to X lie 2^(e-52) away,
@@ -173,46 +187,58 @@ in round to nearest:
 
 Absorbed tails.  Past the freeze the loop computes nothing but the last
 term, for the two tails, and `eval_pair` adds those to round-off bounds
-many orders larger.  So after each step K of the recurrence alone the
-loop forms majorants of the tails from step K, in the operations of the
-tails at N (C = `TAIL_FACTOR`, rho and rd from w (1 + 16u)),
+many orders larger.  So from the freeze step on, before each step of
+the recurrence alone, the loop bounds the tails at N from the current
+term K, in the operations of the tails at N (C = `TAIL_FACTOR`, rho and
+rd from w (1 + 16u), P = fl(rho_(K+1)^(N-K)) one `**`),
 
-    t_K = 2 (s_K + S_FLOOR) rho_(K+1) / (1 - rho_(K+1)) C,
-    d_K = 4 (K + 1)(s_K + S_FLOOR) rho_(K+1) / (1 - rd_(K+1)) C,
+    S_K = s_K (2 P + 2^-1022) + S_FLOOR,
+    t_K = 2 S_K rho_(K+1) / (1 - rho_(K+1)) C + 2^-1022,
+    d_K = 4 (K + 1) S_K rho_(K+1) / (1 - rd_(K+1)) C + 2^-1022,
 
 and stops with them, k = N and fk = N + 1 (exact, as in the loop),
-once t_K + 2^-1022 <= (u/4) L and 2 d_K + |nu| t_K + 2^-1022 <=
-(u/4) L_d, with L = fl(8.5u s1) and L_d = 2 fl(8.5u s2).  den is not
-read again, and err and d_err read nothing else the loop skips, so
-every other field keeps its bytes.
+once t_K <= (u/4) L and 2 d_K + |nu| t_K <= (u/4) L_d, with
+L = fl(8.5u s1) and L_d = 2 fl(8.5u s2).  It steps the recurrence only
+while that fails, and the tails at N come from its last term where it
+never holds.  den is not read again, and err and d_err read nothing
+else the loop skips, so every other field keeps its bytes.
 
-* Majorants.  At K = N the factors 2 and 4 alone do it; let
-  N > K >= k, the freeze step.  By "Later steps" rho_(K+1) <= 1/2, so
-  a step takes s to at most 0.51 s + 2^-1072 (underflow adding
-  7 2^-1075); then s_N <= 0.51 s_K + 2^-1070 and s_N + S_FLOOR <=
-  1.008 (s_K + S_FLOOR).  rho and rd decrease, so the exact value tail
-  at N is at most 1.008 times the one at K.  rho lies between
-  g(K) = w / (K (K + |nu|)) and 2 g(K) (see "Length"), and
-  K g(K) = w / (K + |nu|) decreases, so (N + 1) rho_(N+1) <=
+* Majorants.  Let N > K >= k, the freeze step.  By "Later steps" every
+  rho_i, i > K, is at most rho_(K+1) <= 1/2, and a step multiplies the
+  l1 size of the term by at most rho_i (1 + 12u) and adds at most
+  7 2^-1075 below the normal range; so, forming s included,
+  s_N <= (1 + 14u)^(N-K) rho_(K+1)^(N-K) s_K + 2^-1070.  The computed
+  rho_(K+1) is above the exact one, and `pow` is within a few ulps of
+  its power: where P is normal, 2 P covers that and
+  (1 + 14u)^400 < 1 + 2^-40.  A subnormal or zero P has no relative
+  accuracy, but it is within a few 2^-1074 of the power, and the
+  2^-1022 covers the rest.  With one rounding each for the product and
+  the sum, s_N + S_FLOOR <= 1.008 S_K.  rho and rd decrease, so the
+  exact value tail at N is at most 1.008 times the one at K for S_K.
+  rho lies between g(K) = w / (K (K + |nu|)) and 2 g(K) (see "Length"),
+  and K g(K) = w / (K + |nu|) decreases, so (N + 1) rho_(N+1) <=
   2 (K + 1) rho_(K+1): the exact derivative tail at N is at most 2.016
   times the one at K.  rd <= 1/2 keeps den - e and den - ed above
   den / 2, so the roundings of e and den (three each) move those
   differences by at most 12u relative, and every other operation by u:
-  about 20u on either tail, 40u on a ratio of two.  The computed tails
-  at N are then below 1.01 and 2.02 times the computed ones at K, and
-  so below t_K and d_K, whose factors 2 and 4 are exact.
+  about 20u on either tail, 40u on a ratio of two.  Below the normal
+  range each tail also rounds by less than 1.6 2^-1074 (see "Tails
+  below the normal range"), and the full loop's gets 2^-1073 more.  So
+  the full loop's tails at N are below 1.01 and 2.02 times the closed
+  forms at K for S_K plus 2^-1072, while t_K and d_K are at least 2 and
+  4 times those less 2^-1072, plus 2^-1022: no smaller.
 * Absorbed.  Every addend of err and d_err, and of `eval_pair`'s
   round-off bounds R >= err and R_d >= 2 d_err, is >= 0, so with
-  monotone rounding R >= L and R_d >= L_d.  As in the freeze test, each
-  threshold is at least 2^-1022, so it is exact and L and L_d are
-  normal.  Then t_K <= (u/4) R, and D = fl(2 d_K) + fl(|nu| t_K), the
-  first sum of `eval_pair`'s derivative bound, is <= (u/4) R_d: by the
-  first lemma of "Frozen sums", t_K + R returns R and D + R_d returns
-  R_d.  The full loop's tails are at most t_K and d_K, so its own sums
-  are no larger and return R and R_d as well: every `eval_pair` byte is
-  the full loop's.  (At nu = 0 nothing freezes, so |nu| t_K is never
-  0 * inf; where r_N leaves the normal range `eval_pair` does not read
-  the kernel's tails.)
+  monotone rounding R >= L and R_d >= L_d.  Each threshold is at least
+  t_K >= 2^-1022, so, as in the freeze test, it is exact and L and L_d
+  are normal.  Then t_K <= (u/4) R, and D = fl(2 d_K) + fl(|nu| t_K),
+  the first sum of `eval_pair`'s derivative bound, is <= (u/4) R_d: by
+  the first lemma of "Frozen sums", t_K + R returns R and D + R_d
+  returns R_d.  The full loop's tails are at most t_K and d_K, so its
+  own sums are no larger and return R and R_d as well: every
+  `eval_pair` byte is the full loop's.  (At nu = 0 nothing freezes, so
+  |nu| t_K is never 0 * inf; where r_N leaves the normal range
+  `eval_pair` does not read the kernel's tails.)
 """
 
 #: Hard ceiling on the admissible number of series terms.
@@ -239,6 +265,9 @@ _INF = float("inf")
 #: every threshold _Q |X| must be at least _NORMAL (see "Frozen sums").
 _Q = 0.25 * _U
 _NORMAL = 2.0 ** -1022
+#: What the closed-form tails can lose below the normal range, rounded
+#: up from 1.6 * 2^-1074 (see "Tails below the normal range").
+_UNDER = 2.0 ** -1073
 
 
 def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
@@ -251,10 +280,11 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     stops after the first step N whose tail bound is <= `tol`.  A
     negative `tol` (the default) runs all `n_terms` steps; once its sums
     are frozen (see "Frozen sums") the rest of them advance only the
-    recurrence, and only until the tails are absorbed (see "Absorbed
-    tails"), so the cost follows the steps until then.  Every field is
-    the full loop's, except that absorbed tails are majorants of its
-    tails, too small to move a round-off bound of `eval_pair`.
+    recurrence, and only until the tails at `n_terms` are absorbed (see
+    "Absorbed tails"), which is mostly at once, so the cost follows the
+    steps until the freeze.  Every field is the full loop's, except
+    that absorbed tails are majorants of its tails, too small to move a
+    round-off bound of `eval_pair`.
 
     Returns ``(p, q, dp, dq, m, n, tail, d_tail, err, d_err)`` where, with
     t_k = (a_k, b_k) w^k and N = n the steps taken,
@@ -333,26 +363,28 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
             break
     tail = None  # set before the end only where the tails are absorbed
     if freeze and k < n_terms:
-        # no later addition can change a sum, m or j: run the recurrence
-        # alone, with the loop's operations in its order, to the last
-        # term or until the tails are absorbed (see "Absorbed tails")
+        # no later addition can change a sum, m or j: from the freeze
+        # step on, bound the tails at N from the current term K and stop
+        # once they are absorbed (see "Absorbed tails"); only while they
+        # are not, run the recurrence alone, with the loop's operations
+        # in its order
         lim = _Q * (_DRIFT * s1)
         d_lim = _Q * (2.0 * (_DRIFT * s2))
-        for k in range(k + 1, n_terms + 1):
+        for k in range(k, n_terms):
+            e = wu * (fk + v)
+            sn = s * (2.0 * (e / den) ** (n_terms - k) + _NORMAL) + S_FLOOR
+            t = 2.0 * (sn * e / (den - e) * factor) + _NORMAL
+            dt = 4.0 * (fk * sn * e / (den - fk * e / k) * factor) + _NORMAL
+            if t <= lim and 2.0 * dt + v * t <= d_lim:
+                tail, d_tail = t, dt
+                fk = n_terms + 1.0
+                break
             r = sw / den
             a, b = (fk * a - nu * b) * r, (nu * a + fk * b) * r
             fk = fk + 1.0
             den = fk * (fk * fk + nu2)
-            e = wu * (fk + v)
-            s = abs(a) + abs(b) + S_FLOOR
-            t = 2.0 * (s * e / (den - e) * factor)
-            dt = 4.0 * (fk * s * e / (den - fk * e / k) * factor)
-            if t + _NORMAL <= lim and 2.0 * dt + v * t + _NORMAL <= d_lim:
-                tail, d_tail = t, dt
-                k = n_terms
-                fk = k + 1.0
-                break
-        s = abs(a) + abs(b)
+            s = abs(a) + abs(b)
+        k = n_terms
     # fk = N + 1 here, and den = (N + 1)((N + 1)^2 + nu^2) unless the
     # tails are absorbed; the tails come last, as a carried chain moves
     # both on
@@ -385,6 +417,9 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
         if ed < den:  # then rho = e / den < 1 as well
             tail = s * e / (den - e) * factor
             d_tail = fk * s * e / (den - ed) * factor
+            if tail < _NORMAL:  # an operation may have underflowed
+                tail = tail + _UNDER
+                d_tail = d_tail + _UNDER
         else:  # carry the step bound on from the last term (see "Carried tails")
             tail, d_tail = carried_tails(s, fk, nu2, v, wu)
     return p, q, dp, dq, m, k, tail, d_tail, err, d_err

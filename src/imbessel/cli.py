@@ -29,7 +29,6 @@ import sys
 from .errors import DomainError, ToleranceError
 from .error_bounds import tail_bound
 from .lommel import ImaginaryOrder, classify
-from .oracle import oracle_pair
 from .series_core import _MODIFIED, _OSCILLATORY, Kind, _eval_row, eval_pair
 
 DEFAULT_TOL = 1e-12
@@ -39,6 +38,16 @@ DEFAULT_NUS = "0,0.5,1,1.5,2"
 COMPARE_SLACK = 1e-13
 #: how a negative number starts
 _NEGATIVE_STARTS = frozenset("-" + c for c in "0123456789.")
+
+
+def __getattr__(name):
+    # `compare` and `bounds` import the oracle, and with it mpmath, when
+    # they run; `oracle_pair` resolves here on first access (PEP 562)
+    if name == "oracle_pair":
+        from .oracle import oracle_pair
+
+        return oracle_pair
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _parse_kind(text: str) -> Kind:
@@ -141,13 +150,15 @@ def cmd_table(args, out) -> int:
 
 
 def cmd_compare(args, out) -> int:
+    from . import oracle
+
     kind = _parse_kind(args.kind)
     nus, xs = _grid_from_args(args)
     rows = []
     for nu in nus:
         for x, r in zip(xs, _eval_row(kind, nu, xs, args.tol, args.terms)):
             cos_part, sin_part, _, _, _, bound, _ = r
-            gold_cos, gold_sin = oracle_pair(kind, nu, x, digits=args.oracle_digits)
+            gold_cos, gold_sin = oracle.oracle_pair(kind, nu, x, digits=args.oracle_digits)
             err_cos = abs(cos_part - gold_cos)
             err_sin = abs(sin_part - gold_sin)
             ok = max(err_cos, err_sin) <= bound + COMPARE_SLACK
@@ -164,6 +175,8 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_bounds(args, out) -> int:
+    from . import oracle
+
     kind = _parse_kind(args.kind)
     try:
         n_list = [int(part) for part in args.terms_list.split(",") if part.strip() != ""]
@@ -171,7 +184,7 @@ def cmd_bounds(args, out) -> int:
         raise DomainError(f"bad --terms list {args.terms_list!r}: {exc}") from None
     if not n_list:
         raise DomainError("empty --terms list")
-    gold_cos, gold_sin = oracle_pair(kind, args.nu, args.x, digits=args.oracle_digits)
+    gold_cos, gold_sin = oracle.oracle_pair(kind, args.nu, args.x, digits=args.oracle_digits)
 
     # tail_bound is the a-priori truncation bound alone; bound is the
     # forced result's own, truncation plus round-off, which encloses

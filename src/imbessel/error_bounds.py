@@ -59,7 +59,7 @@ whose square overflows (its log sum would be inf - inf at large x).
 
 import math
 import sys
-from itertools import accumulate, chain, islice
+from itertools import accumulate, islice
 
 from ._backend import MAX_TERMS, RHO_UP, carried_tails
 from .errors import ToleranceError, check_count, check_positive, check_real, check_tol
@@ -203,28 +203,34 @@ def derivative_tail_bound(nu: float, x: float, N: int) -> float:
 def required_terms(nu: float, x: float, tol: float) -> int:
     """Smallest N <= MAX_TERMS whose `tail_bound` meets `tol`.
 
-    A linear scan over the same computation, which skips an N while some
-    P_K, K > N, is above `tol`: P_(N+1) itself, or the peak of P_n while
-    N + 1 is before it (rho_n decreases, so log P_n rises to one peak).
-    The bound after N steps is at least 1.01 exp(log P_K) as computed,
-    within the 1e-7 of the log sums, and so above tol wherever
-    log P_K > log tol.  Raises ToleranceError when even MAX_TERMS terms
-    cannot reach the tolerance (absurd x / tol pairings).
+    A linear scan over the same computation, which skips a count whose
+    bound it can show is above `tol` without running its chain: first
+    while P_(N+1) > tol, and past the first count whose chain fails,
+    while 0.99 S_N > tol, with S_N = sum_{N<K<=MAX_TERMS+1} P_K formed in
+    one backward pass over exp(log P_K).  The bound after N steps is at
+    least the exact sum of the P_K, K > N, which exp(log P_(N+1)) and
+    S_N exceed by at most the 1e-7 of the log sums and 401 roundings, so
+    by less than its factor 1.01 (and it is inf where S_N is).  Raises
+    ToleranceError when even MAX_TERMS terms cannot reach the tolerance
+    (absurd x / tol pairings).
     """
     v, nu2, x, w, log_products = _point(nu, x)
     check_tol(tol)
     if nu2 < math.inf:
         log_tol = math.log(tol)
-        rising = [next(log_products)]  # log P_1, ... up to the first fall
-        for log_p in log_products:
-            rising.append(log_p)
-            if log_p < rising[-2]:
+        counts = enumerate(islice(log_products, 1, None), start=1)  # N, log P_(N+1)
+        for N, log_p in counts:
+            if log_p <= log_tol:
+                if _bound(log_p, _totals(v, nu2, w, N)[0]) <= tol:
+                    return N
                 break
-        # counts N with N + 1 before the peak keep P_peak in their tails
-        start = len(rising) - 1 if max(rising) > log_tol else 1
-        for N, log_p in enumerate(chain(rising[start:], log_products), start=start):
-            if log_p <= log_tol and _bound(log_p, _totals(v, nu2, w, N)[0]) <= tol:
-                return N
+        # the chain failed at N: skip the later counts by their sums
+        logs = [log_p for _, log_p in counts]
+        sums = list(accumulate(map(_exp_sat, reversed(logs))))
+        for N, log_p in enumerate(logs, start=N + 1):
+            if 0.99 * sums[MAX_TERMS - N] <= tol:
+                if _bound(log_p, _totals(v, nu2, w, N)[0]) <= tol:
+                    return N
     raise ToleranceError(
         f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={float(nu)}, x={x}"
     )

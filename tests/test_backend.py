@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from imbessel import DomainError, Kind, ToleranceError, _backend, eval_pair
-from imbessel._backend import (_DRIFT, _INF, _NORMAL, _Q, _TINY6, _U, RHO_UP, S_FLOOR,
+from imbessel import MAX_TERMS, DomainError, Kind, ToleranceError, _backend, eval_pair
+from imbessel._backend import (_DRIFT, _INF, _NORMAL, _Q, _TINY6, _U, _UNDER, RHO_UP, S_FLOOR,
                                TAIL_FACTOR)
 from imbessel.oracle import coefficients_hp
 
@@ -20,8 +20,9 @@ SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 def reference_series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     # The kernel as it was before forced counts finished on the bare
     # recurrence: every step adds its term to every sum, and the tails
-    # come from the last term.  Kept verbatim as the reference the kernel
-    # must reproduce byte for byte, apart from the tails named in
+    # come from the last term; closed-form tails below the normal range
+    # are raised by 2^-1073, as in the kernel.  Kept as the reference the
+    # kernel must reproduce byte for byte, apart from the tails named in
     # `test_series_sums_equal_the_full_loop_byte_for_byte`.
     sw = w if modified else -w
     # e / den is rho_{k+1}; e = inf turns the stop test off
@@ -79,6 +80,9 @@ def reference_series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
             ed = fk * e / k  # rd = (N + 1) rho / N = ed / den
             if ed < den:
                 d_tail = fk * s * e / (den - ed) * factor
+                if tail < _NORMAL:  # an operation may have underflowed
+                    tail = tail + _UNDER
+                    d_tail = d_tail + _UNDER
 
     # Partial sums: adding a term rounds by at most u |sum| and at most
     # the term itself.  Up to step j (the last term above u m) take u m
@@ -213,11 +217,21 @@ _NU = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), st.floats(-40.0, 
 # counts before the ratios fall, whose tails are carried
 @example(modified=False, seed=(1.0, 0.0), nu=8.0, x=20.0, n_terms=9, tol=-1.0)
 @example(modified=True, seed=(0.0, 1.0), nu=0.0, x=40.0, n_terms=3, tol=1e-300)
-# frozen counts whose tails are absorbed long before the last step
+# frozen counts whose tails are absorbed at the freeze step itself
 @example(modified=False, seed=(1.0, 0.0), nu=1.3, x=0.01, n_terms=400, tol=-1.0)
 @example(modified=True, seed=(1.0, 0.0), nu=3.4, x=9.9, n_terms=64, tol=-1.0)
 # a frozen count whose tails are not absorbed before its last step
 @example(modified=False, seed=(1.0, 0.0), nu=3.4, x=2.0, n_terms=16, tol=-1.0)
+# a freeze one step before N (N - K = 1): absorbed there, and not
+@example(modified=False, seed=(1.0, 0.0), nu=-9.03940580654222, x=0.002261013973943247,
+         n_terms=5, tol=-1.0)
+@example(modified=False, seed=(1.0, 0.0), nu=-31.616969090520328, x=1.3590391498131118,
+         n_terms=10, tol=-1.0)
+# rho_(K+1)^(N - K) below the normal range while s_K is 6.8e-4
+@example(modified=True, seed=(1.0, 0.0), nu=1.2972216255443954, x=37.20002452086645,
+         n_terms=400, tol=-1.0)
+# nu = 0 never freezes; its closed-form tails underflow and are raised
+@example(modified=False, seed=(1.0, 0.0), nu=0.0, x=0.01, n_terms=400, tol=-1.0)
 def test_series_sums_equal_the_full_loop_byte_for_byte(modified, seed, nu, x, n_terms, tol):
     # A forced count stops adding once its sums are frozen; every value it
     # returns must still be the full loop's, bit for bit.  Two kinds of
@@ -273,6 +287,12 @@ def _eval_outcome(kind, nu, x, tol, terms):
 @example(kind=Kind.OSCILLATORY, nu=1.3, x=0.01, terms=400, tol=1e-12)
 @example(kind=Kind.MODIFIED, nu=3.4, x=9.9, terms=64, tol=1e-12)
 @example(kind=Kind.OSCILLATORY, nu=3.4, x=2.0, terms=16, tol=1e-12)
+@example(kind=Kind.OSCILLATORY, nu=-9.03940580654222, x=0.002261013973943247, terms=5,
+         tol=1e-12)
+@example(kind=Kind.OSCILLATORY, nu=-31.616969090520328, x=1.3590391498131118, terms=10,
+         tol=1e-12)
+@example(kind=Kind.MODIFIED, nu=1.2972216255443954, x=37.20002452086645, terms=400, tol=1e-12)
+@example(kind=Kind.OSCILLATORY, nu=0.0, x=0.01, terms=400, tol=1e-12)
 def test_eval_pair_bytes_equal_the_full_loop(kind, nu, x, terms, tol):
     # Whatever tails the kernel returns for a frozen count, `eval_pair`
     # must answer with the full loop's bytes in all seven fields, or
@@ -284,6 +304,30 @@ def test_eval_pair_bytes_equal_the_full_loop(kind, nu, x, terms, tol):
     finally:
         _backend.series_sums = _KERNEL
     assert got == want, (got, want)
+
+
+def test_tails_below_the_normal_range_stay_bounds():
+    # Where the closed-form tails fall below the normal range their
+    # operations round by absolute steps, and the kernel raises both by
+    # 2^-1073: a positive discarded sum never reads 0.0, and each tail
+    # still encloses the exact one, from the extended-precision
+    # coefficients, across the band where it turns subnormal.
+    assert _backend.series_sums(False, 1.0, 0.0, 0.0, 2.5e-5, 400)[6:8] == (_UNDER, _UNDER)
+    for kind, modified in ((Kind.OSCILLATORY, 0), (Kind.MODIFIED, 1)):
+        for nu, x in ((0.0, 0.01), (1.3, 0.01), (-2.5, 0.03)):
+            table = coefficients_hp(kind, nu, (1.0, 0.0), 130)
+            w = (0.5 * x) * (0.5 * x)
+            # forced counts (which freeze unless nu = 0) and searched stops
+            calls = [(n, -1.0) for n in range(30, 61)]
+            calls += [(MAX_TERMS, tol) for tol in (1e-300, 1e-310, 1e-316, 1e-320, 5e-324)]
+            for cap, tol in calls:
+                n, tail, d_tail = _backend.series_sums(modified, 1.0, 0.0, nu, w, cap, tol)[5:8]
+                assert tail >= 2.0 ** -1074 and d_tail >= tail, (kind, nu, x, n)
+                with mp.workdps(30):
+                    sizes = [(k, (abs(a) + abs(b)) * mpf(w) ** k)
+                             for k, (a, b) in enumerate(table, start=1) if k > n]
+                    assert mpf(tail) >= sum(t for _, t in sizes), (kind, nu, x, n)
+                    assert mpf(d_tail) >= sum(k * t for k, t in sizes), (kind, nu, x, n)
 
 
 def test_carried_tails_end_finite_or_saturate():

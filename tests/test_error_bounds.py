@@ -397,14 +397,39 @@ def test_required_terms_is_the_first_count_of_a_linear_scan():
 
 def test_required_terms_skips_counts_before_the_peak_only_where_the_scan_does():
     # Tolerances from the largest bound down past the product's peak
-    # P_peak: below P_peak every count before the peak is skipped, above
-    # it each one is tried; the answer is the linear scan's either way.
+    # P_peak: below P_peak the counts before the peak are skipped (after
+    # one failed chain, by the sums of the later P_K), above it each one
+    # is tried; the answer is the linear scan's either way.
     for nu, x in ((0.0, 100.0), (20.0, 150.0), (-3.5, 40.0), (7.0, 12.0)):
         bounds = [tail_bound(nu, x, n) for n in range(1, MAX_TERMS + 1)]
         for k in range(40):
             tol = max(bounds) * 10.0 ** (-0.25 * k)
             first = next((n for n in range(1, MAX_TERMS + 1) if bounds[n - 1] <= tol), None)
             assert required_terms(nu, x, tol) == first, (nu, x, tol)
+
+
+def test_required_terms_runs_a_bounded_number_of_chains(monkeypatch):
+    # Tolerances between P_peak and the largest bound, at large x: each
+    # count's chain runs to where the ratio falls, so a scan that ran
+    # one per count did O(N L) steps (161 and 317 chains here).  The
+    # suffix sums of P_K skip the counts whose bound they prove too large.
+    from imbessel import error_bounds
+
+    runs = []
+    chain_of = error_bounds.carried_tails
+
+    def counting(*args):
+        runs.append(args)
+        return chain_of(*args)
+
+    cases = (((0.0, 300.0, 4.5e127), 161), ((2.5, 600.0, 1.8e261), 317))
+    for (nu, x, tol), answer in cases:
+        assert tail_bound(nu, x, answer) <= tol < tail_bound(nu, x, answer - 1)
+    monkeypatch.setattr(error_bounds, "carried_tails", counting)
+    for (nu, x, tol), answer in cases:
+        runs.clear()
+        assert required_terms(nu, x, tol) == answer
+        assert len(runs) <= 10, (nu, x, tol, len(runs))
 
 
 def test_tail_bound_rises_only_by_rounding_before_the_envelope_peak():

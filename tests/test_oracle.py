@@ -327,6 +327,34 @@ def test_package_import_leaves_dataclasses_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_cli_import_leaves_mpmath_unloaded():
+    # `eval`, `table` and `classify` never call the oracle; `compare` and
+    # `bounds` import it when they run, and `imbessel.cli.oracle_pair`
+    # still resolves (the benchmark's tracer binds it)
+    src = str(Path(imbessel.__file__).resolve().parents[1])
+    probe = (
+        "import io, sys, imbessel.cli as cli\n"
+        "for argv in (['table', '--x-steps', '2'], ['eval', '--nu', '1', '--x', '1'],\n"
+        "             ['classify', '--a', '1.5', '--b', '3', '--c', '2', '--beta', '1']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "assert 'mpmath' not in sys.modules, 'imported eagerly'\n"
+        "assert cli.main(['bounds', '--nu', '1', '--x', '2', '--terms', '2'],\n"
+        "                out=io.StringIO()) == 0\n"
+        "import imbessel.oracle\n"
+        "assert cli.oracle_pair is imbessel.oracle.oracle_pair\n"
+        "try:\n"
+        "    cli.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('no AttributeError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 # ---------------------------------------------------------------- macdonald
 
 def test_macdonald_zero_order():
