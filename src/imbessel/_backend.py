@@ -135,10 +135,11 @@ the chain is the closed forms alone).  The bullets cover both starts.
   closed forms.
 
 Frozen sums.  A forced count (`tol` < 0, N <= MAX_TERMS) runs every
-step, but past some step no addition can change a sum; from there the
-loop runs the recurrence alone, and only until the tails are absorbed
-(below), and every returned byte but those tails is the one the full
-loop gives.  The argument, in round to nearest:
+step, but past some step no addition can change a sum.  The loop tests
+for that (the freeze), and where the test passes, whether the tails are
+absorbed (below); until they are it takes its ordinary steps, and every
+returned byte but those tails is the one the full loop gives.  The
+argument, in round to nearest:
 
 * An addition X + d with |d| <= (u/4)|X| returns X for a normal X.
   With 2^e <= |X| < 2^(e+1), the floats next to X lie 2^(e-52) away,
@@ -160,7 +161,9 @@ loop gives.  The argument, in round to nearest:
   (k + 1)^2 rho_{k+1} / k^2 <= 1/2, computed from w (1 + 16u) like the
   stop test's rho, so that the exact ratio meets it.  The 2^-1022 puts
   every threshold (u/4)|X| in the normal range, where it is exact, and
-  keeps it above any subnormal noise.
+  keeps it above any subnormal noise.  A searched call never tests for
+  a freeze: `eval_pair` asks for tol >= m eps, and the ratio stop fires
+  first.
 * Later steps.  K^2 rho_K / (K - 1)^2 decreases in K (its log
   derivative, 1/(K + |nu|) + 1/K - 2/(K - 1) - 2K/(K^2 + nu^2), is
   negative), so it stays <= 1/2.  By the term drift above, a step
@@ -179,18 +182,13 @@ loop gives.  The argument, in round to nearest:
   the later terms are zeros.
 * m, um and j.  p and q do not move, so neither do m and um; every
   later s is below s_k + 2^-1022 <= (u/4) m < u m, so j stays.
-* The end.  The loop after the freeze repeats r_k, the (a, b) update,
-  k + 1 and den in the same operations and order, and s is recomputed
-  as |a| + |b| of the last term, so the tails and the round-off bounds
-  see the same values.  A searched call never tests for a freeze:
-  `eval_pair` asks for tol >= m eps, and the ratio stop fires first.
 
-Absorbed tails.  Past the freeze the loop computes nothing but the last
+Absorbed tails.  Past the freeze the steps change nothing but the last
 term, for the two tails, and `eval_pair` adds those to round-off bounds
-many orders larger.  So from the freeze step on, before each step of
-the recurrence alone, the loop bounds the tails at N from the current
-term K, in the operations of the tails at N (C = `TAIL_FACTOR`, rho and
-rd from w (1 + 16u), P = fl(rho_(K+1)^(N-K)) one `**`),
+many orders larger.  So at a step K < N whose freeze test passed, the
+loop bounds the tails at N from the current term K, in the operations
+of the tails at N (C = `TAIL_FACTOR`, rho and rd from w (1 + 16u),
+P = fl(rho_(K+1)^(N-K)) one `**`),
 
     S_K = s_K (2 P + 2^-1022) + S_FLOOR,
     t_K = 2 S_K rho_(K+1) / (1 - rho_(K+1)) C + 2^-1022,
@@ -198,15 +196,16 @@ rd from w (1 + 16u), P = fl(rho_(K+1)^(N-K)) one `**`),
 
 and stops with them, k = N and fk = N + 1 (exact, as in the loop),
 once t_K <= (u/4) L and 2 d_K + |nu| t_K <= (u/4) L_d, with
-L = fl(8.5u s1) and L_d = 2 fl(8.5u s2).  It steps the recurrence only
-while that fails, and the tails at N come from its last term where it
-never holds.  den is not read again, and err and d_err read nothing
-else the loop skips, so every other field keeps its bytes.
+L = fl(8.5u s1) and L_d = 2 fl(8.5u s2); otherwise the loop takes its
+next step, and the tails at N come from its last term where no test
+holds.  den is not read again, and err and d_err read nothing else the
+loop skips, so every other field keeps its bytes.
 
-* Majorants.  Let N > K >= k, the freeze step.  By "Later steps" every
-  rho_i, i > K, is at most rho_(K+1) <= 1/2, and a step multiplies the
-  l1 size of the term by at most rho_i (1 + 12u) and adds at most
-  7 2^-1075 below the normal range; so, forming s included,
+* Majorants.  Let N > K >= k, the first step whose freeze test
+  passed.  By "Later steps" every rho_i, i > K, is at most
+  rho_(K+1) <= 1/2, and a step multiplies the l1 size of the term by
+  at most rho_i (1 + 12u) and adds at most 7 2^-1075 below the normal
+  range; so, forming s included,
   s_N <= (1 + 14u)^(N-K) rho_(K+1)^(N-K) s_K + 2^-1070.  The computed
   rho_(K+1) is above the exact one, and `pow` is within a few ulps of
   its power: where P is normal, 2 P covers that and
@@ -278,13 +277,13 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     parameter, `w = (x/2)**2`, `n_terms` (>= 1) the most steps to take
     past the seed, and `tol` the target for the value tail: the loop
     stops after the first step N whose tail bound is <= `tol`.  A
-    negative `tol` (the default) runs all `n_terms` steps; once its sums
-    are frozen (see "Frozen sums") the rest of them advance only the
-    recurrence, and only until the tails at `n_terms` are absorbed (see
-    "Absorbed tails"), which is mostly at once, so the cost follows the
-    steps until the freeze.  Every field is the full loop's, except
-    that absorbed tails are majorants of its tails, too small to move a
-    round-off bound of `eval_pair`.
+    negative `tol` (the default) runs all `n_terms` steps, or stops
+    where its sums are frozen (see "Frozen sums") and the tails at
+    `n_terms` are absorbed (see "Absorbed tails"), which is mostly at
+    the freeze step, so the cost follows the steps until the freeze.
+    Every field is the full loop's, except that absorbed tails are
+    majorants of its tails, too small to move a round-off bound of
+    `eval_pair`.
 
     Returns ``(p, q, dp, dq, m, n, tail, d_tail, err, d_err)`` where, with
     t_k = (a_k, b_k) w^k and N = n the steps taken,
@@ -331,6 +330,7 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     s = aa + ab
     fk = 1.0
     den = 1.0 + nu2
+    tail = None  # set in the loop only where the tails are absorbed
     k = 0
     for k in range(1, n_terms + 1):
         r = sw / den
@@ -351,40 +351,28 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
         den = fk * (fk * fk + nu2)
         if s > um:
             j = k
-        elif (freeze and (fk - 1.0) * g + _NORMAL <= _Q * s2 and g + _NORMAL <= _Q * s1
+        elif (freeze and k < n_terms and (fk - 1.0) * g + _NORMAL <= _Q * s2
+              and g + _NORMAL <= _Q * s1
               and s + _NORMAL <= _Q * abs(p) and s + _NORMAL <= _Q * abs(q)
               and g + _NORMAL <= _Q * abs(dp) and g + _NORMAL <= _Q * abs(dq)
               and wu * (fk + v) * fk * fk <= 0.5 * (k * k) * den and m < _INF):
-            break  # the sums are frozen (see "Frozen sums")
+            # the sums are frozen (see "Frozen sums"): bound the tails at
+            # N from this term and stop if they are absorbed (see
+            # "Absorbed tails"); if not, the next step changes no sum
+            e = wu * (fk + v)
+            sn = s * (2.0 * (e / den) ** (n_terms - k) + _NORMAL) + S_FLOOR
+            t = 2.0 * (sn * e / (den - e) * factor) + _NORMAL
+            dt = 4.0 * (fk * sn * e / (den - fk * e / k) * factor) + _NORMAL
+            if t <= _Q * (_DRIFT * s1) and 2.0 * dt + v * t <= _Q * (2.0 * (_DRIFT * s2)):
+                tail, d_tail = t, dt
+                k = n_terms
+                fk = n_terms + 1.0
+                break
         e = wr * (fk + v)
         # the tail below without S_FLOOR, which only raises it: a step
         # that fails this test reports a tail > tol
         if e < den and s * e / (den - e) * factor <= tol:
             break
-    tail = None  # set before the end only where the tails are absorbed
-    if freeze and k < n_terms:
-        # no later addition can change a sum, m or j: from the freeze
-        # step on, bound the tails at N from the current term K and stop
-        # once they are absorbed (see "Absorbed tails"); only while they
-        # are not, run the recurrence alone, with the loop's operations
-        # in its order
-        lim = _Q * (_DRIFT * s1)
-        d_lim = _Q * (2.0 * (_DRIFT * s2))
-        for k in range(k, n_terms):
-            e = wu * (fk + v)
-            sn = s * (2.0 * (e / den) ** (n_terms - k) + _NORMAL) + S_FLOOR
-            t = 2.0 * (sn * e / (den - e) * factor) + _NORMAL
-            dt = 4.0 * (fk * sn * e / (den - fk * e / k) * factor) + _NORMAL
-            if t <= lim and 2.0 * dt + v * t <= d_lim:
-                tail, d_tail = t, dt
-                fk = n_terms + 1.0
-                break
-            r = sw / den
-            a, b = (fk * a - nu * b) * r, (nu * a + fk * b) * r
-            fk = fk + 1.0
-            den = fk * (fk * fk + nu2)
-            s = abs(a) + abs(b)
-        k = n_terms
     # fk = N + 1 here, and den = (N + 1)((N + 1)^2 + nu^2) unless the
     # tails are absorbed; the tails come last, as a carried chain moves
     # both on

@@ -209,13 +209,13 @@ def cmd_classify(args, out) -> int:
     return 0
 
 
-def _add_common(p, with_terms=True):
+def _add_common(p, searched=True):
     p.add_argument("--kind", choices=["osc", "mod"], default="osc",
                    help="equation kind: oscillatory (osc) or modified (mod)")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"guaranteed truncation tolerance (default {DEFAULT_TOL:g})")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    if with_terms:
+    if searched:  # `bounds` forces its term counts, so it has neither
+        p.add_argument("--tol", type=float, default=DEFAULT_TOL,
+                       help=f"guaranteed truncation tolerance (default {DEFAULT_TOL:g})")
         p.add_argument("--terms", type=int, default=None,
                        help="force the term count instead of deriving it from --tol")
 
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=cmd_compare)
 
     p = sub.add_parser("bounds", help="tail bounds vs empirical error at one point")
-    _add_common(p, with_terms=False)
+    _add_common(p, searched=False)
     p.add_argument("--nu", type=float, required=True)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--terms", dest="terms_list", default="2,4,8,16",

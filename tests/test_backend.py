@@ -222,6 +222,11 @@ _NU = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), st.floats(-40.0, 
 @example(modified=True, seed=(1.0, 0.0), nu=3.4, x=9.9, n_terms=64, tol=-1.0)
 # a frozen count whose tails are not absorbed before its last step
 @example(modified=False, seed=(1.0, 0.0), nu=3.4, x=2.0, n_terms=16, tol=-1.0)
+# frozen counts absorbed only after further steps (3 and 6 absorption tests)
+@example(modified=False, seed=(1.0, 0.0), nu=4.954360521929658, x=9.40072577096749,
+         n_terms=32, tol=-1.0)
+@example(modified=True, seed=(1.0, 0.0), nu=-4.481365411079379, x=4.8476912441085025,
+         n_terms=24, tol=-1.0)
 # a freeze one step before N (N - K = 1): absorbed there, and not
 @example(modified=False, seed=(1.0, 0.0), nu=-9.03940580654222, x=0.002261013973943247,
          n_terms=5, tol=-1.0)
@@ -287,6 +292,8 @@ def _eval_outcome(kind, nu, x, tol, terms):
 @example(kind=Kind.OSCILLATORY, nu=1.3, x=0.01, terms=400, tol=1e-12)
 @example(kind=Kind.MODIFIED, nu=3.4, x=9.9, terms=64, tol=1e-12)
 @example(kind=Kind.OSCILLATORY, nu=3.4, x=2.0, terms=16, tol=1e-12)
+@example(kind=Kind.OSCILLATORY, nu=4.954360521929658, x=9.40072577096749, terms=32, tol=1e-12)
+@example(kind=Kind.MODIFIED, nu=-4.481365411079379, x=4.8476912441085025, terms=24, tol=1e-12)
 @example(kind=Kind.OSCILLATORY, nu=-9.03940580654222, x=0.002261013973943247, terms=5,
          tol=1e-12)
 @example(kind=Kind.OSCILLATORY, nu=-31.616969090520328, x=1.3590391498131118, terms=10,

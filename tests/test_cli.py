@@ -280,6 +280,15 @@ def test_bounds_result_bound_encloses_empirical_error_without_slack():
         assert float(row[err]) <= float(row[bound])
 
 
+def test_bounds_has_no_tolerance_option(capsys):
+    # bounds forces every term count, so a --tol would be ignored: it is
+    # not an option of the command
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bounds", "--nu", "1", "--x", "2", "--tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ classify
 
 def test_classify_imaginary_case():
