@@ -25,7 +25,9 @@ and those of the derivative series sum_k k t_k to at most
 (N+1)(|a_N| + |b_N|) rho_{N+1} / (1 - rd),  rd = (N+1) rho_{N+1} / N,
 because k rho_k / (k-1) decreases as well (Gil, Segura & Temme,
 *Numerical Methods for Special Functions*, SIAM 2007, ch. 2).  The loop
-stops at the first step whose value tail is <= `tol`.
+stops at the first step whose value tail is <= `tol`.  The tails it
+returns are these closed forms only where rd < 1/2; elsewhere it first
+carries the step bound on (see "Carried tails").
 
 Rounding (u = 2^-53, first order; the constants are rounded up, which
 also covers the second-order remainder for N <= MAX_TERMS).
@@ -53,7 +55,8 @@ also covers the second-order remainder for N <= MAX_TERMS).
   1 + (13 MAX_TERMS + 8) u, which covers the l1 drift of the last term
   for every N <= MAX_TERMS and the rounding of the tail arithmetic; rho
   is computed from w (1 + 16u), which keeps it above the exact ratio.
-  A carried chain (below) uses `CARRY_FACTOR` instead.
+  A chain that takes a step (see "Carried tails") uses `CARRY_FACTOR`
+  instead.
 * Gradual underflow.  A product that falls below the normal range adds
   an absolute 2^-1075 instead of a relative error.  Before the largest
   term every term is >= 1 (for a seed of modulus 1), so such an error
@@ -64,14 +67,13 @@ also covers the second-order remainder for N <= MAX_TERMS).
   6 N 2^-1075 (`S_FLOOR` covers sqrt(2) times that), the sums by
   6 N^2 2^-1074.  r_k itself must stay normal: `series_core.eval_pair`
   treats w / (N (N^2 + nu^2)) below the normal range separately.
-* Tails below the normal range.  The closed forms above divide by
-  den - e > den / (N + 1) >= 4 (rd < 1 gives e < den N / (N + 1)) and
-  by den - ed.  An operation of theirs that lands below the normal
-  range rounds by an absolute 2^-1075, not a relative u, and the later
-  divisions and C carry that on: less than 1.6 2^-1074 on either tail
-  where den - ed >= 1.  Where den - ed < 1, rd > 7/8, so every rho_k,
-  k <= N + 1, is above 7/16, the last term is above 0.3^N >= 2^-695
-  and no operation leaves the normal range.  A tail >= 2^-1022 rounds
+* Tails below the normal range.  The closed forms are evaluated only
+  where the computed rd is below 1/2, so e <= ed < den / 2 and they
+  divide by den - e >= den - ed > den / 2 >= 4 (den >= 8 at N >= 1).
+  An operation of theirs that lands below the normal range rounds by
+  an absolute 2^-1075, not a relative u, and the later divisions, the
+  factor e / (den - ed) < 1 and C carry that on: less than
+  1.6 2^-1074 on either tail.  A tail >= 2^-1022 rounds
   only relatively: its products and quotients are then normal (the sums
   and fk s are exact where subnormal).  The derivative tail is at least
   the value tail (fk >= 1 and ed >= e, rounding being monotone).  So
@@ -79,23 +81,28 @@ also covers the second-order remainder for N <= MAX_TERMS).
   2^-1073 (`_UNDER`), exactly or, for a normal derivative tail, upward,
   and a positive discarded sum never reads 0.0.
 
-Carried tails.  Where rd >= 1 after step N (a forced count before the
-ratios fall, or a search that reached its cap or met a huge `tol`), the
-closed forms above do not hold.  The kernel then carries the majorant
-on from the last term, M_N = |a_N| + |b_N| + S_FLOOR and
+Carried tails.  Every count whose tails are not absorbed (below) is
+closed by one chain, `carried_tails`.  Where rd >= 1 after step N (a
+forced count before the ratios fall, or a search that reached its cap
+or met a huge `tol`) the closed forms above do not hold, and where rd
+is near 1 they are loose by 1/(1 - rd).  So from the last term,
+M_N = |a_N| + |b_N| + S_FLOOR, the chain carries the majorant
 M_K = rho_K M_(K-1), which bounds |a_K| + |b_K| for every K > N by the
-step inequality.  It sums M_K and K M_K up to the first L whose
+step inequality.  It sums M_K and K M_K up to the first L >= N whose
 computed derivative ratio rd = (L + 1) rho_(L+1) / L is below 1/2, and
 adds the closed forms from step L:
 
     tail   = (sum_{N<K<=L} M_K + M_L rho_(L+1) / (1 - rho_(L+1))) C,
     d_tail = (sum_{N<K<=L} K M_K + (L + 1) M_L rho_(L+1) / (1 - rd)) C,
 
-with C = `CARRY_FACTOR`, or +inf for both once K M_K overflows (or is
-NaN after the recurrence overflowed).  `carried_tails` is this chain;
-`error_bounds` runs it a priori too, from M = 1 (for P_(N+1)) at index
-N + 1 <= 401, with w rounded once, and whatever rd is there (below 1/2,
-the chain is the closed forms alone).  The bullets cover both starts.
+with C = `TAIL_FACTOR` where L = N (the chain takes no step and is the
+closed forms alone) and C = `CARRY_FACTOR` where L > N, or +inf for
+both once K M_K overflows (or is NaN after the recurrence overflowed).
+The step inequality gives M_K <= M_N rho_(N+1)^(K-N), so the chain's
+exact sums are at most the closed forms at N, and the bound does not
+jump where rd crosses 1.  `error_bounds` runs the chain a priori too,
+from M = 1 (for P_(N+1)) at index N + 1 <= 401, with w rounded once.
+The bullets cover both starts.
 
 * Multipliers.  Each step forms fl(fl(M e) / den), e and den as in the
   stop test.  e = fl(fl(w (1 + 16u)) fl(K + |nu|)) has three roundings,
@@ -105,18 +112,25 @@ the chain is the closed forms alone).  The bullets cover both starts.
   rho_K (1 + 7u), and each computed M_K at least the exact majorant
   (rho_K (1 + 6u) with the a-priori start's rounded w; `error_bounds`
   covers a w below the normal range).
-* Normal range.  At the start rd >= 1, so rho_(N+1) >= N / (N + 1) >=
-  1/2 and, rho decreasing, rho_k >= 1/2 for every k <= N + 1.  The
-  modulus ratio of consecutive terms, w / (k |k + i nu|), is at least
-  rho_k / sqrt(2), so for a seed of modulus 1 |t_N| >= 2^(-1.5 N) and
-  M_N >= 2^-601 is normal; the a-priori start is M = 1.  While
-  rho_K >= 1, M does not fall, so no product leaves the normal range.
-  Past that, rho_K < 1, and each operation below the normal range takes
-  at most 2^-1075 off: at most 24 600 2^-1074 < 2^-1059 off any M_K, and
-  less than 2^-1028 off either tail, the closed forms included
-  (K < 2^15).  That is below 2^-426 of the first term M_(N+1) >= 2^-602,
-  which each tail of the kernel contains; `error_bounds` adds its tails
-  to 1 and N + 1, of which 2^-1028 is below 2^-1028 as well.
+* Normal range.  A chain that takes a step starts where the computed
+  rd_(N+1) is >= 1/2, so the exact one is above (1 - 2^-40) / 2 and
+  rho_(N+1) > c N / (2 (N + 1)), c = 1 - 2^-40.  With
+  g(K) = w / (K (K + |nu|)) (see "Length"), rho_(N+1) <= 2 g(N + 1),
+  and for k <= N, g(k) / g(N + 1) = (N + 1)(N + 1 + |nu|) /
+  (k (k + |nu|)) >= (N + 1) / k.  The modulus ratio of consecutive
+  terms, w / (k |k + i nu|), is at least g(k), so above c N / (4 k),
+  and for a seed of modulus 1 every |t_k|, k <= N, is above
+  prod_{i<=N} c N / (4 i) = c^N N^N / (4^N N!) (the factors fall, so
+  the partial products are smallest at k = N): above 2^-229 for
+  N <= 400.  So the terms up to N are normal and M_N > 2^-229; the
+  a-priori start is M = 1.  While rho_K >= 1, M does not fall, so no
+  product leaves the normal range.  Past that, rho_K < 1, and each
+  operation below the normal range takes at most 2^-1075 off: at most
+  24 600 2^-1074 < 2^-1059 off any M_K, and less than 2^-1028 off either
+  tail, the closed forms included (K < 2^15).  That is below 2^-796 of
+  the first term M_(N+1) > 2^-232, which each tail of the kernel
+  contains, and of 1 and N + 1, to which `error_bounds` adds its tails:
+  far below the 2^-32 that `CARRY_FACTOR` adds.
 * Length.  While rho_K >= 4 each computed multiplier is at least 3.99
   (at least 4 (1 - 2^-11) if M is subnormal, since M >= 2^-1063), so M
   overflows within 1 046 such steps whatever the seed: rho_K < 4 from
@@ -217,10 +231,13 @@ loop skips, so every other field keeps its bytes.
   rho lies between g(K) = w / (K (K + |nu|)) and 2 g(K) (see "Length"),
   and K g(K) = w / (K + |nu|) decreases, so (N + 1) rho_(N+1) <=
   2 (K + 1) rho_(K+1): the exact derivative tail at N is at most 2.016
-  times the one at K.  rd <= 1/2 keeps den - e and den - ed above
-  den / 2, so the roundings of e and den (three each) move those
-  differences by at most 12u relative, and every other operation by u:
-  about 20u on either tail, 40u on a ratio of two.  Below the normal
+  times the one at K.  By "Later steps" rd_(N+1) <= N / (2 (N + 1)),
+  which keeps the computed rd below 1/2 (N <= 400), so `carried_tails`
+  takes no step at N: the full loop's tails at N are the closed forms.
+  rd <= 1/2 keeps den - e and den - ed above den / 2, so the roundings
+  of e and den (three each) move those differences by at most 12u
+  relative, and every other operation by u: about 20u on either tail,
+  40u on a ratio of two.  Below the normal
   range each tail also rounds by less than 1.6 2^-1074 (see "Tails
   below the normal range"), and the full loop's gets 2^-1073 more.  So
   the full loop's tails at N are below 1.01 and 2.02 times the closed
@@ -373,9 +390,7 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
         # that fails this test reports a tail > tol
         if e < den and s * e / (den - e) * factor <= tol:
             break
-    # fk = N + 1 here, and den = (N + 1)((N + 1)^2 + nu^2) unless the
-    # tails are absorbed; the tails come last, as a carried chain moves
-    # both on
+    # fk = N + 1 here
     #
     # Partial sums: adding a term rounds by at most u |sum| and at most
     # the term itself.  Up to step j (the last term above u m) take u m
@@ -398,18 +413,8 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     err = _DRIFT * s1 + sums + n * n * _TINY6
     d_err = _DRIFT * s2 + d_sums + n * n * n * _TINY6
 
-    if tail is None:  # the tails, from rho_(N+1) = e / den
-        e = wu * (fk + v)
-        s = s + S_FLOOR
-        ed = fk * e / k  # rd = (N + 1) rho / N = ed / den
-        if ed < den:  # then rho = e / den < 1 as well
-            tail = s * e / (den - e) * factor
-            d_tail = fk * s * e / (den - ed) * factor
-            if tail < _NORMAL:  # an operation may have underflowed
-                tail = tail + _UNDER
-                d_tail = d_tail + _UNDER
-        else:  # carry the step bound on from the last term (see "Carried tails")
-            tail, d_tail = carried_tails(s, fk, nu2, v, wu)
+    if tail is None:  # the tails from the last term (see "Carried tails")
+        tail, d_tail = carried_tails(s + S_FLOOR, fk, nu2, v, wu)
     return p, q, dp, dq, m, k, tail, d_tail, err, d_err
 
 
@@ -421,7 +426,9 @@ def carried_tails(s, fk, nu2, v, wu):
     e = wu * (fk + v)
     ed = fk * e / (fk - 1.0)
     tail = d_tail = 0.0
+    factor = TAIL_FACTOR
     while not ed < 0.5 * den and d_tail < _INF:
+        factor = CARRY_FACTOR
         s = s * e / den  # M_K = rho_K M_(K-1), with K = fk
         tail = tail + s
         d_tail = d_tail + fk * s
@@ -430,8 +437,11 @@ def carried_tails(s, fk, nu2, v, wu):
         e = wu * (fk + v)
         ed = fk * e / (fk - 1.0)
     if d_tail < _INF:
-        tail = (tail + s * e / (den - e)) * CARRY_FACTOR
-        d_tail = (d_tail + fk * s * e / (den - ed)) * CARRY_FACTOR
+        tail = (tail + s * e / (den - e)) * factor
+        d_tail = (d_tail + fk * s * e / (den - ed)) * factor
+        if tail < _NORMAL:  # an operation may have underflowed
+            tail = tail + _UNDER
+            d_tail = d_tail + _UNDER
     else:  # M overflowed, or is NaN after a term did
         tail = d_tail = _INF
     return tail, d_tail

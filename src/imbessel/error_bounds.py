@@ -19,8 +19,9 @@ from |nu| ~ 19.
 After N steps the discarded terms and their n-weighted sizes sum to at
 most P_(N+1) (1 + c) and P_(N+1) (N + 1 + c_d), with c and c_d the chain
 `_backend.carried_tails` runs from M = 1 at index N + 1 (see "Carried
-tails" there): the kernel's bound for a forced count, carried until the
-derivative ratio is below 1/2 and closed with a geometric tail.
+tails" there): the kernel's closing, carried until the derivative
+ratio is below 1/2 and closed with a geometric tail; a chain that takes
+no step is that tail alone, with `TAIL_FACTOR`.
 log P_(N+1) is one running sum of log w + log((i + |nu|) / i /
 (i^2 + nu^2)), with log w from log x where w is not normal, so no factor
 leaves the double range.  Then

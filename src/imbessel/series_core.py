@@ -135,12 +135,12 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     the four outputs is one component of a rotated complex number, so it
     inherits the bound of that number's modulus.
 
-    Where the kernel's ratio is not below 1 (a forced count with few
-    terms for its x), the kernel carries its step bound on from the last
-    term until the ratio falls (see `_backend`), and the same formulas
-    take its tails; they are inf only where that chain leaves the double
-    range.  Where r_N = w / (N (N^2 + nu^2)) falls below the normal
-    range (x below about 1e-150, or a huge order), the terms past the
+    Where the kernel's derivative ratio is not below 1/2 (a forced count
+    with few terms for its x), the kernel carries its step bound on from
+    the last term until the ratio falls (see `_backend`), and the same
+    formulas take its tails; they are inf only where that chain leaves
+    the double range.  Where r_N = w / (N (N^2 + nu^2)) falls below the
+    normal range (x below about 1e-150, or a huge order), the terms past the
     seed are not computed to relative accuracy, so all of them count as
     lost: their exact sums are bounded by the ratio chain from the seed,
     their computed ones are S - 1 and D.

@@ -5,6 +5,7 @@ import math
 import struct
 from pathlib import Path
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
@@ -191,6 +192,16 @@ def _pack(values):
                     for v in values)
 
 
+def _carries(nu, w, n):
+    # whether the kernel's closing carries its step bound on after n
+    # steps: the computed derivative ratio rd_(n+1) = ed / den is not
+    # below 1/2 (see "Carried tails")
+    fk = n + 1.0
+    den = fk * (fk * fk + nu * nu)
+    ed = fk * (w * RHO_UP * (fk + abs(nu))) / n
+    return not ed < 0.5 * den
+
+
 _X = st.one_of(st.floats(5e-324, 40.0),
                st.floats(-323.3, 1.6).map(lambda e: max(10.0 ** e, 5e-324)))
 _NU = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), st.floats(-40.0, 40.0))
@@ -237,12 +248,20 @@ _NU = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), st.floats(-40.0, 
          n_terms=400, tol=-1.0)
 # nu = 0 never freezes; its closed-form tails underflow and are raised
 @example(modified=False, seed=(1.0, 0.0), nu=0.0, x=0.01, n_terms=400, tol=-1.0)
+# counts with rd_(N+1) in [1/2, 1), whose tails are carried and tighter:
+# the first past rd = 1 (0.9995) at an oscillatory order, a forced count
+# and its searched twin at nu = 0, and a search that stops in the band
+@example(modified=False, seed=(1.0, 0.0), nu=-19.3, x=28.36, n_terms=12, tol=-1.0)
+@example(modified=False, seed=(1.0, 0.0), nu=0.0, x=7.0, n_terms=4, tol=-1.0)
+@example(modified=False, seed=(1.0, 0.0), nu=0.0, x=7.0, n_terms=4, tol=0.1)
+@example(modified=True, seed=(1.0, 0.0), nu=18.66, x=8.68, n_terms=400, tol=1.0)
 def test_series_sums_equal_the_full_loop_byte_for_byte(modified, seed, nu, x, n_terms, tol):
     # A forced count stops adding once its sums are frozen; every value it
     # returns must still be the full loop's, bit for bit.  Two kinds of
     # call return other tails:
-    # * where the full loop's derivative tail is inf, the kernel carries
-    #   its step bound on instead (see "Carried tails");
+    # * where the computed rd_(N+1) is not below 1/2, the kernel carries
+    #   its step bound on (see "Carried tails"), never above the full
+    #   loop's closed forms (inf where rd >= 1);
     # * where a frozen count stops once its tails are absorbed (see
     #   "Absorbed tails"), it returns majorants of the full loop's tails,
     #   small enough that no round-off bound they are added to moves.
@@ -252,10 +271,11 @@ def test_series_sums_equal_the_full_loop_byte_for_byte(modified, seed, nu, x, n_
     assert type(got[5]) is type(want[5]) is int
     assert _pack(got[:6] + got[8:]) == _pack(want[:6] + want[8:]), (got, want)
     tail, d_tail, err, d_err = got[6:]
-    if want[7] == _INF:
+    if _carries(nu, w, got[5]):
         # x <= 40 keeps every majorant far inside the double range, so
         # the chain cannot overflow
         assert tail < _INF and d_tail < _INF, got
+        assert tail <= want[6] and d_tail <= want[7], (got, want)
     elif got[6:8] != want[6:8]:
         assert tol < 0.0, (got, want)
         assert tail >= want[6] and d_tail >= want[7], (got, want)
@@ -269,11 +289,11 @@ _KERNEL = _backend.series_sums
 
 
 def _full_loop(*args):
-    # The reference; where its tails are inf the kernel carries its step
-    # bound on, and those carried tails stand in (they are not what the
-    # freeze and the absorption change).
+    # The reference; where the kernel carries its step bound on (the
+    # computed rd_(N+1) is not below 1/2), its carried tails stand in
+    # (they are not what the freeze and the absorption change).
     want = reference_series_sums(*args)
-    if want[7] < _INF:
+    if not _carries(args[3], args[4], want[5]):
         return want
     return want[:6] + _KERNEL(*args)[6:8] + want[8:]
 
@@ -300,6 +320,7 @@ def _eval_outcome(kind, nu, x, tol, terms):
          tol=1e-12)
 @example(kind=Kind.MODIFIED, nu=1.2972216255443954, x=37.20002452086645, terms=400, tol=1e-12)
 @example(kind=Kind.OSCILLATORY, nu=0.0, x=0.01, terms=400, tol=1e-12)
+@example(kind=Kind.OSCILLATORY, nu=-19.3, x=28.36, terms=12, tol=1e-12)
 def test_eval_pair_bytes_equal_the_full_loop(kind, nu, x, terms, tol):
     # Whatever tails the kernel returns for a frozen count, `eval_pair`
     # must answer with the full loop's bytes in all seven fields, or
@@ -335,6 +356,47 @@ def test_tails_below_the_normal_range_stay_bounds():
                              for k, (a, b) in enumerate(table, start=1) if k > n]
                     assert mpf(tail) >= sum(t for _, t in sizes), (kind, nu, x, n)
                     assert mpf(d_tail) >= sum(k * t for k, t in sizes), (kind, nu, x, n)
+
+
+@pytest.mark.parametrize("kind, nu, x, n", [
+    (Kind.OSCILLATORY, -19.3, 28.36, 12),  # rd_(N+1) = 0.9995
+    (Kind.MODIFIED, 0.0, 7.0, 4),  # 0.61
+    (Kind.MODIFIED, 3.5, 210.0, 120),  # 0.78
+])
+def test_tails_carried_from_the_band_stay_bounds(monkeypatch, kind, nu, x, n):
+    # Counts whose derivative ratio rd_(N+1) lies in [1/2, 1): the chain
+    # starts there (see "Carried tails"), from a normal M_N (its "Normal
+    # range" bullet: above 2^-229 for a seed of modulus 1), takes at
+    # least one step, so its tails lie below the closed forms at N (which
+    # are positive only for rd < 1), and they still enclose the exact
+    # discarded sums, from the extended-precision coefficients at 30
+    # digits.
+    w = (0.5 * x) * (0.5 * x)
+    assert _carries(nu, w, n)
+    starts = []
+    chain = _backend.carried_tails
+
+    def recording(*args):
+        starts.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(_backend, "carried_tails", recording)
+    steps, tail, d_tail = _backend.series_sums(kind is Kind.MODIFIED, 1.0, 0.0, nu, w, n)[5:8]
+    assert steps == n and len(starts) == 1
+    s, fk = starts[0][:2]
+    assert fk == n + 1.0 and s > 2.0 ** -229, starts  # M_N is normal
+    e = w * RHO_UP * (fk + abs(nu))
+    den = fk * (fk * fk + nu * nu)
+    assert tail < s * e / (den - e) * TAIL_FACTOR, (tail, s)
+    assert d_tail < fk * s * e / (den - fk * e / n) * TAIL_FACTOR, (d_tail, s)
+    table = coefficients_hp(kind, nu, (1.0, 0.0), n + 400)
+    with mp.workdps(30):
+        sizes = [(k, (abs(a) + abs(b)) * mpf(w) ** k)
+                 for k, (a, b) in enumerate(table, start=1) if k > n]
+        exact = sum(t for _, t in sizes)
+        assert sizes[-1][1] < mpf(10) ** -40 * exact  # the rest is beyond 30 digits
+        assert mpf(tail) >= exact, (tail, exact)
+        assert mpf(d_tail) >= sum(k * t for k, t in sizes), d_tail
 
 
 def test_carried_tails_end_finite_or_saturate():

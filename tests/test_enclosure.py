@@ -20,9 +20,11 @@ from imbessel import (
     DomainError,
     Kind,
     ToleranceError,
+    derivative_tail_bound,
     eval_pair,
     oracle_pair_derivs_hp,
     oracle_pair_hp,
+    tail_bound,
 )
 
 KINDS = (Kind.OSCILLATORY, Kind.MODIFIED)
@@ -86,7 +88,7 @@ def test_bounds_enclose_the_oracle_without_slack():
 
 def _rd(nu, x, n):
     # the exact derivative ratio (N + 1) rho_(N+1) / N after N steps; the
-    # kernel carries its tails on where it is not below 1
+    # kernel carries its tails on where it is not below 1/2
     v = abs(nu)
     return (0.5 * x) ** 2 * (n + 1 + v) / (n * ((n + 1) ** 2 + nu * nu))
 
@@ -118,18 +120,31 @@ def test_forced_counts_before_the_crossing_are_enclosed_without_slack():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_bounds_do_not_jump_at_the_crossing(kind):
-    # N is the last count whose derivative ratio is not below 1 (carried
-    # tails), N + 1 the first closed-form one.  The closed form after
-    # N + 1 steps sums a geometric series at rd_(N+1), so it loosens as
-    # rd_(N+1) nears 1 (0.975 on this grid: 7.7x).
+    # N is the last count whose derivative ratio is not below 1, and then
+    # the last whose ratio is not below 1/2: from N + 1 on the kernel no
+    # longer carries its step bound as far (rd_(N+1) < 1) or at all
+    # (rd_(N+1) < 1/2).  The chain is the one closing on both sides, so
+    # neither bound rises across either crossing.  The bounds before it
+    # stay within 1.1 times the a-priori bound of the count (truncation)
+    # plus the bound at MAX_TERMS (round-off).
     for nu in (0.0, 0.5, 3.0, 8.0, 12.0, 20.0):
         for x in (10.0, 20.0, 40.0):
-            n = max(k for k in range(1, MAX_TERMS) if _rd(nu, x, k) >= 1.0)
-            before = eval_pair(kind, nu, x, terms=n)
-            after = eval_pair(kind, nu, x, terms=n + 1)
-            for b, a in ((before.tail_bound, after.tail_bound),
-                         (before.d_tail_bound, after.d_tail_bound)):
-                assert a <= 8.0 * b and b <= 2.5 * a, (nu, x, n, b, a)
+            full = eval_pair(kind, nu, x, terms=MAX_TERMS)
+            for limit in (1.0, 0.5):
+                n = max(k for k in range(1, MAX_TERMS) if _rd(nu, x, k) >= limit)
+                before = eval_pair(kind, nu, x, terms=n)
+                after = eval_pair(kind, nu, x, terms=n + 1)
+                case = (nu, x, limit, n)
+                assert after.tail_bound <= before.tail_bound, case
+                assert after.d_tail_bound <= before.d_tail_bound, case
+                assert before.tail_bound <= 1.1 * tail_bound(nu, x, n) + full.tail_bound, case
+                assert (before.d_tail_bound
+                        <= 1.1 * derivative_tail_bound(nu, x, n) + full.d_tail_bound), case
+    # around the first count past rd = 1 at an oscillatory order, where
+    # rd_13 = 0.9995 and the closed form's 1 / (1 - rd) would blow up
+    bounds = [eval_pair(Kind.OSCILLATORY, -19.3, 28.36, terms=n) for n in range(10, 15)]
+    for b, a in zip(bounds, bounds[1:]):
+        assert a.tail_bound <= b.tail_bound and a.d_tail_bound <= b.d_tail_bound, (b, a)
 
 
 @pytest.mark.parametrize("kind", KINDS)
