@@ -10,8 +10,11 @@ Grid rows come in order, outer loop over the nu list, inner over x.
 `table` and `compare` evaluate one order at a time through
 `series_core._eval_row`, which checks the order once and runs
 `eval_pair`'s per-point body at each x, so a row holds `eval_pair`'s
-values bit for bit.  Both evaluate the whole grid before they write a
-byte, so a refusal anywhere writes nothing.  `table`'s CSV formats
+values bit for bit.  `compare` also evaluates its oracle one order at a
+time, through `oracle._gold_row`, right after that order's series row,
+so the oracle's checks run once per order and a refusal comes from
+the first order that fails.  Both evaluate the whole grid before they
+write a byte, so a refusal anywhere writes nothing.  `table`'s CSV formats
 each x once per grid and each nu once per order, into a per-order
 template that follows the same rule.  Evaluation is serial: the work
 is pure Python and holds the interpreter lock, so threads could not
@@ -156,9 +159,10 @@ def cmd_compare(args, out) -> int:
     nus, xs = _grid_from_args(args)
     rows = []
     for nu in nus:
-        for x, r in zip(xs, _eval_row(kind, nu, xs, args.tol, args.terms)):
+        row = _eval_row(kind, nu, xs, args.tol, args.terms)
+        gold = oracle._gold_row(kind, nu, xs, args.oracle_digits)
+        for x, r, (gold_cos, gold_sin) in zip(xs, row, gold):
             cos_part, sin_part, _, _, _, bound, _ = r
-            gold_cos, gold_sin = oracle.oracle_pair(kind, nu, x, digits=args.oracle_digits)
             err_cos = abs(cos_part - gold_cos)
             err_sin = abs(sin_part - gold_sin)
             ok = max(err_cos, err_sin) <= bound + COMPARE_SLACK

@@ -4,13 +4,17 @@ The gold pair `oracle_pair_hp` (and its derivative) is the normalized
 series written as a confluent hypergeometric function,
 x^(i nu) 0F1(; 1 + i nu; -+x^2/4), and is evaluated by mpmath's `hyp0f1`,
 which sums it in fixed point and raises its own precision where the
-series cancels.  Everything else here is hand-written and independent of
-both that and the double-precision series path: the complex Gamma
-function by an argument-shifted Stirling series, the imaginary-order
-Bessel and modified Bessel functions by direct complex summation of
-their defining series (a posteriori stop, rerun at higher precision when
-cancellation eats the guard digits), and the Macdonald function by
-adaptive panel quadrature of its exponential integral representation.
+series cancels; the phase x^(i nu) is a rotation by the angle nu ln x,
+formed with guard bits that grow with |nu|.  One function, `_gold_row`,
+evaluates it for one order over a list of x; the public pair functions
+are its one-point calls.  Everything else here is hand-written and
+independent of both that and the double-precision series path: the
+complex Gamma function by an argument-shifted Stirling series, the
+imaginary-order Bessel and modified Bessel functions by direct complex
+summation of their defining series (a posteriori stop, rerun at higher
+precision when cancellation eats the guard digits), and the Macdonald
+function by adaptive panel quadrature of its exponential integral
+representation.
 `hp_gamma` times `hp_bessel_imag` is therefore a second, independent
 code for the gold pair.  Every returned value declares the number of
 decimal digits it guarantees (`digits`, an int in 1..MAX_DIGITS), and
@@ -18,8 +22,10 @@ doubling the working precision must not move any result past that
 declaration (tests enforce this).
 
 Cost, measured on one core of a 2-vCPU VM: the gold pair at 50 digits
-takes ~0.25 ms per point (median over the `compare` benchmark grid,
-x <= 20) and 0.4-7 ms at large x or order (x up to 700, |nu| up to 100).
+takes ~0.17-0.22 ms per point in a row (median over the `compare`
+benchmark grid, x <= 10 and |nu| < 3.5; one point at a time through
+`oracle_pair` took ~0.27 ms on the same runs), most of it in `hyp0f1`,
+and 0.2-2.2 ms at large x or order (x up to 700, |nu| up to 100).
 `hp_bessel_imag` takes ~5-50 ms at those points, and ~250 ms at
 oscillatory x = 300, where it reruns with ~130 more digits.  The
 hand-written references refuse, with ToleranceError and before the
@@ -33,6 +39,8 @@ import threading
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (from_float, fzero, mpf_add, mpf_cos_sin, mpf_log, mpf_mul,
+                          mpf_neg, mpf_shift, mpf_sub, round_nearest, to_float)
 import mpmath
 
 from .error_bounds import MAX_TERMS
@@ -114,7 +122,9 @@ def hp_gamma(z_re: float, z_im: float, digits: int = 50) -> OracleValue:
     until the Stirling series converges below the working precision.
     Nonpositive real integers are poles and rejected (DomainError); a
     shift k above MAX_SHIFT (Re z below about -20 000) raises
-    ToleranceError before the product is formed.
+    ToleranceError before the product is formed.  The working digits
+    grow by log10 of the larger part of z, so the declared digits hold
+    at large |z|.
     """
     check_real(z_re, "z_re")
     check_real(z_im, "z_im")
@@ -124,9 +134,18 @@ def hp_gamma(z_re: float, z_im: float, digits: int = 50) -> OracleValue:
     return _gamma(z_re, z_im, digits)
 
 
+def _magnitude_digits(v: float) -> int:
+    # ceil(log10 |v|), or 0 where |v| <= 1
+    return math.ceil(math.log10(abs(v))) if abs(v) > 1.0 else 0
+
+
 def _gamma(z_re, z_im, digits):
-    # `hp_gamma` for checked arguments, also at MAX_DIGITS + 5 digits
-    wp = digits + 15
+    # `hp_gamma` for checked arguments, also at MAX_DIGITS + 5 digits.
+    # exp(ln Gamma(w)) carries the absolute error of ln Gamma(w), about
+    # |w ln w| units of the working precision (at |Im z| = 1e60 some 60
+    # digits), so the working digits grow by log10 of the larger part of
+    # z; the 15 guard digits cover the factor ln |w| < 710.
+    wp = digits + 15 + _magnitude_digits(max(abs(z_re), abs(z_im)))
     with mp.workdps(wp):
         z = mpc(z_re, z_im)
         threshold = 0.37 * wp + 8.0
@@ -174,17 +193,17 @@ def _norm_series(kind: Kind, order, x: float):
     return mp.power(mpf(x), order) * total, lost
 
 
-def _defining_series(kind: Kind, order, x: float, digits: int):
-    # `_norm_series` to max(50, digits) digits: run with 15 guard digits,
-    # and where the digits it may have lost to cancellation exceed them,
-    # rerun at max(50, digits) + 5 plus the digits lost.  Its length
+def _defining_series(kind: Kind, order, x: float, digits: int, extra: int = 0):
+    # `_norm_series` to max(50, digits) + extra digits: run with 15 guard
+    # digits, and where the digits it may have lost to cancellation
+    # exceed them, rerun at that + 5 plus the digits lost.  Its length
     # and the digits it loses grow with x, so x past MAX_SERIES_X is
     # refused before any term is summed.
     check_positive(x, "x")
     check_count(digits, "digits", MAX_DIGITS)
     if x > MAX_SERIES_X:
         raise ToleranceError(f"x={x} is above the defining series' cap {MAX_SERIES_X:g}")
-    declared = max(50, digits)
+    declared = max(50, digits) + extra
     wp = declared + 15
     while True:
         with mp.workdps(wp):
@@ -204,42 +223,76 @@ def hp_bessel_imag(nu: float, x: float, kind: Kind, digits: int = 50) -> OracleV
     digits, so they hold at large x as well.  x above MAX_SERIES_X
     (1000) raises ToleranceError before any term is summed: the series
     would sum some x/2 terms before its ratio falls below 1, and the
-    oscillatory one rerun with some 0.44 x more digits.
+    oscillatory one rerun with some 0.44 x more digits.  The working
+    digits grow by log10 |nu|, so the declared digits hold at large |nu|.
     """
-    check_real(nu, "nu")
-    norm = _defining_series(kind, mpc(0, nu), x, digits)
-    with mp.workdps(max(50, digits) + 15):
+    # x^(i nu) and 2^(i nu) are exp(i nu ln x) and exp(i nu ln 2), which
+    # carry the absolute error of nu ln x, |nu ln x| units of the working
+    # precision; so the working digits grow by log10 |nu| (15 guard
+    # digits cover |ln x| <= ln MAX_SERIES_X)
+    extra = _magnitude_digits(check_real(nu, "nu"))
+    norm = _defining_series(kind, mpc(0, nu), x, digits, extra)
+    with mp.workdps(max(50, digits) + extra + 15):
         g = _gamma(1.0, nu, max(50, digits) + 5)
         j = norm / (mpc(g.re, g.im) * mp.exp(mpc(0, nu) * mp.log(mpf(2))))
         return OracleValue(re=j.real, im=j.imag, digits=digits)
 
 
-def _pair_hp(kind: Kind, nu: float, x: float, digits: int, derivative: bool) -> OracleValue:
-    # The pair is x^(i nu) 0F1(; b; z) with b = 1 + i nu and z = -x^2/4
-    # (+x^2/4 when modified), DLMF 10.16.9 with 10.39.9; mpmath's 0F1
-    # controls its own cancellation.  The derivative follows from
-    # d/dz 0F1(; b; z) = 0F1(; b+1; z) / b.  Its two terms cannot cancel
-    # to zero: the first is 0 at nu = 0, and otherwise the real solutions'
-    # Wronskian nu / x keeps the complex derivative away from 0.  Measured,
-    # they cancel by a factor ~|nu|^(1/3), at the modified kind's turning
-    # point x ~ |nu| (23 at |nu| = 1e4), far inside the 15 guard digits.
-    check_real(nu, "nu")
-    check_positive(x, "x")
-    check_count(digits, "digits", MAX_DIGITS)
-    with mp.workdps(max(50, digits) + 15):
-        xm = mpf(x)
-        z = (xm / 2) ** 2
-        if not _is_modified(kind):
-            z = -z
-        b = mpc(1, nu)
-        f = mp.hyp0f1(b, z)
-        if derivative:
-            f = mpc(0, nu) * f / xm + 2 * z / xm * mp.hyp0f1(b + 1, z) / b
-        v = mp.exp(mpc(0, nu) * mp.log(xm)) * f
-        return OracleValue(re=v.real, im=v.imag, digits=digits)
+def _phase(nu: float, x: float, prec: int):
+    # cos and sin of nu ln x to `prec` bits, as raw mpf values.  cos and
+    # sin carry the angle's absolute error, and an angle rounded to p
+    # bits is off by up to |nu ln x| 2^-p: at |nu| = 1e60 a fixed p
+    # leaves some 200 bits fewer than p.  So ln x and the product are
+    # rounded to prec + mag(nu) + 12 bits: |ln x| < 745 < 2^10 for every
+    # positive double x, so |nu ln x| < 2^(mag(nu) + 10), and the two
+    # roundings move the angle by less than 2^-prec.
+    nu_f = from_float(nu)
+    wp = prec + max(0, nu_f[2] + nu_f[3]) + 12
+    angle = mpf_mul(nu_f, mpf_log(from_float(x), wp, round_nearest), wp, round_nearest)
+    return mpf_cos_sin(angle, prec, round_nearest)
 
 
 @_locked
+def _gold_row(kind: Kind, nu: float, xs, digits: int, derivative=False, hp=False):
+    # The gold pair (its d/dx when `derivative`) of one order at each x
+    # of `xs`: doubles (cos_part, sin_part), or OracleValue when `hp`.
+    # The pair is x^(i nu) 0F1(; b; z) with b = 1 + i nu and z = -x^2/4
+    # (+x^2/4 when modified), DLMF 10.16.9 with 10.39.9; mpmath's 0F1
+    # controls its own cancellation, and z is exact.  The derivative
+    # follows from d/dz 0F1(; b; z) = 0F1(; b+1; z) / b.  Its two terms
+    # cannot cancel to zero: the first is 0 at nu = 0, and otherwise the
+    # real solutions' Wronskian nu / x keeps the complex derivative away
+    # from 0.  Measured, they cancel by a factor ~|nu|^(1/3), at the
+    # modified kind's turning point x ~ |nu| (23 at |nu| = 1e4), far
+    # inside the 15 guard digits.  x^(i nu) is the rotation by nu ln x,
+    # applied to the raw parts of the 0F1 value.
+    nu = check_real(nu, "nu")
+    check_count(digits, "digits", MAX_DIGITS)
+    xs = [check_positive(x, "x") for x in xs]
+    modified = _is_modified(kind)
+    row = []
+    with mp.workdps(max(50, digits) + 15):
+        prec = mp.prec
+        b = mpc(1, nu)
+        for x in xs:
+            x_f = from_float(x)
+            z_f = mpf_shift(mpf_mul(x_f, x_f), -2)
+            z = mp.make_mpf(z_f if modified else mpf_neg(z_f))
+            f = mp.hyp0f1(b, z)
+            if derivative:
+                xm = mp.make_mpf(x_f)
+                f = mpc(0, nu) * f / xm + 2 * z / xm * mp.hyp0f1(b + 1, z) / b
+            c, s = _phase(nu, x, prec)
+            f_re, f_im = (f._mpf_, fzero) if isinstance(f, mpf) else f._mpc_
+            re = mpf_sub(mpf_mul(f_re, c), mpf_mul(f_im, s), prec, round_nearest)
+            im = mpf_add(mpf_mul(f_re, s), mpf_mul(f_im, c), prec, round_nearest)
+            if hp:
+                row.append(OracleValue(re=mp.make_mpf(re), im=mp.make_mpf(im), digits=digits))
+            else:
+                row.append((to_float(re, rnd=round_nearest), to_float(im, rnd=round_nearest)))
+    return row
+
+
 def oracle_pair_hp(kind: Kind, nu: float, x: float, digits: int = 50) -> OracleValue:
     """Gold value of (cos_sol + i sin_sol) at full oracle precision.
 
@@ -250,20 +303,17 @@ def oracle_pair_hp(kind: Kind, nu: float, x: float, digits: int = 50) -> OracleV
     `hp_bessel_imag` and `hp_gamma` are the independent references for
     that identity.
     """
-    return _pair_hp(kind, nu, x, digits, derivative=False)
+    return _gold_row(kind, nu, (x,), digits, hp=True)[0]
 
 
-@_locked
 def oracle_pair(kind: Kind, nu: float, x: float, digits: int = 50):
     """Gold (cos_part, sin_part) rounded to double precision."""
-    v = oracle_pair_hp(kind, nu, x, digits=digits)
-    return float(v.re), float(v.im)
+    return _gold_row(kind, nu, (x,), digits)[0]
 
 
-@_locked
 def oracle_pair_derivs_hp(kind: Kind, nu: float, x: float, digits: int = 50) -> OracleValue:
     """d/dx of the gold pair, through the 0F1 contiguous relation."""
-    return _pair_hp(kind, nu, x, digits, derivative=True)
+    return _gold_row(kind, nu, (x,), digits, derivative=True, hp=True)[0]
 
 
 @_locked
@@ -298,8 +348,8 @@ def truncated_pair_hp(kind: Kind, nu: float, x: float, n_terms: int, digits: int
 
     Returns (cos_val, sin_val, d_cos, d_sin) as mpf values.
     """
-    check_real(nu, "nu")
-    check_positive(x, "x")
+    nu = check_real(nu, "nu")
+    x = check_positive(x, "x")
     check_count(n_terms, "n_terms", MAX_TERMS)
     check_count(digits, "digits", MAX_DIGITS)
     with mp.workdps(max(50, digits) + 10):
@@ -316,9 +366,7 @@ def truncated_pair_hp(kind: Kind, nu: float, x: float, n_terms: int, digits: int
             q += b * t
             dp += n * a * t
             dq += n * b * t
-        lnx = mp.log(mpf(x))
-        c = mp.cos(nu_m * lnx)
-        s = mp.sin(nu_m * lnx)
+        c, s = (mp.make_mpf(v) for v in _phase(nu, x, mp.prec))
         cos_val = p * c + q * s
         sin_val = p * s - q * c
         d_cos = (2 / mpf(x)) * (dp * c + dq * s) + (nu_m / mpf(x)) * (q * c - p * s)

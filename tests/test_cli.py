@@ -218,6 +218,13 @@ def test_compare_empty_grid_exits_2():
     assert code == 2
 
 
+def test_compare_oracle_digits_out_of_range_exit_2(capsys):
+    for digits in ("0", "201"):
+        code, out = run_cli(["compare", "--x-steps", "3", "--oracle-digits", digits])
+        assert (code, out) == (2, ""), digits
+        assert "digits must be in 1..200" in capsys.readouterr().err, digits
+
+
 # -------------------------------------------------------------------- bounds
 
 def test_bounds_columns_and_monotonicity():

@@ -29,6 +29,7 @@ from imbessel import (
     oracle_pair_hp,
     truncated_pair_hp,
 )
+from imbessel.oracle import OracleValue, _gold_row
 
 OSC = Kind.OSCILLATORY
 MOD = Kind.MODIFIED
@@ -274,6 +275,75 @@ def test_oracle_derivs_match_term_differentiated_recurrence(kind, nu):
             scale = abs(d_cos) + abs(d_sin)
             assert abs(got.re - d_cos) <= mpf(10) ** -45 * scale
             assert abs(got.im - d_sin) <= mpf(10) ** -45 * scale
+
+
+# Orders whose phase nu ln x is far above 1: an angle held to a fixed
+# number of bits loses log10 |nu ln x| digits of cos and sin.
+HUGE_ORDERS = [(kind, nu, x) for kind in (OSC, MOD) for nu in (1e20, 1e60, 1e150)
+               for x in (0.5, 2.0)]
+
+
+def _agree_to_50_digits(lo, hi):
+    # lo, hi: (re, im) pairs of mpf
+    with mp.workdps(250):
+        lo, hi = mpc(*lo), mpc(*hi)
+        return abs(lo - hi) < abs(hi) * mpf(10) ** -50
+
+
+@pytest.mark.parametrize("kind,nu,x", HUGE_ORDERS)
+def test_gold_pair_holds_its_digits_at_huge_order(kind, nu, x):
+    # at nu = 1e60 a phase without guard bits for |nu ln x| was wrong in
+    # the 7th digit, at nu = 1e150 in the first
+    for fn in (oracle_pair_hp, oracle_pair_derivs_hp):
+        lo, hi = fn(kind, nu, x, digits=50), fn(kind, nu, x, digits=200)
+        assert _agree_to_50_digits(lo[:2], hi[:2]), fn.__name__
+    lo = truncated_pair_hp(kind, nu, x, 8, digits=50)
+    hi = truncated_pair_hp(kind, nu, x, 8, digits=200)
+    assert _agree_to_50_digits(lo[:2], hi[:2])
+    assert _agree_to_50_digits(lo[2:], hi[2:])
+
+
+# ln Gamma(1 + i nu) and nu ln x are ~|nu| in size, so their exponentials
+# need log10 |nu| more working digits
+
+@pytest.mark.parametrize("kind,nu,x", HUGE_ORDERS)
+def test_bessel_holds_its_digits_at_huge_order(kind, nu, x):
+    lo, hi = hp_bessel_imag(nu, x, kind, digits=50), hp_bessel_imag(nu, x, kind, digits=200)
+    assert _agree_to_50_digits(lo[:2], hi[:2])
+
+
+@pytest.mark.parametrize("nu", [1e20, 1e60, 1e150])
+def test_gamma_holds_its_digits_at_huge_order(nu):
+    lo, hi = hp_gamma(1.0, nu, digits=50), hp_gamma(1.0, nu, digits=200)
+    assert _agree_to_50_digits(lo[:2], hi[:2])
+
+
+# x from 1e-3 to 30: from x = 23 on, |z| = x^2/4 >= 128 and mpmath's 0F1
+# takes its asymptotic branch
+ROW_XS = [1e-3, 0.01, 0.3, 1.0, 2.5, 7.0, 15.0, 22.0, 23.0, 26.5, 30.0]
+
+
+@pytest.mark.parametrize("kind", [OSC, MOD])
+@pytest.mark.parametrize("nu", [0.0, -0.0, 1.5, 40.0])
+def test_gold_row_is_oracle_pair_at_each_x(kind, nu):
+    row = _gold_row(kind, nu, ROW_XS, 50)
+    assert row == [oracle_pair(kind, nu, x) for x in ROW_XS]
+    # and the pair in plain mpmath arithmetic, x^(i nu) 0F1(; 1 + i nu;
+    # -+x^2/4) at 90 digits, rounds to the same doubles
+    with mp.workdps(90):
+        for x, got in zip(ROW_XS, row):
+            z = (mpf(x) / 2) ** 2 * (1 if kind is MOD else -1)
+            v = mp.exp(mpc(0, nu) * mp.log(mpf(x))) * mp.hyp0f1(mpc(1, nu), z)
+            assert got == (float(v.real), float(v.imag)), x
+
+
+def test_gold_pair_hp_returns_oracle_values():
+    for fn in (oracle_pair_hp, oracle_pair_derivs_hp):
+        for kind, nu in ((OSC, 0.0), (MOD, 1.5)):
+            v = fn(kind, nu, 2.0, digits=60)
+            assert isinstance(v, OracleValue), fn.__name__
+            assert type(v.re) is mpf and type(v.im) is mpf, fn.__name__
+            assert v.digits == 60
 
 
 # ------------------------------------------------------------- lazy import
