@@ -24,10 +24,20 @@ discarded after step N sum to at most
 and those of the derivative series sum_k k t_k to at most
 (N+1)(|a_N| + |b_N|) rho_{N+1} / (1 - rd),  rd = (N+1) rho_{N+1} / N,
 because k rho_k / (k-1) decreases as well (Gil, Segura & Temme,
-*Numerical Methods for Special Functions*, SIAM 2007, ch. 2).  The loop
-stops at the first step whose value tail is <= `tol`.  The tails it
-returns are these closed forms only where rd < 1/2; elsewhere it first
-carries the step bound on (see "Carried tails").
+*Numerical Methods for Special Functions*, SIAM 2007, ch. 2).  The tails
+the loop returns are these closed forms only where rd < 1/2; elsewhere
+it first carries the step bound on (see "Carried tails").
+
+The stop.  A search stops at the first step N past rho < 1 (computed,
+rho_(N+1) = e / den) whose value tail from `carried_tails` is <= `tol`,
+or closes at its cap.  Its screen, fl(s e) <= fl(tol den) with
+s = |a_N| + |b_N|, only saves chains: every value tail `carried_tails`
+returns contains M_N e / den (M_N = s + S_FLOOR) times at least
+`TAIL_FACTOR`, whose 5 208 u outweighs the few roundings between the
+two sides (below the normal range, so does the 2^-1073 such a tail
+gets against their 2^-1075s), so a step that fails it returns a tail
+> `tol`.  The guard rho < 1 keeps a search from running a chain at
+each step before the ratios fall.
 
 Rounding (u = 2^-53, first order; the constants are rounded up, which
 also covers the second-order remainder for N <= MAX_TERMS).
@@ -176,7 +186,7 @@ argument, in round to nearest:
   stop test's rho, so that the exact ratio meets it.  The 2^-1022 puts
   every threshold (u/4)|X| in the normal range, where it is exact, and
   keeps it above any subnormal noise.  A searched call never tests for
-  a freeze: `eval_pair` asks for tol >= m eps, and the ratio stop fires
+  a freeze: `eval_pair` asks for tol >= m eps, and the stop fires
   first.
 * Later steps.  K^2 rho_K / (K - 1)^2 decreases in K (its log
   derivative, 1/(K + |nu|) + 1/K - 2/(K - 1) - 2K/(K^2 + nu^2), is
@@ -293,7 +303,8 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     modified equation), `(a0, b0)` is the seed pair, `nu` the order
     parameter, `w = (x/2)**2`, `n_terms` (>= 1) the most steps to take
     past the seed, and `tol` the target for the value tail: the loop
-    stops after the first step N whose tail bound is <= `tol`.  A
+    stops after the first step past rho < 1 whose returned tail meets
+    `tol` (see "The stop").  A
     negative `tol` (the default) runs all `n_terms` steps, or stops
     where its sums are frozen (see "Frozen sums") and the tails at
     `n_terms` are absorbed (see "Absorbed tails"), which is mostly at
@@ -347,7 +358,6 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     s = aa + ab
     fk = 1.0
     den = 1.0 + nu2
-    tail = None  # set in the loop only where the tails are absorbed
     k = 0
     for k in range(1, n_terms + 1):
         r = sw / den
@@ -386,10 +396,13 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
                 fk = n_terms + 1.0
                 break
         e = wr * (fk + v)
-        # the tail below without S_FLOOR, which only raises it: a step
-        # that fails this test reports a tail > tol
-        if e < den and s * e / (den - e) * factor <= tol:
-            break
+        # screen on the first discarded term (see "The stop")
+        if e < den and s * e <= tol * den:
+            tail, d_tail = carried_tails(s + S_FLOOR, fk, nu2, v, wu)
+            if tail <= tol:
+                break
+    else:  # the tails from the last term (see "Carried tails")
+        tail, d_tail = carried_tails(s + S_FLOOR, fk, nu2, v, wu)
     # fk = N + 1 here
     #
     # Partial sums: adding a term rounds by at most u |sum| and at most
@@ -412,9 +425,6 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
                 d_sums = split
     err = _DRIFT * s1 + sums + n * n * _TINY6
     d_err = _DRIFT * s2 + d_sums + n * n * n * _TINY6
-
-    if tail is None:  # the tails from the last term (see "Carried tails")
-        tail, d_tail = carried_tails(s + S_FLOOR, fk, nu2, v, wu)
     return p, q, dp, dq, m, k, tail, d_tail, err, d_err
 
 

@@ -107,8 +107,9 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
               terms: int | None = None) -> PairResult:
     """Evaluate the (cosine-type, sine-type) solution pair at x.
 
-    One kernel pass sums the series and stops at the first step whose
-    ratio tail bound (see `_backend`) meets `tol`; pass `terms` to force
+    One kernel pass sums the series and stops at the first step past
+    rho < 1 (the kernel's term ratio) whose returned tail (see
+    `_backend`) meets `tol`; pass `terms` to force
     a count instead, e.g. for bound studies (the reported bounds then
     refer to that count, and a searched result and the same count forced
     give identical bytes).  Derivatives come from the term-differentiated

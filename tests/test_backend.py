@@ -22,8 +22,10 @@ def reference_series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
     # The kernel as it was before forced counts finished on the bare
     # recurrence: every step adds its term to every sum, and the tails
     # come from the last term; closed-form tails below the normal range
-    # are raised by 2^-1073, as in the kernel.  Kept as the reference the
-    # kernel must reproduce byte for byte, apart from the tails named in
+    # are raised by 2^-1073, as in the kernel.  A search stops where the
+    # tail `carried_tails` returns meets tol, as in the kernel, but with
+    # no screen before it.  Kept as the reference the kernel must
+    # reproduce byte for byte, apart from the tails named in
     # `test_series_sums_equal_the_full_loop_byte_for_byte`.
     sw = w if modified else -w
     # e / den is rho_{k+1}; e = inf turns the stop test off
@@ -67,9 +69,9 @@ def reference_series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
         fk = fk + 1.0
         den = fk * (fk * fk + nu2)
         e = wr * (fk + v)
-        # the tail below without S_FLOOR, which only raises it: a step
-        # that fails this test reports a tail > tol
-        if e < den and s * e / (den - e) * factor <= tol:
+        # a search stops at the first step past rho < 1 whose returned
+        # tail meets tol, with no screen on the first discarded term
+        if e < den and _backend.carried_tails(s + S_FLOOR, fk, nu2, v, w * RHO_UP)[0] <= tol:
             break
     # fk = N + 1 and den = (N + 1)((N + 1)^2 + nu^2) here
     e = w * RHO_UP * (fk + v)
@@ -409,3 +411,23 @@ def test_carried_tails_end_finite_or_saturate():
                 tail, d_tail = _backend.series_sums(False, 1.0, 0.0, nu, w, n)[6:8]
                 assert tail <= d_tail, (x, nu, n, tail, d_tail)
                 assert (tail < _INF) == (d_tail < _INF), (x, nu, n, tail, d_tail)
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(list(Kind)), nu=st.floats(-40.0, 40.0), x=st.floats(0.5, 80.0),
+       tol=st.floats(-16.0, 2.0).map(lambda e: 10.0 ** e))
+# rd_4 lies in [1/2, 1): the closed form at N = 3 is above 0.93, the
+# carried tail returned there (0.836) is not, so the search stops at 3
+@example(kind=Kind.MODIFIED, nu=13.23, x=9.45, tol=0.93)
+def test_search_stops_at_the_first_count_whose_tail_meets_tol(kind, nu, x, tol):
+    # A searched count N is the first count past rho < 1 whose own
+    # returned tail meets tol: if the step before it was past rho < 1,
+    # the kernel capped one step earlier returns a tail above tol.
+    try:
+        n = eval_pair(kind, nu, x, tol).terms_used
+    except ToleranceError:
+        return
+    w = (0.5 * x) * (0.5 * x)
+    if n > 1 and w * RHO_UP * (n + abs(nu)) < n * (n * n + nu * nu):  # rho_N < 1
+        got = _backend.series_sums(kind is Kind.MODIFIED, 1.0, 0.0, nu, w, n - 1, tol)
+        assert got[5] == n - 1 and got[6] > tol, got

@@ -252,7 +252,7 @@ def test_apriori_tails_enclose_the_step_product_within_the_envelope():
             x = rng.uniform(0.5, 300.0)
         cases.append((nu, x, rng.randint(1, MAX_TERMS if i % 3 else max(1, int(x)))))
     # where the chain closes at once with its derivative ratio just below
-    # 1/2, its geometric tail is loosest: up to 1.10 (values) and 1.18
+    # 1/2, its geometric tail is loosest: up to 1.10 (values) and 1.23
     # (derivatives) times the exact sums, which at nu = 0 are the envelope's
     for nu in (0.0, 0.3, 0.8, 3.0):
         for n in (1, 3, 30):
@@ -262,6 +262,38 @@ def test_apriori_tails_enclose_the_step_product_within_the_envelope():
     with mp.workdps(30):
         for case in cases:
             _check_apriori_tails(*case)
+
+
+def test_apriori_excess_over_the_envelope_at_order_zero_is_as_stated():
+    # The "Tightness" of `error_bounds`: at nu = 0, where the step product
+    # is the paper's envelope, the bounds exceed its exact sums by at
+    # most 1.10x (values) and 1.23x (derivatives), and the peaks just
+    # below an x where the chain's closing index moves (N = 4 at
+    # sqrt(60), N = 1 at 2 sqrt(3)) come within 1% of those factors.
+    # Below an exact tail of 1e-290 the bounds' one-subnormal floor
+    # dominates, so such points are skipped.
+    xs = [10.0 ** (i / 6.0) for i in range(-12, 14)]
+    xs += [math.sqrt(60.0) * (1.0 - 1e-9), 2.0 * math.sqrt(3.0) * (1.0 - 1e-9)]
+    peak = d_peak = 0.0
+    with mp.workdps(20):
+        for x in xs:
+            # sums over n < k <= 520 of P_k = w^k / (k!)^2 and k P_k, past
+            # which they change by less than 1e-80 relative (x < 150)
+            w, p, sizes = (mpf(x) / 2) ** 2, mpf(1), []
+            for k in range(1, 521):
+                p *= w / (k * k)
+                sizes.append(p)
+            tails, s, s_d = {}, mpf(0), mpf(0)
+            for k in range(520, 0, -1):
+                tails[k] = s, s_d
+                s, s_d = s + sizes[k - 1], s_d + k * sizes[k - 1]
+            for n in (1, 2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 64, 400):
+                s, s_d = tails[n]
+                if s < mpf(10) ** -290:
+                    continue
+                peak = max(peak, float(tail_bound(0.0, x, n) / s))
+                d_peak = max(d_peak, float(derivative_tail_bound(0.0, x, n) * x / (2 * s_d)))
+    assert 1.09 < peak <= 1.10 and 1.22 < d_peak <= 1.23, (peak, d_peak)
 
 
 @pytest.mark.parametrize("nu", [2.5, 4.0])
