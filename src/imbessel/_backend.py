@@ -2,7 +2,8 @@
 
 `series_core` calls `series_sums` through this module's attribute, so
 the kernel can be replaced or wrapped (for tracing, or by a test) at
-run time without touching its callers.
+run time without touching its callers.  The kernel runs the (1, 0) seed
+only: the (0, 1) seed's sums are their quarter turn (see `series_core`).
 
 The loop carries the running term t_k = c_k w^k = (a, b) itself, so
 each step is one complex multiplication
@@ -69,11 +70,10 @@ also covers the second-order remainder for N <= MAX_TERMS).
   instead.
 * Gradual underflow.  A product that falls below the normal range adds
   an absolute 2^-1075 instead of a relative error.  Before the largest
-  term every term is >= 1 (for a seed of modulus 1), so such an error
-  is relative there, below 2^-1074, and rounding 8.414 up to 8.5 covers
-  it; past it the term ratio w /
-  (k |k + i nu|) is < 1 and r_k < 1, so each step adds at most 6
-  2^-1075 and nothing grows.  The last term is then off by at most
+  term every term is >= 1 (the seed's is 1), so such an error is
+  relative there, below 2^-1074, and rounding 8.414 up to 8.5 covers
+  it; past it the term ratio w / (k |k + i nu|) is < 1 and r_k < 1,
+  so each step adds at most 6 2^-1075 and nothing grows.  The last term is then off by at most
   6 N 2^-1075 (`S_FLOOR` covers sqrt(2) times that), the sums by
   6 N^2 2^-1074.  r_k itself must stay normal: `series_core.eval_pair`
   treats w / (N (N^2 + nu^2)) below the normal range separately.
@@ -129,7 +129,7 @@ The bullets cover both starts.
   and for k <= N, g(k) / g(N + 1) = (N + 1)(N + 1 + |nu|) /
   (k (k + |nu|)) >= (N + 1) / k.  The modulus ratio of consecutive
   terms, w / (k |k + i nu|), is at least g(k), so above c N / (4 k),
-  and for a seed of modulus 1 every |t_k|, k <= N, is above
+  and, from |t_0| = 1, every |t_k|, k <= N, is above
   prod_{i<=N} c N / (4 i) = c^N N^N / (4^N N!) (the factors fall, so
   the partial products are smallest at k = N): above 2^-229 for
   N <= 400.  So the terms up to N are normal and M_N > 2^-229; the
@@ -143,7 +143,7 @@ The bullets cover both starts.
   far below the 2^-32 that `CARRY_FACTOR` adds.
 * Length.  While rho_K >= 4 each computed multiplier is at least 3.99
   (at least 4 (1 - 2^-11) if M is subnormal, since M >= 2^-1063), so M
-  overflows within 1 046 such steps whatever the seed: rho_K < 4 from
+  overflows within 1 046 such steps whatever M_N: rho_K < 4 from
   some K1 <= N + 1 046 <= 1 446 on (from M = 1 within 513 steps:
   K1 <= 401 + 513 = 914 a priori).  Since (K + |nu|)^2 <= 2 (K^2 +
   nu^2), rho_K lies between g(K) = w / (K (K + |nu|)) and 2 g(K), and
@@ -170,12 +170,11 @@ argument, in round to nearest:
   or 2^(e-53) below X = +-2^e; |d| < 2^(e-54) is under half of either
   gap, so X + d rounds to X, with no tie for ties-to-even to break.  An
   infinite X absorbs a finite d.
-* Zero sums.  No accumulator is ever -0.0: each starts at +0.0 or at a
-  seed component, the seeds being (1, 0) (`series_core`) and (0, 1)
-  (the tests), and in round to nearest a sum is -0.0 only when both
-  addends are.  A zero sum has threshold 0 and fails the test.  At
-  nu = 0 the seed's zero component stays zero at every step, so such a
-  call never freezes and runs the full loop.
+* Zero sums.  No accumulator is ever -0.0: each starts at +0.0 or 1.0,
+  and in round to nearest a sum is -0.0 only when both addends are.  A
+  zero sum has threshold 0 and fails the test.  At nu = 0 every b_k and
+  so q and dq stay +0.0, so such a call never freezes and runs the
+  full loop.
 * The test.  It runs only in the `else` of ``if s > um``, so it costs
   nothing while the terms exceed u m.  With s, g = k s and h = k g the
   computed addends of step k, which bound all of its additions (|a|,
@@ -296,25 +295,26 @@ _NORMAL = 2.0 ** -1022
 _UNDER = 2.0 ** -1073
 
 
-def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
+def series_sums(modified, nu, w, n_terms, tol=-1.0):
     """Advance the recurrence and sum the series until the tail meets `tol`.
 
     Arguments: `modified` selects the recurrence variant (truthy for the
-    modified equation), `(a0, b0)` is the seed pair, `nu` the order
-    parameter, `w = (x/2)**2`, `n_terms` (>= 1) the most steps to take
-    past the seed, and `tol` the target for the value tail: the loop
-    stops after the first step past rho < 1 whose returned tail meets
-    `tol` (see "The stop").  A
-    negative `tol` (the default) runs all `n_terms` steps, or stops
-    where its sums are frozen (see "Frozen sums") and the tails at
-    `n_terms` are absorbed (see "Absorbed tails"), which is mostly at
-    the freeze step, so the cost follows the steps until the freeze.
+    modified equation), `nu` the order parameter, `w = (x/2)**2`,
+    `n_terms` the most steps to take past the (1, 0) seed, and `tol` the
+    target for the value tail: the loop stops after the first step past
+    rho < 1 whose returned tail meets `tol` (see "The stop").  The
+    caller keeps 1 <= `n_terms` <= `MAX_TERMS`: `TAIL_FACTOR` and the
+    freeze are proved for those counts only.  A negative `tol` (the
+    default) runs all `n_terms` steps, or stops where its sums are
+    frozen (see "Frozen sums") and the tails at `n_terms` are absorbed
+    (see "Absorbed tails"), which is mostly at the freeze step, so the
+    cost follows the steps until the freeze.
     Every field is the full loop's, except that absorbed tails are
     majorants of its tails, too small to move a round-off bound of
     `eval_pair`.
 
     Returns ``(p, q, dp, dq, m, n, tail, d_tail, err, d_err)`` where, with
-    t_k = (a_k, b_k) w^k and N = n the steps taken,
+    t_k = (a_k, b_k) w^k, (a_0, b_0) = (1, 0) and N = n the steps taken,
 
     * ``p = sum_{k=0..N} a_k w^k``  (cosine-factor series),
     * ``q = sum_{k=0..N} b_k w^k``  (sine-factor series),
@@ -326,36 +326,24 @@ def series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
       sum_{k>N} k (|a_k| + |b_k|) w^k; both are +inf only where a carried
       chain (see "Carried tails") overflows,
     * ``err`` bounds the round-off |(p + i q) - sum_{k<=N} t_k| and
-      ``d_err`` that of dp + i dq against sum_{k<=N} k t_k, for a seed of
-      modulus 1 and w / (N (N^2 + nu^2)) in the normal range.
+      ``d_err`` that of dp + i dq against sum_{k<=N} k t_k, for
+      w / (N (N^2 + nu^2)) in the normal range.
     """
     sw = w if modified else -w
     wu = w * RHO_UP
-    # e / den is rho_{k+1}; e = inf turns the stop test off
-    if tol >= 0.0:
-        wr = wu
-        freeze = False
-    else:  # a forced count, which may freeze its sums
-        wr = _INF
-        freeze = n_terms <= MAX_TERMS
+    # e / den is rho_{k+1}; e = inf turns the stop test off for a forced
+    # count, which may freeze its sums instead
+    freeze = not tol >= 0.0
+    wr = _INF if freeze else wu
     factor = TAIL_FACTOR
     nu2 = nu * nu
     v = abs(nu)
-    a = a0
-    b = b0
-    p = a0
-    q = b0
-    dp = 0.0
-    dq = 0.0
-    s1 = 0.0
-    s2 = 0.0
-    aa = abs(a0)
-    ab = abs(b0)
-    m = max(aa, ab)
-    lo = -m
-    um = m * _U
+    # the (1, 0) seed
+    a = p = s = m = 1.0
+    b = q = dp = dq = s1 = s2 = 0.0
+    lo = -1.0
+    um = _U
     j = 0
-    s = aa + ab
     fk = 1.0
     den = 1.0 + nu2
     k = 0

@@ -220,8 +220,10 @@ def _point(modified, nu, nu2, x, tol, terms):
         cap, stop = MAX_TERMS, tol
     else:
         cap, stop = terms, -1.0
+    # cap and stop by keyword: perfbench's tracer books the kernel's
+    # steps as args[5], or else kwargs["n_terms"]
     p, q, dp, dq, m, n, tail, d_tail, err, d_err = _backend.series_sums(
-        modified, 1.0, 0.0, nu, w, cap, stop)
+        modified, nu, w, n_terms=cap, tol=stop)
     if terms is None and not tail <= tol:
         raise ToleranceError(
             f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={nu}, x={x}"

@@ -116,15 +116,15 @@ def test_series_sums_match_tables():
     # coefficient table (the extended-precision recurrence).
     for kind, modified in ((Kind.OSCILLATORY, 0), (Kind.MODIFIED, 1)):
         for nu in (0.0, 1.3, -2.1):
-            table = coefficients_hp(kind, nu, (0.0, 1.0), 64)
+            table = coefficients_hp(kind, nu, (1.0, 0.0), 64)
             for x in (0.05, 0.4, 1.7, 9.0):
                 for n in (12, 64):
                     w = (0.5 * x) * (0.5 * x)
                     p, q, dp, dq, _, steps, _, _, err, d_err = _backend.series_sums(
-                        modified, 0.0, 1.0, nu, w, n)
+                        modified, nu, w, n)
                     assert steps == n
                     with mp.workdps(50):
-                        value, deriv = mpc(0, 1), mpc(0)
+                        value, deriv = mpc(1, 0), mpc(0)
                         for k, (a, b) in enumerate(table[:n], start=1):
                             t = mpc(a, b) * mpf(w) ** k
                             value += t
@@ -136,11 +136,12 @@ def test_series_sums_match_tables():
 def test_one_kernel_pass_equals_two_seed_formulas():
     # The (0, 1)-seeded sums are the quarter turn (-q, p, -dq, dp) of the
     # (1, 0)-seeded ones; eval_pair's single pass must reproduce, byte for
-    # byte, the pair assembled from one kernel pass per seed.
+    # byte, the pair assembled from one reference pass per seed (the
+    # kernel runs the (1, 0) seed only).
     def two_seed(modified, nu, x, n):
         w = (0.5 * x) * (0.5 * x)
-        p1, q1, dp1, dq1 = _backend.series_sums(modified, 1.0, 0.0, nu, w, n)[:4]
-        p0, q0, dp0, dq0 = _backend.series_sums(modified, 0.0, 1.0, nu, w, n)[:4]
+        p1, q1, dp1, dq1 = reference_series_sums(modified, 1.0, 0.0, nu, w, n)[:4]
+        p0, q0, dp0, dq0 = reference_series_sums(modified, 0.0, 1.0, nu, w, n)[:4]
         lnx = math.log(x)
         c = math.cos(nu * lnx)
         s = math.sin(nu * lnx)
@@ -179,14 +180,18 @@ def test_benchmark_trace_bindings_resolve(monkeypatch):
     calls = []
     kernel = _backend.series_sums
 
-    def counting(*args):
-        calls.append(args)
-        return kernel(*args)
+    def counting(*args, **kwargs):
+        calls.append((args, kwargs))
+        return kernel(*args, **kwargs)
 
     expected = eval_pair(Kind.OSCILLATORY, 1.0, 1.0)
     monkeypatch.setattr(_backend, "series_sums", counting)
     assert eval_pair(Kind.OSCILLATORY, 1.0, 1.0) == expected
     assert len(calls) == 1
+    # the tracer books the kernel's steps as args[5], or else
+    # kwargs["n_terms"]
+    args, kwargs = calls[0]
+    assert len(args) > 5 or "n_terms" in kwargs, calls
 
 
 def _pack(values):
@@ -210,54 +215,44 @@ _NU = st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300]), st.floats(-40.0, 
 
 
 @settings(max_examples=600, deadline=None)
-@given(modified=st.booleans(), seed=st.sampled_from([(1.0, 0.0), (0.0, 1.0)]), nu=_NU, x=_X,
-       n_terms=st.integers(1, 400),
+@given(modified=st.booleans(), nu=_NU, x=_X, n_terms=st.integers(1, 400),
        tol=st.one_of(st.just(-1.0), st.floats(-323.0, -1.0).map(lambda e: 10.0 ** e)))
 # forced counts whose sums freeze after a few steps
-@example(modified=False, seed=(1.0, 0.0), nu=1.3, x=0.01, n_terms=64, tol=-1.0)
-@example(modified=True, seed=(0.0, 1.0), nu=-0.7, x=0.01, n_terms=64, tol=-1.0)
+@example(modified=False, nu=1.3, x=0.01, n_terms=64, tol=-1.0)
+@example(modified=True, nu=-0.7, x=0.01, n_terms=64, tol=-1.0)
 # p near a zero of J0 (-8.3e-17), so its threshold (u/4)|p| is tiny
-@example(modified=False, seed=(1.0, 0.0), nu=1e-8, x=2.404825557695773, n_terms=400, tol=-1.0)
-# at nu = 0 the seed's zero component keeps two sums at zero: no freeze
-@example(modified=False, seed=(1.0, 0.0), nu=0.0, x=2.404825557695773, n_terms=400, tol=-1.0)
-@example(modified=False, seed=(0.0, 1.0), nu=0.0, x=2.404825557695773, n_terms=400, tol=-1.0)
-# a (0, 1) seed, whose p and dp start at +0.0
-@example(modified=True, seed=(0.0, 1.0), nu=24.833157163793572, x=20.732502395989144,
-         n_terms=170, tol=-1.0)
+@example(modified=False, nu=1e-8, x=2.404825557695773, n_terms=400, tol=-1.0)
+# at nu = 0, q and dq stay +0.0: no freeze
+@example(modified=False, nu=0.0, x=2.404825557695773, n_terms=400, tol=-1.0)
 # the last terms are subnormal
-@example(modified=True, seed=(1.0, 0.0), nu=0.5, x=1e-3, n_terms=400, tol=-1.0)
-@example(modified=False, seed=(0.0, 1.0), nu=2.5, x=1e-3, n_terms=400, tol=-1.0)
+@example(modified=True, nu=0.5, x=1e-3, n_terms=400, tol=-1.0)
+@example(modified=False, nu=2.5, x=1e-3, n_terms=400, tol=-1.0)
 # counts before the ratios fall, whose tails are carried
-@example(modified=False, seed=(1.0, 0.0), nu=8.0, x=20.0, n_terms=9, tol=-1.0)
-@example(modified=True, seed=(0.0, 1.0), nu=0.0, x=40.0, n_terms=3, tol=1e-300)
+@example(modified=False, nu=8.0, x=20.0, n_terms=9, tol=-1.0)
+@example(modified=True, nu=0.0, x=40.0, n_terms=3, tol=1e-300)
 # frozen counts whose tails are absorbed at the freeze step itself
-@example(modified=False, seed=(1.0, 0.0), nu=1.3, x=0.01, n_terms=400, tol=-1.0)
-@example(modified=True, seed=(1.0, 0.0), nu=3.4, x=9.9, n_terms=64, tol=-1.0)
+@example(modified=False, nu=1.3, x=0.01, n_terms=400, tol=-1.0)
+@example(modified=True, nu=3.4, x=9.9, n_terms=64, tol=-1.0)
 # a frozen count whose tails are not absorbed before its last step
-@example(modified=False, seed=(1.0, 0.0), nu=3.4, x=2.0, n_terms=16, tol=-1.0)
+@example(modified=False, nu=3.4, x=2.0, n_terms=16, tol=-1.0)
 # frozen counts absorbed only after further steps (3 and 6 absorption tests)
-@example(modified=False, seed=(1.0, 0.0), nu=4.954360521929658, x=9.40072577096749,
-         n_terms=32, tol=-1.0)
-@example(modified=True, seed=(1.0, 0.0), nu=-4.481365411079379, x=4.8476912441085025,
-         n_terms=24, tol=-1.0)
+@example(modified=False, nu=4.954360521929658, x=9.40072577096749, n_terms=32, tol=-1.0)
+@example(modified=True, nu=-4.481365411079379, x=4.8476912441085025, n_terms=24, tol=-1.0)
 # a freeze one step before N (N - K = 1): absorbed there, and not
-@example(modified=False, seed=(1.0, 0.0), nu=-9.03940580654222, x=0.002261013973943247,
-         n_terms=5, tol=-1.0)
-@example(modified=False, seed=(1.0, 0.0), nu=-31.616969090520328, x=1.3590391498131118,
-         n_terms=10, tol=-1.0)
+@example(modified=False, nu=-9.03940580654222, x=0.002261013973943247, n_terms=5, tol=-1.0)
+@example(modified=False, nu=-31.616969090520328, x=1.3590391498131118, n_terms=10, tol=-1.0)
 # rho_(K+1)^(N - K) below the normal range while s_K is 6.8e-4
-@example(modified=True, seed=(1.0, 0.0), nu=1.2972216255443954, x=37.20002452086645,
-         n_terms=400, tol=-1.0)
+@example(modified=True, nu=1.2972216255443954, x=37.20002452086645, n_terms=400, tol=-1.0)
 # nu = 0 never freezes; its closed-form tails underflow and are raised
-@example(modified=False, seed=(1.0, 0.0), nu=0.0, x=0.01, n_terms=400, tol=-1.0)
+@example(modified=False, nu=0.0, x=0.01, n_terms=400, tol=-1.0)
 # counts with rd_(N+1) in [1/2, 1), whose tails are carried and tighter:
 # the first past rd = 1 (0.9995) at an oscillatory order, a forced count
 # and its searched twin at nu = 0, and a search that stops in the band
-@example(modified=False, seed=(1.0, 0.0), nu=-19.3, x=28.36, n_terms=12, tol=-1.0)
-@example(modified=False, seed=(1.0, 0.0), nu=0.0, x=7.0, n_terms=4, tol=-1.0)
-@example(modified=False, seed=(1.0, 0.0), nu=0.0, x=7.0, n_terms=4, tol=0.1)
-@example(modified=True, seed=(1.0, 0.0), nu=18.66, x=8.68, n_terms=400, tol=1.0)
-def test_series_sums_equal_the_full_loop_byte_for_byte(modified, seed, nu, x, n_terms, tol):
+@example(modified=False, nu=-19.3, x=28.36, n_terms=12, tol=-1.0)
+@example(modified=False, nu=0.0, x=7.0, n_terms=4, tol=-1.0)
+@example(modified=False, nu=0.0, x=7.0, n_terms=4, tol=0.1)
+@example(modified=True, nu=18.66, x=8.68, n_terms=400, tol=1.0)
+def test_series_sums_equal_the_full_loop_byte_for_byte(modified, nu, x, n_terms, tol):
     # A forced count stops adding once its sums are frozen; every value it
     # returns must still be the full loop's, bit for bit.  Two kinds of
     # call return other tails:
@@ -268,8 +263,8 @@ def test_series_sums_equal_the_full_loop_byte_for_byte(modified, seed, nu, x, n_
     #   "Absorbed tails"), it returns majorants of the full loop's tails,
     #   small enough that no round-off bound they are added to moves.
     w = (0.5 * x) * (0.5 * x)
-    got = _backend.series_sums(modified, *seed, nu, w, n_terms, tol)
-    want = reference_series_sums(modified, *seed, nu, w, n_terms, tol)
+    got = _backend.series_sums(modified, nu, w, n_terms, tol)
+    want = reference_series_sums(modified, 1.0, 0.0, nu, w, n_terms, tol)
     assert type(got[5]) is type(want[5]) is int
     assert _pack(got[:6] + got[8:]) == _pack(want[:6] + want[8:]), (got, want)
     tail, d_tail, err, d_err = got[6:]
@@ -290,14 +285,14 @@ def test_series_sums_equal_the_full_loop_byte_for_byte(modified, seed, nu, x, n_
 _KERNEL = _backend.series_sums
 
 
-def _full_loop(*args):
+def _full_loop(modified, nu, w, n_terms, tol=-1.0):
     # The reference; where the kernel carries its step bound on (the
     # computed rd_(N+1) is not below 1/2), its carried tails stand in
     # (they are not what the freeze and the absorption change).
-    want = reference_series_sums(*args)
-    if not _carries(args[3], args[4], want[5]):
+    want = reference_series_sums(modified, 1.0, 0.0, nu, w, n_terms, tol)
+    if not _carries(nu, w, want[5]):
         return want
-    return want[:6] + _KERNEL(*args)[6:8] + want[8:]
+    return want[:6] + _KERNEL(modified, nu, w, n_terms, tol)[6:8] + want[8:]
 
 
 def _eval_outcome(kind, nu, x, tol, terms):
@@ -342,7 +337,7 @@ def test_tails_below_the_normal_range_stay_bounds():
     # 2^-1073: a positive discarded sum never reads 0.0, and each tail
     # still encloses the exact one, from the extended-precision
     # coefficients, across the band where it turns subnormal.
-    assert _backend.series_sums(False, 1.0, 0.0, 0.0, 2.5e-5, 400)[6:8] == (_UNDER, _UNDER)
+    assert _backend.series_sums(False, 0.0, 2.5e-5, 400)[6:8] == (_UNDER, _UNDER)
     for kind, modified in ((Kind.OSCILLATORY, 0), (Kind.MODIFIED, 1)):
         for nu, x in ((0.0, 0.01), (1.3, 0.01), (-2.5, 0.03)):
             table = coefficients_hp(kind, nu, (1.0, 0.0), 130)
@@ -351,7 +346,7 @@ def test_tails_below_the_normal_range_stay_bounds():
             calls = [(n, -1.0) for n in range(30, 61)]
             calls += [(MAX_TERMS, tol) for tol in (1e-300, 1e-310, 1e-316, 1e-320, 5e-324)]
             for cap, tol in calls:
-                n, tail, d_tail = _backend.series_sums(modified, 1.0, 0.0, nu, w, cap, tol)[5:8]
+                n, tail, d_tail = _backend.series_sums(modified, nu, w, cap, tol)[5:8]
                 assert tail >= 2.0 ** -1074 and d_tail >= tail, (kind, nu, x, n)
                 with mp.workdps(30):
                     sizes = [(k, (abs(a) + abs(b)) * mpf(w) ** k)
@@ -368,11 +363,10 @@ def test_tails_below_the_normal_range_stay_bounds():
 def test_tails_carried_from_the_band_stay_bounds(monkeypatch, kind, nu, x, n):
     # Counts whose derivative ratio rd_(N+1) lies in [1/2, 1): the chain
     # starts there (see "Carried tails"), from a normal M_N (its "Normal
-    # range" bullet: above 2^-229 for a seed of modulus 1), takes at
-    # least one step, so its tails lie below the closed forms at N (which
-    # are positive only for rd < 1), and they still enclose the exact
-    # discarded sums, from the extended-precision coefficients at 30
-    # digits.
+    # range" bullet: above 2^-229), takes at least one step, so its tails
+    # lie below the closed forms at N (which are positive only for
+    # rd < 1), and they still enclose the exact discarded sums, from the
+    # extended-precision coefficients at 30 digits.
     w = (0.5 * x) * (0.5 * x)
     assert _carries(nu, w, n)
     starts = []
@@ -383,7 +377,7 @@ def test_tails_carried_from_the_band_stay_bounds(monkeypatch, kind, nu, x, n):
         return chain(*args)
 
     monkeypatch.setattr(_backend, "carried_tails", recording)
-    steps, tail, d_tail = _backend.series_sums(kind is Kind.MODIFIED, 1.0, 0.0, nu, w, n)[5:8]
+    steps, tail, d_tail = _backend.series_sums(kind is Kind.MODIFIED, nu, w, n)[5:8]
     assert steps == n and len(starts) == 1
     s, fk = starts[0][:2]
     assert fk == n + 1.0 and s > 2.0 ** -229, starts  # M_N is normal
@@ -408,7 +402,7 @@ def test_carried_tails_end_finite_or_saturate():
         w = (0.5 * x) * (0.5 * x)
         for nu in (0.0, 20.0, 1e6, 1e150):
             for n in (1, 400):
-                tail, d_tail = _backend.series_sums(False, 1.0, 0.0, nu, w, n)[6:8]
+                tail, d_tail = _backend.series_sums(False, nu, w, n)[6:8]
                 assert tail <= d_tail, (x, nu, n, tail, d_tail)
                 assert (tail < _INF) == (d_tail < _INF), (x, nu, n, tail, d_tail)
 
@@ -429,5 +423,5 @@ def test_search_stops_at_the_first_count_whose_tail_meets_tol(kind, nu, x, tol):
         return
     w = (0.5 * x) * (0.5 * x)
     if n > 1 and w * RHO_UP * (n + abs(nu)) < n * (n * n + nu * nu):  # rho_N < 1
-        got = _backend.series_sums(kind is Kind.MODIFIED, 1.0, 0.0, nu, w, n - 1, tol)
+        got = _backend.series_sums(kind is Kind.MODIFIED, nu, w, n - 1, tol)
         assert got[5] == n - 1 and got[6] > tol, got

@@ -583,3 +583,16 @@ def test_table_with_an_order_that_is_not_finite_is_a_domain_error(capsys):
     code, out = run_cli(["table", "--nu", "0,inf"])
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == "nu must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table", "--nu", "1,abc"],
+     "bad --nu list '1,abc': could not convert string to float: 'abc'\n"),
+    (["bounds", "--nu", "1", "--x", "2", "--terms", "2,x"],
+     "bad --terms list '2,x': invalid literal for int() with base 10: 'x'\n"),
+    (["bounds", "--nu", "1", "--x", "2", "--terms", ","], "empty --terms list\n"),
+])
+def test_a_list_that_does_not_parse_is_a_domain_error(capsys, argv, message):
+    code, out = run_cli(argv)
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == message

@@ -344,19 +344,24 @@ def test_gold_pair_hp_returns_oracle_values():
             assert isinstance(v, OracleValue), fn.__name__
             assert type(v.re) is mpf and type(v.im) is mpf, fn.__name__
             assert v.digits == 60
+            z = v.as_complex()
+            assert type(z) is complex and z == complex(float(v.re), float(v.im)), fn.__name__
 
 
 # ------------------------------------------------------------- lazy import
 
 def test_package_import_leaves_mpmath_unloaded():
+    # dir() lists the oracle's names before they are loaded, and does
+    # not load them
+    assert set(imbessel.__all__) <= set(dir(imbessel))
     src = str(Path(imbessel.__file__).resolve().parents[1])
     probe = (
         "import sys, imbessel\n"
+        "assert set(imbessel.__all__) <= set(dir(imbessel))\n"
         "assert 'mpmath' not in sys.modules, 'imported eagerly'\n"
         "for name in imbessel.__all__:\n"
         "    getattr(imbessel, name)\n"
         "assert 'mpmath' in sys.modules\n"
-        "assert set(imbessel.__all__) <= set(dir(imbessel))\n"
         "from imbessel import *\n"
         "assert oracle_pair_hp is imbessel.oracle.oracle_pair_hp\n"
         "try:\n"

@@ -1,20 +1,22 @@
-"""Exact replays of the two lemmas a searched stop rests on.
+"""Exact replays of lemmas of the series kernel, one at a time.
 
 The stop returns the tails `carried_tails` computes from the last term,
 so it is sound if (1) the ratio the kernel forms from w (1 + 16u) is at
 least the exact rho_K (the "Multipliers" bullet of `_backend`) and
 (2) every closing it returns is at least the same closing evaluated
-exactly from the exact last term.  Each test reruns that piece from the
-same doubles w and nu, in `fractions.Fraction` (the ratio) or in mpmath
-at 2 000 bits (the terms, whose exact rationals grow by ~100 bits a
-step), and checks its inequality on its own, not through the bounds it
-feeds.
+exactly from the exact last term.  The round-off bounds rest on (3) the
+drift sum (the "Term drift" bullet): the computed terms sum to within
+`_DRIFT` s1 of the exact terms, and their k-weighted sum to within
+`_DRIFT` s2.  Each test reruns that piece from the same doubles w and
+nu, in `fractions.Fraction` (the ratio) or in mpmath at 2 000 bits (the
+terms, whose exact rationals grow by ~100 bits a step), and checks its
+inequality on its own, not through the bounds it feeds.
 """
 
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from imbessel import MAX_TERMS, _backend
 from imbessel._backend import _U, RHO_UP
@@ -74,20 +76,25 @@ def _exact_closing(m, w, nu, n):
     return tail + m * last / (1 - last), d_tail + fk * m * last / (1 - rd)
 
 
+def _exact_terms(modified, nu, w, steps):
+    # t_0 = 1, ..., t_steps from the doubles w and nu, at the caller's
+    # working precision
+    sw, mnu = mpf(w if modified else -w), mpf(nu)
+    terms = [mpc(1)]
+    for k in range(1, steps + 1):
+        terms.append(terms[-1] * mpc(k, mnu) * sw / (k * (k * k + mnu * mnu)))
+    return terms
+
+
 def _replay(modified, nu, x, calls):
     # each call (cap, tol) of `series_sums` against the exact closing at
     # the count it returns, from the terms recomputed at 2 000 bits
     w = (0.5 * x) * (0.5 * x)
     with mp.workprec(2000):
-        sw, mnu = mpf(w if modified else -w), mpf(nu)
         steps = max(cap for cap, _ in calls)
-        a, b, sizes = mpf(1), mpf(0), [mpf(1)]
-        for k in range(1, steps + 1):
-            r = sw / (k * (k * k + mnu * mnu))
-            a, b = (k * a - mnu * b) * r, (mnu * a + k * b) * r
-            sizes.append(abs(a) + abs(b))
+        sizes = [abs(t.real) + abs(t.imag) for t in _exact_terms(modified, nu, w, steps)]
         for cap, tol in calls:
-            n, tail, d_tail = _backend.series_sums(modified, 1.0, 0.0, nu, w, cap, tol)[5:8]
+            n, tail, d_tail = _backend.series_sums(modified, nu, w, cap, tol)[5:8]
             exact, d_exact = _exact_closing(sizes[n], w, nu, n)
             assert mpf(tail) >= exact, (n, tail, exact)
             assert mpf(d_tail) >= d_exact, (n, d_tail, d_exact)
@@ -104,3 +111,47 @@ def test_each_closing_is_at_least_the_exact_closing(modified, nu, x):
 @pytest.mark.parametrize("modified, nu, x, n", NAMED)
 def test_named_closings_are_at_least_the_exact_closing(modified, nu, x, n):
     _replay(modified, nu, x, [(n, 0.0), (MAX_TERMS, 0.93)])
+
+
+def _drift(modified, nu, x, n):
+    # The kernel's n steps in doubles, with its operations, from the (1, 0)
+    # seed, next to the exact terms from the same w and nu at 2 000 bits.
+    # Returns the computed sums p, q, dp, dq, the running sums s1 and s2,
+    # and the exact sums of computed minus exact terms, plain and
+    # k-weighted.
+    w = (0.5 * x) * (0.5 * x)
+    sw = w if modified else -w
+    nu2 = nu * nu
+    a, b, p, q, dp, dq, s1, s2 = 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0
+    fk, den = 1.0, 1.0 + nu2
+    with mp.workprec(2000):
+        exact = _exact_terms(modified, nu, w, n)
+        drift = d_drift = mpc(0)
+        for k in range(1, n + 1):
+            r = sw / den
+            a, b = (fk * a - nu * b) * r, (nu * a + fk * b) * r
+            p, q, dp, dq = p + a, q + b, dp + fk * a, dq + fk * b
+            g = fk * (abs(a) + abs(b))
+            s1, s2 = s1 + g, s2 + fk * g
+            fk = fk + 1.0
+            den = fk * (fk * fk + nu2)
+            step = mpc(a, b) - exact[k]
+            drift += step
+            d_drift += k * step
+        return (p, q, dp, dq), s1, s2, abs(drift), abs(d_drift)
+
+
+@pytest.mark.parametrize("modified", (False, True))
+@pytest.mark.parametrize("nu", ORDERS)
+@pytest.mark.parametrize("x", XS)
+def test_drift_sum_is_within_drift_s1_and_s2(modified, nu, x):
+    # |sum (computed - exact) t_k| <= _DRIFT s1 and
+    # |sum k (computed - exact) t_k| <= _DRIFT s2, with s1 and s2 the
+    # running sums of the computed terms; the replayed sums are the
+    # kernel's, so the replay takes the kernel's operations
+    w = (0.5 * x) * (0.5 * x)
+    for n in (5, 30, 120):
+        sums, s1, s2, drift, d_drift = _drift(modified, nu, x, n)
+        assert _backend.series_sums(modified, nu, w, n)[:4] == sums, n
+        assert drift <= mpf(_backend._DRIFT) * mpf(s1), (n, drift, s1)
+        assert d_drift <= mpf(_backend._DRIFT) * mpf(s2), (n, d_drift, s2)

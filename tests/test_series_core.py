@@ -140,17 +140,14 @@ def test_quarter_turn_links_the_two_kinds(nu, n):
 @given(nu=st.floats(-20.0, 20.0), x=st.floats(1e-6, 60.0), n=st.integers(1, 120),
        stop=st.sampled_from([-1.0, 1e-6, 1e-12]))
 def test_negating_nu_conjugates_the_kernel_sums(nu, x, n, stop):
-    # the (1, 0) seed gives (p, -q, dp, -dq) and the (0, 1) seed
-    # (-p, q, -dp, dq) at -nu, with the step count, tails and round-off
-    # bounds unchanged: the recurrence only changes signs, so every field
-    # is the same double (a zero may change sign)
+    # -nu gives (p, -q, dp, -dq), with the step count, tails and
+    # round-off bounds unchanged: the recurrence only changes signs, so
+    # every field is the same double (a zero may change sign)
     w = (0.5 * x) * (0.5 * x)
     for modified in (0, 1):
-        for seed, flip in (((1.0, 0.0), (1, -1, 1, -1)), ((0.0, 1.0), (-1, 1, -1, 1))):
-            plus = _backend.series_sums(modified, *seed, nu, w, n, stop)
-            minus = _backend.series_sums(modified, *seed, -nu, w, n, stop)
-            want = tuple(f * v for f, v in zip(flip, plus[:4])) + plus[4:]
-            assert minus == want, (modified, seed)
+        plus = _backend.series_sums(modified, nu, w, n, stop)
+        minus = _backend.series_sums(modified, -nu, w, n, stop)
+        assert minus == (plus[0], -plus[1], plus[2], -plus[3]) + plus[4:], modified
 
 
 # ---------------------------------------------------------------- evaluation
@@ -447,7 +444,7 @@ def test_searched_count_is_the_first_that_meets_tol():
                     assert pack(eval_pair(kind, nu, x, tol, terms=n)) == pack(r), case
                     if n > 1:
                         w = (0.5 * x) * (0.5 * x)
-                        out = _backend.series_sums(modified, 1.0, 0.0, nu, w, n - 1, tol)
+                        out = _backend.series_sums(modified, nu, w, n - 1, tol)
                         assert out[5] == n - 1 and out[6] > tol, case
                     checked += 1
     assert checked >= 150
