@@ -2,12 +2,13 @@
 
 The gold pair `oracle_pair_hp` (and its derivative) is the normalized
 series written as a confluent hypergeometric function,
-x^(i nu) 0F1(; 1 + i nu; -+x^2/4), and is evaluated by mpmath's `hyp0f1`,
-which sums it in fixed point and raises its own precision where the
-series cancels; the phase x^(i nu) is a rotation by the angle nu ln x,
-formed with guard bits that grow with |nu|.  One function, `_gold_row`,
-evaluates it for one order over a list of x; the public pair functions
-are its one-point calls.  Everything else here is hand-written and
+x^(i nu) 0F1(; 1 + i nu; -+x^2/4), summed in fixed point below x = 22.63
+from per-order weights prod_{j<=k} j / (j + i nu) times (x/2)^(2k) /
+(k!)^2, with more bits where it cancels, and past it by mpmath's
+`hyp0f1`, which takes its asymptotic expansion.  The phase x^(i nu) is
+a rotation by the angle nu ln x, formed with guard bits that grow with
+|nu|.  One function, `_gold_row`, evaluates it for one order over a
+list of x; the public pair functions are its one-point calls.  All else is
 independent of both that and the double-precision series path: the
 complex Gamma function by an argument-shifted Stirling series, the
 imaginary-order Bessel and modified Bessel functions by direct complex
@@ -17,15 +18,17 @@ function by adaptive panel quadrature of its exponential integral
 representation.
 `hp_gamma` times `hp_bessel_imag` is therefore a second, independent
 code for the gold pair.  Every returned value declares the number of
-decimal digits it guarantees (`digits`, an int in 1..MAX_DIGITS), and
-doubling the working precision must not move any result past that
+decimal digits it guarantees (`digits`, an int in 1..MAX_DIGITS),
+relative to its modulus |re + i im|: a part far smaller than the
+modulus (the sine-type part at |nu| below ~1e-60) may have none.
+Doubling the working precision must not move any result past that
 declaration (tests enforce this).
 
 Cost, measured on one core of a 2-vCPU VM: the gold pair at 50 digits
-takes ~0.17-0.22 ms per point in a row (median over the `compare`
-benchmark grid, x <= 10 and |nu| < 3.5; one point at a time through
-`oracle_pair` took ~0.27 ms on the same runs), most of it in `hyp0f1`,
-and 0.2-2.2 ms at large x or order (x up to 700, |nu| up to 100).
+takes ~0.08-0.12 ms per point in a row (median over the `compare`
+benchmark grid, x <= 10 and |nu| < 3.5; 0.15-0.23 ms through `hyp0f1`,
+0.13-0.21 ms one point at a time), and 0.2-2.2 ms at large x or order
+(x up to 700, |nu| up to 100).
 `hp_bessel_imag` takes ~5-50 ms at those points, and ~250 ms at
 oscillatory x = 300, where it reruns with ~130 more digits.  The
 hand-written references refuse, with ToleranceError and before the
@@ -39,8 +42,9 @@ import threading
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (from_float, fzero, mpf_add, mpf_cos_sin, mpf_log, mpf_mul,
-                          mpf_neg, mpf_shift, mpf_sub, round_nearest, to_float)
+from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_add, mpf_cos_sin, mpf_div,
+                          mpf_log, mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest,
+                          to_float)
 import mpmath
 
 from .error_bounds import MAX_TERMS
@@ -83,6 +87,7 @@ def _locked(fn):
 class OracleValue(NamedTuple):
     """Extended-precision complex value with its guaranteed digit count.
 
+    `digits` is relative to the modulus |re + i im|, not to each part.
     A named tuple: fields by name or index, and assignment raises
     AttributeError.
     """
@@ -252,14 +257,71 @@ def _phase(nu: float, x: float, prec: int):
     return mpf_cos_sin(angle, prec, round_nearest)
 
 
+def _series_0f1(weights, nu: float, z, prec: int, derivative: bool):
+    # S = sum_k d_k u_k = 0F1(; 1 + i nu; z) with u_k = z^k / (k!)^2, or
+    # i nu S + 2 D, D = sum_k k d_k u_k = z S'(z), when `derivative`, as
+    # exact raw mpf parts.  `weights` keeps, per working precision wp, the
+    # d_k = d_(k-1) k den (k den - i num) / (k^2 den^2 + num^2) the row
+    # has needed (nu = num / den), complex integers at wp bits rounded to
+    # nearest: |d_k| <= 1 with an absolute error below k/2 units.  Past
+    # k^2 > 2|z| a term is at most half the one before, so the first below
+    # 2^(25-wp) (2^-(prec+25) at the first guard, as in mpmath) ends the
+    # sums.  The weights' errors being absolute, the bits lost are measured
+    # on max |u_k| (times |nu| + 2N for the derivative), not on the terms;
+    # past the guard less 20 bits, the sums rerun 50 bits above them.
+    num, den = nu.as_integer_ratio()
+    sign, man, exp, _ = z
+    z_man, z_shift = (man << exp, 0) if exp > 0 else (man, -exp)
+    lim, peak = 2 * z_man >> z_shift, z_man >> z_shift
+    z_man = -z_man if sign else z_man
+    guard, stop = 50, 1 << 25
+    while True:
+        wp = prec + guard
+        ws = weights.setdefault(wp, [(1 << wp, 0)])
+        u = top = 1 << wp
+        (s_re, s_im), d_re, d_im, k = ws[0], 0, 0, 0
+        while True:
+            k += 1
+            kk = k * k
+            u = (u * z_man >> z_shift) // kk
+            if kk <= peak:
+                top = u
+            try:
+                w_re, w_im = ws[k]
+            except IndexError:
+                kd, (re, im) = k * den, ws[-1]
+                q = kd * kd + num * num
+                w_re = (kd * (re * kd + im * num) + q // 2) // q
+                w_im = (kd * (im * kd - re * num) + q // 2) // q
+                ws.append((w_re, w_im))
+            t_re, t_im = w_re * u >> wp, w_im * u >> wp
+            s_re, s_im = s_re + t_re, s_im + t_im
+            if derivative:
+                d_re, d_im = d_re + k * t_re, d_im + k * t_im
+            if kk > lim and -stop < t_re < stop and -stop < t_im < stop:
+                break
+        parts = from_man_exp(s_re, -wp), from_man_exp(s_im, -wp)
+        scale = 0
+        if derivative:
+            nu_f, scale = from_float(nu), (int(abs(nu)) + 2 * k).bit_length()
+            parts = (mpf_sub(from_man_exp(2 * d_re, -wp), mpf_mul(nu_f, parts[1])),
+                     mpf_add(from_man_exp(2 * d_im, -wp), mpf_mul(nu_f, parts[0])))
+        size = max(p[2] + p[3] if p[1] else -wp for p in parts)
+        lost = abs(top).bit_length() - wp + scale - size
+        if lost <= guard - 20:
+            return parts
+        guard = lost + 50
+
+
 @_locked
 def _gold_row(kind: Kind, nu: float, xs, digits: int, derivative=False, hp=False):
     # The gold pair (its d/dx when `derivative`) of one order at each x
     # of `xs`: doubles (cos_part, sin_part), or OracleValue when `hp`.
     # The pair is x^(i nu) 0F1(; b; z) with b = 1 + i nu and z = -x^2/4
-    # (+x^2/4 when modified), DLMF 10.16.9 with 10.39.9; mpmath's 0F1
-    # controls its own cancellation, and z is exact.  The derivative
-    # follows from d/dz 0F1(; b; z) = 0F1(; b+1; z) / b.  Its two terms
+    # (+x^2/4 when modified), DLMF 10.16.9 with 10.39.9, and z is exact;
+    # its derivative x^(i nu) (i nu 0F1 + 2 z 0F1'(z)) / x.  `_series_0f1`
+    # sums both where mag(z) < 8 (x < 22.63), as mpmath's 0F1 would, and
+    # its asymptotic expansion the rest.  The derivative's two terms
     # cannot cancel to zero: the first is 0 at nu = 0, and otherwise the
     # real solutions' Wronskian nu / x keeps the complex derivative away
     # from 0.  Measured, they cancel by a factor ~|nu|^(1/3), at the
@@ -271,19 +333,25 @@ def _gold_row(kind: Kind, nu: float, xs, digits: int, derivative=False, hp=False
     xs = [check_positive(x, "x") for x in xs]
     modified = _is_modified(kind)
     row = []
+    weights = {}
     with mp.workdps(max(50, digits) + 15):
         prec = mp.prec
         b = mpc(1, nu)
         for x in xs:
             x_f = from_float(x)
             z_f = mpf_shift(mpf_mul(x_f, x_f), -2)
-            z = mp.make_mpf(z_f if modified else mpf_neg(z_f))
-            f = mp.hyp0f1(b, z)
+            z_f = z_f if modified else mpf_neg(z_f)
+            if z_f[2] + z_f[3] < 8:
+                f_re, f_im = _series_0f1(weights, nu, z_f, prec, derivative)
+            else:
+                z = mp.make_mpf(z_f)
+                f = mp.hyp0f1(b, z)
+                if derivative:
+                    f = mpc(0, nu) * f + 2 * z * mp.hyp0f1(b + 1, z) / b
+                f_re, f_im = (f._mpf_, fzero) if isinstance(f, mpf) else f._mpc_
             if derivative:
-                xm = mp.make_mpf(x_f)
-                f = mpc(0, nu) * f / xm + 2 * z / xm * mp.hyp0f1(b + 1, z) / b
+                f_re, f_im = (mpf_div(v, x_f, prec, round_nearest) for v in (f_re, f_im))
             c, s = _phase(nu, x, prec)
-            f_re, f_im = (f._mpf_, fzero) if isinstance(f, mpf) else f._mpc_
             re = mpf_sub(mpf_mul(f_re, c), mpf_mul(f_im, s), prec, round_nearest)
             im = mpf_add(mpf_mul(f_re, s), mpf_mul(f_im, c), prec, round_nearest)
             if hp:
@@ -297,8 +365,8 @@ def oracle_pair_hp(kind: Kind, nu: float, x: float, digits: int = 50) -> OracleV
     """Gold value of (cos_sol + i sin_sol) at full oracle precision.
 
     The pair x^(i nu) sum_n c_n (x/2)^(2n) is x^(i nu) 0F1(; 1 + i nu;
-    -+x^2/4), evaluated by mpmath's hypergeometric summation at
-    `max(50, digits) + 15` working digits.  It equals
+    -+x^2/4), summed at `max(50, digits) + 15` working digits (mpmath's
+    `hyp0f1` from x = 22.63 on).  It equals
     Gamma(1 + i nu) 2^(i nu) J_{i nu}(x) (I_{i nu} when modified);
     `hp_bessel_imag` and `hp_gamma` are the independent references for
     that identity.
@@ -312,7 +380,7 @@ def oracle_pair(kind: Kind, nu: float, x: float, digits: int = 50):
 
 
 def oracle_pair_derivs_hp(kind: Kind, nu: float, x: float, digits: int = 50) -> OracleValue:
-    """d/dx of the gold pair, through the 0F1 contiguous relation."""
+    """d/dx of the gold pair, x^(i nu) (i nu 0F1 + 2 z 0F1'(z)) / x."""
     return _gold_row(kind, nu, (x,), digits, derivative=True, hp=True)[0]
 
 

@@ -5,11 +5,14 @@ Gamma evaluation; the Bessel and Macdonald routines are additionally
 cross-checked against mpmath's independent hypergeometric machinery.
 """
 
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 import pytest
 from mpmath import mp, mpc, mpf
 import mpmath
@@ -205,10 +208,12 @@ def test_oracle_pair_is_gamma_normalized_bessel():
     """The normalization: the pair is Gamma(1 + i nu) 2^(i nu) J_{i nu}(x)
     (I_{i nu} when modified).
 
-    mpmath's `besselj` and `besseli` reach the same `hyp0f1` that the
-    oracle calls, so this checks the Gamma and 2^(i nu) factors and the
-    argument scaling, not the hypergeometric summation; the two tests
-    below compare the pair with independent code.
+    mpmath's `besselj` and `besseli` sum the series through mpmath's own
+    `hyp0f1`, which the oracle calls only from |z| = x^2/4 = 128 on, so
+    at these x this checks the Gamma and 2^(i nu) factors, the argument
+    scaling and the oracle's fixed-point summation; the two tests below
+    compare the pair with code that shares nothing with mpmath's
+    Bessel functions.
     """
     with mp.workdps(60):
         for nu, x in ((0.5, 1.0), (1.5, 2.0)):
@@ -229,8 +234,8 @@ def test_oracle_pair_is_gamma_normalized_bessel():
 
 
 def test_oracle_pair_is_gamma_times_hp_bessel():
-    # oracle_pair_hp evaluates mpmath's 0F1; hp_bessel_imag sums the
-    # defining series and divides by Gamma(1 + i nu) 2^(i nu), so two
+    # oracle_pair_hp sums 0F1 from per-order weights; hp_bessel_imag sums
+    # the defining series and divides by Gamma(1 + i nu) 2^(i nu), so two
     # independent codes must agree far below the declared 50 digits
     with mp.workdps(70):
         for kind in (OSC, MOD):
@@ -318,9 +323,10 @@ def test_gamma_holds_its_digits_at_huge_order(nu):
     assert _agree_to_50_digits(lo[:2], hi[:2])
 
 
-# x from 1e-3 to 30: from x = 23 on, |z| = x^2/4 >= 128 and mpmath's 0F1
-# takes its asymptotic branch
-ROW_XS = [1e-3, 0.01, 0.3, 1.0, 2.5, 7.0, 15.0, 22.0, 23.0, 26.5, 30.0]
+# x from 1e-3 to 30: from x = 22.63 on, |z| = x^2/4 >= 128 and the row
+# calls mpmath's 0F1, which takes its asymptotic branch; below it the row
+# sums the series itself
+ROW_XS = [1e-3, 0.01, 0.3, 1.0, 2.5, 7.0, 15.0, 22.0, 22.62, 22.63, 23.0, 26.5, 30.0]
 
 
 @pytest.mark.parametrize("kind", [OSC, MOD])
@@ -335,6 +341,68 @@ def test_gold_row_is_oracle_pair_at_each_x(kind, nu):
             z = (mpf(x) / 2) ** 2 * (1 if kind is MOD else -1)
             v = mp.exp(mpc(0, nu) * mp.log(mpf(x))) * mp.hyp0f1(mpc(1, nu), z)
             assert got == (float(v.real), float(v.imag)), x
+
+
+def _error_to_plain_mpmath(got, kind, nu, x, derivative):
+    # |got - want| / |want| for want = x^(i nu) 0F1(; 1 + i nu; z), or its
+    # d/dx through the contiguous relation, in plain mpmath arithmetic at
+    # 100 digits, plus the digits of |nu| that the angle nu ln x needs
+    with mp.workdps(100 + (max(0, math.ceil(math.log10(abs(nu)))) if nu else 0)):
+        xm = mpf(x)
+        z = xm * xm / 4 * (1 if kind is MOD else -1)
+        b = mpc(1, nu)
+        f = mp.hyp0f1(b, z)
+        if derivative:
+            f = mpc(0, nu) * f / xm + 2 * z / xm * mp.hyp0f1(b + 1, z) / b
+        want = mp.exp(mpc(0, nu) * mp.log(xm)) * f
+        return abs(mpc(got.re, got.im) - want) / abs(want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from([OSC, MOD]),
+       nu=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1e-300, 1e150]), st.floats(-100, 100)),
+       x=st.one_of(st.floats(5e-324, 22.62), st.floats(20.0, 22.62)),
+       derivative=st.booleans())
+# oscillatory x near 22.63 loses some 30-35 bits to cancellation, past
+# the 30 the first guard allows, and reruns with more
+@example(kind=OSC, nu=0.0, x=22.62, derivative=True)
+@example(kind=OSC, nu=0.5, x=22.0, derivative=True)
+@example(kind=OSC, nu=15.0, x=22.62, derivative=True)
+# at nu = 0 the derivative is 2 z 0F1'(z) / x ~ x / 2: below the first
+# fixed point's unit, it reruns until the sum can see it
+@example(kind=OSC, nu=0.0, x=1e-100, derivative=True)
+@example(kind=MOD, nu=-0.0, x=5e-324, derivative=True)
+def test_series_row_matches_plain_mpmath(kind, nu, x, derivative):
+    # below |z| = 128 the row sums 0F1 itself; values and derivatives
+    # hold to 1e-55 of the modulus at 50 declared digits
+    got = _gold_row(kind, nu, [x], 50, derivative=derivative, hp=True)[0]
+    assert _error_to_plain_mpmath(got, kind, nu, x, derivative) <= 1e-55
+
+
+@pytest.mark.parametrize("derivative", [False, True])
+def test_gold_row_calls_hyp0f1_only_from_mag_z_8(monkeypatch, derivative):
+    # x <= 22.62 (|z| < 128) is summed in the row, x = 22.63 by mpmath's
+    # 0F1: once for the value, twice (b and b + 1) for the derivative
+    calls = []
+    real = mp.hyp0f1
+    monkeypatch.setattr(mp, "hyp0f1", lambda *args: calls.append(args) or real(*args))
+    for kind in (OSC, MOD):
+        _gold_row(kind, 1.5, [1e-3, 1.0, 10.0, 20.0, 22.62], 50, derivative=derivative)
+        assert calls == []
+        _gold_row(kind, 1.5, [22.63], 50, derivative=derivative)
+        assert len(calls) == (2 if derivative else 1)
+        calls.clear()
+
+
+@pytest.mark.parametrize("kind", [OSC, MOD])
+@pytest.mark.parametrize("nu", [1e-300, 1e-70])
+def test_gold_pair_holds_its_digits_at_tiny_order(kind, nu):
+    # the sine-type part is ~nu, below the working precision of the
+    # modulus, so the declared digits are relative to the modulus
+    for x in (0.5, 9.69, 22.0):
+        for fn in (oracle_pair_hp, oracle_pair_derivs_hp):
+            lo, hi = fn(kind, nu, x, digits=50), fn(kind, nu, x, digits=200)
+            assert _agree_to_50_digits(lo[:2], hi[:2]), (fn.__name__, x)
 
 
 def test_gold_pair_hp_returns_oracle_values():
