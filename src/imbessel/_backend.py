@@ -4,6 +4,9 @@
 the kernel can be replaced or wrapped (for tracing, or by a test) at
 run time without touching its callers.  The kernel runs the (1, 0) seed
 only: the (0, 1) seed's sums are their quarter turn (see `series_core`).
+`_rows.row_sums` gives the same sums for a searched row of x at one
+order, from coefficients formed once per order (see "Order-major
+rows").
 
 The loop carries the running term t_k = c_k w^k = (a, b) itself, so
 each step is one complex multiplication
@@ -264,6 +267,68 @@ loop skips, so every other field keeps its bytes.
   `eval_pair` byte is the full loop's.  (At nu = 0 nothing freezes, so
   |nu| t_K is never 0 * inf; where r_N leaves the normal range
   `eval_pair` does not read the kernel's tails.)
+
+Order-major rows.  The coefficients c_k = A_k + i B_k depend on nu
+alone; x enters only through w^k.  `_rows.grow_coefficients` forms
+them once per order, from c_0 = (1, 0), in division form,
+
+    A_k = fl(fl(fl(k A) - fl(nu B)) / D_k),  B_k = fl(fl(fl(nu A) + fl(k B)) / D_k),
+    D_k = +-fl(k fl(k^2 + fl(nu^2))),
+
+(A, B = A_(k-1), B_(k-1); + for the modified equation, - for the
+oscillatory one, an exact sign), with their k-weighted copies
+fl(k A_k), fl(k B_k), the l1 size S_k = fl(|A_k| + |B_k|), fl(k S_k),
+and the screen's x-free fl(k + 1 + |nu|) and den_(k+1).
+`_rows.row_sums` then runs, at each x, the loop of `series_sums` with
+the terms formed
+from the table instead of by the recurrence: W_k = fl(W_(k-1) w)
+(W_1 = w = fl((x/2)^2)), t_k = (fl(A_k W_k), fl(B_k W_k)), the weighted
+terms fl(fl(k A_k) W_k) and fl(fl(k B_k) W_k), s = fl(S_k W_k) in place
+of fl(|a| + |b|), and g = fl(fl(k S_k) W_k) for s1 and s2.  The m and j
+bookkeeping, the screen (the same e and den, its two comparisons the
+other way round, which changes no outcome), `carried_tails` and the
+partial-sum bound are the kernel's, so a row's count is `series_sums`'
+except where some s differs from the kernel's by its few ulps right at
+a screen or chain decision.  The bullets of "Rounding" hold for the
+row with these changes:
+
+* Term drift.  A coefficient step rounds D_k three times (nu^2, the
+  sum, the product), the products in k A - nu B and nu A + k B
+  (sqrt(2) u, as above), and the sum and the quotient of each
+  component (2u): 6.414u against the scalar step's 8.414u, which also
+  rounds w and the product by r_k.  W_k carries the rounding of w
+  k times and its k - 1 products, and forming t_k rounds once more:
+  2k u.  So the computed term is t_k prod (1 + eta) with the etas
+  summing to at most 8.414 k u, the scalar bound, and `_DRIFT` covers
+  it: the drift of p + i q is at most `_DRIFT` s1.  The l1 size s is
+  within sqrt(2) 6.414 k u (the coefficient), u (S_k), (2k - 1) u
+  (W_k) and u (the product) of the exact term's: (11.1 k + 1) u, below
+  the 13 k u that `TAIL_FACTOR` allows.
+* Weighted terms.  fl(fl(k A_k) W_k) rounds k A_k twice where the
+  scalar kernel rounds fl(k a) once: the coefficient and W_k drift by
+  (8.414 k - 1) u, and the two roundings add 2u, so the weighted term
+  is off by at most 8.414 k u + u relative.  The first part is the
+  drift `_DRIFT` s2 charges; the u left is the one rounding of the
+  products k a_k that `d_sums` charges, u sum k (|a_k| + |b_k|) <= u s1.
+  `d_sums` = (N + 1) u s1 (N additions and the products) and its split
+  at j therefore stand as derived for the kernel.
+* Normal range.  The table stops before the first S_k below
+  `_rows._C_MIN` = 2^-969 (or at `MAX_TERMS`), so |c_k| >= 2^-969.5
+  for every tabled coefficient: an operation of a step that lands
+  below the normal range adds at most 2^-1075 to a component, at most
+  8 2^-1075 per step (four operations, two components), below
+  2^-102 |c_k|, far inside the rounding of 8.414 up to 8.5.  The powers fall (w < 1) or rise
+  (w >= 1) with k, so a computed W_N >= 2^-1022 keeps every W_k, k <= N,
+  normal and each product fl(W w) relative.  The term products and s
+  then add at most an absolute 2^-1075 per component each, formed
+  afresh at every k, so the kernel's `_TINY6` N^2 (and N^3) and
+  `S_FLOOR` cover them.  A point whose sum runs past the table's end,
+  whose W_N or r_N = w / (N (N^2 + nu^2)) is below the normal range
+  (r_N as in `series_core.eval_pair`), or whose s2 overflows gets None,
+  and its caller takes `series_sums` there.
+* Partial sums and tails.  The additions, m, j and the closing are the
+  kernel's, so "Partial sums", "Tails" and "Carried tails" hold as
+  stated, with the row's s as the last term's l1 size.
 """
 
 #: Hard ceiling on the admissible number of series terms.
@@ -293,6 +358,8 @@ _NORMAL = 2.0 ** -1022
 #: What the closed-form tails can lose below the normal range, rounded
 #: up from 1.6 * 2^-1074 (see "Tails below the normal range").
 _UNDER = 2.0 ** -1073
+#: w / (N (N^2 + nu^2)) below this leaves the normal range.
+_R_MIN = 2.0 * _NORMAL
 
 
 def series_sums(modified, nu, w, n_terms, tol=-1.0):

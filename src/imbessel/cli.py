@@ -8,17 +8,20 @@ row goes through one `%` template made from the first row's types
 
 Grid rows come in order, outer loop over the nu list, inner over x.
 `table` and `compare` evaluate one order at a time through
-`series_core._eval_row`, which checks the order once and runs
-`eval_pair`'s per-point body at each x, so a row holds `eval_pair`'s
-values bit for bit.  `compare` also evaluates its oracle one order at a
-time, through `oracle._gold_row`, right after that order's series row,
-so the oracle's checks run once per order and a refusal comes from
-the first order that fails.  Both evaluate the whole grid before they
-write a byte, so a refusal anywhere writes nothing.  `table`'s CSV formats
-each x once per grid and each nu once per order, into a per-order
-template that follows the same rule.  Evaluation is serial: the work
-is pure Python and holds the interpreter lock, so threads could not
-overlap it.
+`_rows._eval_row`, which checks the order once.  With `--terms` it
+runs `eval_pair`'s per-point body at each x, so a row holds
+`eval_pair`'s values bit for bit; a searched row sums each x from the
+order's series coefficients, formed once, and differs from `eval_pair`
+by round-off within both bounds, with its term counts and refusals
+unless a term's last ulps decide them.  `compare` also evaluates its
+oracle one order at a time, through `oracle._gold_row`, right after
+that order's series row, so the oracle's checks run once per order and
+a refusal comes from the first order that fails.  Both evaluate the
+whole grid before they write a byte, so a refusal anywhere writes
+nothing.  `table`'s CSV formats each x once per grid and each nu once
+per order, into a per-order template that follows the same rule.
+Evaluation is serial: the work is pure Python and holds the
+interpreter lock, so threads could not overlap it.
 
 Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure.
 """
@@ -29,10 +32,11 @@ import json
 import math
 import sys
 
+from ._rows import _eval_row
 from .errors import DomainError, ToleranceError
 from .error_bounds import tail_bound
 from .lommel import ImaginaryOrder, classify
-from .series_core import _MODIFIED, _OSCILLATORY, Kind, _eval_row, eval_pair
+from .series_core import _MODIFIED, _OSCILLATORY, Kind, eval_pair
 
 DEFAULT_TOL = 1e-12
 DEFAULT_NUS = "0,0.5,1,1.5,2"

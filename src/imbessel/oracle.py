@@ -268,9 +268,12 @@ def _series_0f1(weights, nu: float, z, prec: int, derivative: bool):
     # 2^(25-wp) (2^-(prec+25) at the first guard, as in mpmath) ends the
     # sums.  The weights' errors being absolute, the bits lost are measured
     # on max |u_k| (times |nu| + 2N for the derivative), not on the terms;
-    # past the guard less 20 bits, the sums rerun 50 bits above them.
+    # past the guard less 20 bits, the sums rerun 50 bits above them.  A
+    # result of a few units (the derivative at tiny z and |nu|) reads 0:
+    # it is then near i nu + 2 z, of modulus at least about 2 |z|, so the
+    # rerun is sized by mag(z) instead, and takes its bits at once.
     num, den = nu.as_integer_ratio()
-    sign, man, exp, _ = z
+    sign, man, exp, bc = z
     z_man, z_shift = (man << exp, 0) if exp > 0 else (man, -exp)
     lim, peak = 2 * z_man >> z_shift, z_man >> z_shift
     z_man = -z_man if sign else z_man
@@ -310,6 +313,8 @@ def _series_0f1(weights, nu: float, z, prec: int, derivative: bool):
         lost = abs(top).bit_length() - wp + scale - size
         if lost <= guard - 20:
             return parts
+        if size <= 32 - wp:  # reads 0: size the rerun by z
+            lost += max(0, size - exp - bc)
         guard = lost + 50
 
 

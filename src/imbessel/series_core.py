@@ -47,7 +47,7 @@ _U = 0.5 * _EPS
 #: smallest subnormal double
 _TINY = 2.0 ** -1074
 #: w / (N (N^2 + nu^2)) below this leaves the normal range
-_R_MIN = 2.0 * sys.float_info.min
+_R_MIN = _backend._R_MIN
 _log = math.log
 _cos = math.cos
 _sin = math.sin
@@ -156,14 +156,14 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     roughly 20) stay computable with a forced count, and their bound
     carries the round-off honestly.  The arguments are checked in the
     order kind, nu, x, tol, terms, nu^2, and the first that fails is
-    raised; `_eval_row` runs the same checks, with x's last.
+    raised; `_rows._eval_row` runs the same checks, with x's last.
     """
     modified = _is_modified(kind)
     try:
         if not _isfinite(nu):
             check_real(nu, "nu")  # raises, with the message
         # x before tol and terms, as documented; `_point` checks it again
-        # for `_eval_row`, which checks it last
+        # for `_rows._eval_row`, which checks it last
         if not 0.0 < x <= _MAX:  # also an int past the double range
             check_positive(x, "x")
         nu2 = _check_order(nu, tol, terms)
@@ -171,26 +171,6 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
         return _new(PairResult, _point(modified, nu, nu2, x, tol, terms))
     except (TypeError, OverflowError):
         refuse(("nu", nu), ("x", x), ("tol", tol))
-        raise
-
-
-def _eval_row(kind: Kind, nu: float, xs, tol: float = 1e-12,
-              terms: int | None = None) -> list:
-    """`eval_pair` of one order at each x in `xs`, as plain 7-tuples.
-
-    The order's checks run once, before any x: kind, nu, tol, terms and
-    nu^2, with `eval_pair`'s messages; each x then gets its own checks
-    and the same per-point body as `eval_pair`, so every tuple equals
-    `tuple(eval_pair(kind, nu, x, tol, terms))` bit for bit.  The first
-    refusal is raised, as `eval_pair` raises it at that point.
-    """
-    modified = _is_modified(kind)
-    check_real(nu, "nu")
-    try:
-        nu2 = _check_order(nu, tol, terms)
-        return [_point(modified, nu, nu2, x, tol, terms) for x in xs]
-    except (TypeError, OverflowError):
-        refuse(("tol", tol), *(("x", x) for x in xs))
         raise
 
 

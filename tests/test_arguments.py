@@ -31,7 +31,7 @@ from imbessel import (
     tail_bound,
 )
 from imbessel.oracle import KL_MAX_DIGITS, MAX_DIGITS
-from imbessel.series_core import _eval_row
+from imbessel._rows import _eval_row
 
 OSC = Kind.OSCILLATORY
 

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
-from imbessel import MAX_TERMS, DomainError, Kind, ToleranceError, _backend, eval_pair
+from imbessel import MAX_TERMS, DomainError, Kind, ToleranceError, _backend, _rows, eval_pair
 from imbessel._backend import (_DRIFT, _INF, _NORMAL, _Q, _TINY6, _U, _UNDER, RHO_UP, S_FLOOR,
                                TAIL_FACTOR)
 from imbessel.oracle import coefficients_hp
@@ -87,27 +87,70 @@ def reference_series_sums(modified, a0, b0, nu, w, n_terms, tol=-1.0):
                     tail = tail + _UNDER
                     d_tail = d_tail + _UNDER
 
+    err, d_err = _reference_round_off(fk - 1.0, j, um, s1, s2, w, nu)
+    return p, q, dp, dq, m, k, tail, d_tail, err, d_err
+
+
+def _reference_round_off(n, j, um, s1, s2, w, nu):
+    # err and d_err after n steps, from the loop's j, um = u m, s1, s2.
     # Partial sums: adding a term rounds by at most u |sum| and at most
     # the term itself.  Up to step j (the last term above u m) take u m
     # per addition; the terms after it are <= u m and fall off with the
     # ratio from step j + 2 on.
-    n = fk - 1.0
+    fk = n + 1.0
     sums = 1.5 * n * um
     d_sums = fk * _U * s1
-    if j < k:
+    if j < n:
         f2 = j + 2.0
-        rho = w * RHO_UP * (f2 + v) / (f2 * (f2 * f2 + nu2))
+        rho = w * RHO_UP * (f2 + abs(nu)) / (f2 * (f2 * f2 + nu * nu))
         rd = f2 * rho / (j + 1.0)
         if rd < 1.0:  # then rho < 1 as well
-            split = 1.5 * j * um + um * factor / (1.0 - rho)
+            split = 1.5 * j * um + um * TAIL_FACTOR / (1.0 - rho)
             if split < sums:
                 sums = split
-            split = (j + 1.0) * (_U * s1 + um * factor / (1.0 - rd))
+            split = (j + 1.0) * (_U * s1 + um * TAIL_FACTOR / (1.0 - rd))
             if split < d_sums:
                 d_sums = split
-    err = _DRIFT * s1 + sums + n * n * _TINY6
-    d_err = _DRIFT * s2 + d_sums + n * n * n * _TINY6
-    return p, q, dp, dq, m, k, tail, d_tail, err, d_err
+    return (_DRIFT * s1 + sums + n * n * _TINY6,
+            _DRIFT * s2 + d_sums + n * n * n * _TINY6)
+
+
+def reference_row_sums(modified, nu, x, tol):
+    # A searched row's sums at x as `_rows.row_sums` forms them, from the
+    # order's whole coefficient table: each term fl(c_k fl(w^k)) goes
+    # into every sum, the search stops where the tail `carried_tails`
+    # returns meets tol, with no screen before it, and the partial-sum
+    # bound is the reference kernel's.  None where the row hands x to
+    # `series_sums`.
+    nu2, v = nu * nu, abs(nu)
+    table = []
+    while _rows.grow_coefficients(table, modified, nu, nu2, v):
+        pass
+    w = (0.5 * x) * (0.5 * x)
+    ww = p = m = 1.0
+    q = dp = dq = s1 = s2 = 0.0
+    um = _U
+    j = 0.0
+    for a, b, ka, kb, sa, ks, k, ek, den in table:
+        ww = ww * w
+        p, q, dp, dq = p + a * ww, q + b * ww, dp + ka * ww, dq + kb * ww
+        s = sa * ww
+        g = ks * ww
+        s1, s2 = s1 + g, s2 + k * g
+        m = max(abs(p), abs(q), m)
+        um = m * _U
+        if s > um:
+            j = k
+        if w * RHO_UP * ek < den:
+            tail, d_tail = _backend.carried_tails(s + S_FLOOR, k + 1.0, nu2, v, w * RHO_UP)
+            if tail <= tol:
+                break
+    else:
+        return None
+    if not (ww >= _NORMAL and w >= 2.0 * _NORMAL * k * (k * k + nu2) and s2 < _INF):
+        return None
+    err, d_err = _reference_round_off(k, j, um, s1, s2, w, nu)
+    return p, q, dp, dq, m, int(k), tail, d_tail, err, d_err
 
 
 def test_series_sums_match_tables():
@@ -280,6 +323,27 @@ def test_series_sums_equal_the_full_loop_byte_for_byte(modified, nu, x, n_terms,
         # the round-off bounds of `eval_pair` from below
         assert tail + _NORMAL <= _Q * err, got
         assert 2.0 * d_tail + abs(nu) * tail + _NORMAL <= _Q * (2.0 * d_err), got
+
+
+@settings(max_examples=100, deadline=None)
+@given(modified=st.booleans(), nu=st.one_of(_NU, st.sampled_from([1e150, -3e100])),
+       xs=st.lists(st.one_of(_X, st.floats(40.0, 1e80)), min_size=1, max_size=4),
+       tol=st.floats(-16.0, 0.0).map(lambda e: 10.0 ** e))
+@example(modified=False, nu=0.0, xs=[40.0, 7.0, 1e-300, 2.404825557695773], tol=1e-12)
+@example(modified=True, nu=1e150, xs=[1e-5, 1.0, 1e73], tol=1e-12)
+@example(modified=True, nu=13.23, xs=[9.45], tol=0.93)
+def test_row_sums_equal_the_reference_row_byte_for_byte(modified, nu, xs, tol):
+    # every field of every x, the count, the tails and the round-off
+    # bounds included, or None at the same points; the row grows its
+    # table as it goes, the reference forms it whole
+    got = list(_rows.row_sums(modified, nu, xs, tol))
+    for x, sums in zip(xs, got):
+        want = reference_row_sums(modified, nu, x, tol)
+        if want is None:
+            assert sums is None, (x, sums)
+        else:
+            assert sums is not None and type(sums[5]) is int, x
+            assert _pack(sums) == _pack(want), (x, sums, want)
 
 
 _KERNEL = _backend.series_sums

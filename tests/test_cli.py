@@ -119,17 +119,19 @@ def test_table_zero_order_sine_column_is_zero():
 
 
 def test_table_csv_round_trips_doubles():
-    from imbessel import Kind, eval_pair
+    # a searched table prints the row's values (`_eval_row`), not
+    # eval_pair's; %.17g gives each double back exactly
+    from imbessel import Kind
+    from imbessel._rows import _eval_row
 
     code, out = run_cli(["table", "--x-min", "0.3", "--x-max", "1.9", "--x-steps", "5",
                          "--nu", "0.7", "--x-scale", "log"])
     assert code == 0
     _, rows = parse_csv(out)
-    for row in rows:
-        x = float(row[0])
-        r = eval_pair(Kind.OSCILLATORY, 0.7, x, 1e-12)
-        assert float(row[2]) == r.cos_part
-        assert float(row[3]) == r.sin_part
+    xs = [float(row[0]) for row in rows]
+    for row, r in zip(rows, _eval_row(Kind.OSCILLATORY, 0.7, xs, 1e-12)):
+        assert float(row[2]) == r[0]
+        assert float(row[3]) == r[1]
 
 
 def test_table_json_matches_csv():
@@ -371,8 +373,10 @@ TABLE_FIELDS = ["x", "nu", "cos_part", "sin_part", "d_cos", "d_sin", "terms", "b
 
 
 def test_table_bytes_match_the_per_value_rule():
-    from imbessel import Kind, eval_pair
+    # the values are the rows' (`_eval_row`); the rule is `_emit`'s
+    from imbessel import Kind
     from imbessel.cli import _grid_points
+    from imbessel._rows import _eval_row
 
     nus = "-0.0,0,0.5,3"
     for kind, flag in ((Kind.OSCILLATORY, "osc"), (Kind.MODIFIED, "mod")):
@@ -386,31 +390,33 @@ def test_table_bytes_match_the_per_value_rule():
             code, out = run_cli(args)
             assert code == 0, args
             rows = []
+            xs = _grid_points(x_min, x_max, steps, scale)
             for nu in (-0.0, 0.0, 0.5, 3.0):
-                for x in _grid_points(x_min, x_max, steps, scale):
-                    r = eval_pair(kind, nu, x, 1e-12, terms=terms)
-                    rows.append([x, nu, r.cos_part, r.sin_part, r.d_cos, r.d_sin,
-                                 r.terms_used, r.tail_bound])
+                for x, r in zip(xs, _eval_row(kind, nu, xs, 1e-12, terms)):
+                    rows.append([x, nu, *r[:6]])
             assert out == per_value_csv(TABLE_FIELDS, rows), args
             assert out.splitlines()[1].split(",")[1] == "-0"
 
 
 def test_compare_bytes_match_the_per_value_rule():
-    from imbessel import Kind, eval_pair, oracle_pair
+    # the values are the rows' (`_eval_row`); the rule is `_emit`'s
+    from imbessel import Kind, oracle_pair
     from imbessel.cli import COMPARE_SLACK
+    from imbessel._rows import _eval_row
 
     code, out = run_cli(["compare", "--kind", "mod", "--nu=-0.0,1.5", "--x-steps", "3",
                          "--tol", "1e-10"])
     assert code == 0
     rows = []
+    xs = (0.1, 1.05, 2.0)
     for nu in (-0.0, 1.5):
-        for x in (0.1, 1.05, 2.0):
-            r = eval_pair(Kind.MODIFIED, nu, x, 1e-10)
+        for x, r in zip(xs, _eval_row(Kind.MODIFIED, nu, xs, 1e-10)):
+            cos_part, sin_part, bound = r[0], r[1], r[5]
             gold_cos, gold_sin = oracle_pair(Kind.MODIFIED, nu, x, digits=50)
-            err_cos, err_sin = abs(r.cos_part - gold_cos), abs(r.sin_part - gold_sin)
+            err_cos, err_sin = abs(cos_part - gold_cos), abs(sin_part - gold_sin)
             err = max(err_cos, err_sin)
-            rows.append([x, nu, err_cos, err_sin, r.tail_bound,
-                         err <= r.tail_bound + COMPARE_SLACK, err <= 1e-10])
+            rows.append([x, nu, err_cos, err_sin, bound,
+                         err <= bound + COMPARE_SLACK, err <= 1e-10])
     max_err = max(max(row[2], row[3]) for row in rows)
     status = "PASS" if all(row[5] for row in rows) else "FAIL"
     expected = per_value_csv(["x", "nu", "err_cos", "err_sin", "bound", "ok", "within_tol"], rows)

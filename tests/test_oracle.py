@@ -32,7 +32,7 @@ from imbessel import (
     oracle_pair_hp,
     truncated_pair_hp,
 )
-from imbessel.oracle import OracleValue, _gold_row
+from imbessel.oracle import OracleValue, _gold_row, _series_0f1
 
 OSC = Kind.OSCILLATORY
 MOD = Kind.MODIFIED
@@ -377,6 +377,23 @@ def test_series_row_matches_plain_mpmath(kind, nu, x, derivative):
     # hold to 1e-55 of the modulus at 50 declared digits
     got = _gold_row(kind, nu, [x], 50, derivative=derivative, hp=True)[0]
     assert _error_to_plain_mpmath(got, kind, nu, x, derivative) <= 1e-55
+
+
+@pytest.mark.parametrize("kind", [OSC, MOD])
+@pytest.mark.parametrize("x", [1e-100, 5e-324])
+def test_zero_order_derivative_at_tiny_x_takes_one_rerun(kind, x):
+    # 2 z 0F1'(z) ~ z lies below the first fixed point's unit, so the sum
+    # reads 0; the rerun is sized by mag(z), and the weights are kept for
+    # the two working precisions only.  The value is -+x/2 to far more
+    # than the working precision, so it rounds to that exactly.
+    z = mpf(x) ** 2 / 4
+    z = z if kind is MOD else -z
+    weights = {}
+    with mp.workdps(65):
+        _series_0f1(weights, 0.0, z._mpf_, mp.prec, True)
+    assert len(weights) == 2, sorted(weights)
+    got = oracle_pair_derivs_hp(kind, 0.0, x)
+    assert (got.re, got.im) == ((mpf(x) / 2 if kind is MOD else -mpf(x) / 2), 0)
 
 
 @pytest.mark.parametrize("derivative", [False, True])

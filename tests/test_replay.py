@@ -7,10 +7,15 @@ least the exact rho_K (the "Multipliers" bullet of `_backend`) and
 exactly from the exact last term.  The round-off bounds rest on (3) the
 drift sum (the "Term drift" bullet): the computed terms sum to within
 `_DRIFT` s1 of the exact terms, and their k-weighted sum to within
-`_DRIFT` s2.  Each test reruns that piece from the same doubles w and
-nu, in `fractions.Fraction` (the ratio) or in mpmath at 2 000 bits (the
-terms, whose exact rationals grow by ~100 bits a step), and checks its
-inequality on its own, not through the bounds it feeds.
+`_DRIFT` s2.  A searched row forms its terms from the order's
+coefficients instead ("Order-major rows"), so (4) each of its terms is
+within k `_DRIFT` of the exact one, its k-weighted term within
+k (k `_DRIFT` + u), and its l1 size s within 13 k u.  Each test reruns
+that piece from the same doubles w (x, for the row) and nu, in
+`fractions.Fraction` (the ratio) or in mpmath at 2 000 bits (the terms,
+whose exact rationals grow by ~100 bits a step; 400 bits for the row's
+terms, whose reference then drifts by far less than 2^-300 relative),
+and checks its inequality on its own, not through the bounds it feeds.
 """
 
 from fractions import Fraction
@@ -18,7 +23,7 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpc, mpf
 
-from imbessel import MAX_TERMS, _backend
+from imbessel import MAX_TERMS, _backend, _rows
 from imbessel._backend import _U, RHO_UP
 
 # both kinds over orders from 0 to 38 and x from 0.3 to 78; and named
@@ -77,9 +82,9 @@ def _exact_closing(m, w, nu, n):
 
 
 def _exact_terms(modified, nu, w, steps):
-    # t_0 = 1, ..., t_steps from the doubles w and nu, at the caller's
-    # working precision
-    sw, mnu = mpf(w if modified else -w), mpf(nu)
+    # t_0 = 1, ..., t_steps from w (a double, or exact) and the double nu,
+    # at the caller's working precision
+    sw, mnu = mpf(w) if modified else -mpf(w), mpf(nu)
     terms = [mpc(1)]
     for k in range(1, steps + 1):
         terms.append(terms[-1] * mpc(k, mnu) * sw / (k * (k * k + mnu * mnu)))
@@ -155,3 +160,48 @@ def test_drift_sum_is_within_drift_s1_and_s2(modified, nu, x):
         assert _backend.series_sums(modified, nu, w, n)[:4] == sums, n
         assert drift <= mpf(_backend._DRIFT) * mpf(s1), (n, drift, s1)
         assert d_drift <= mpf(_backend._DRIFT) * mpf(s2), (n, d_drift, s2)
+
+
+def _row_terms(modified, nu, x):
+    # the row's terms at x from the order's whole table, with its
+    # operations, while w^k stays normal: (k, a, b, ka, kb, s)
+    table = []
+    while _rows.grow_coefficients(table, modified, nu, nu * nu, abs(nu)):
+        pass
+    w = (0.5 * x) * (0.5 * x)
+    ww = 1.0
+    terms = []
+    for a, b, ka, kb, sa, _, k, _, _ in table:
+        ww = ww * w
+        if not 2.0 ** -1022 <= ww < float("inf"):
+            break
+        terms.append((k, a * ww, b * ww, ka * ww, kb * ww, sa * ww))
+    return terms
+
+
+@pytest.mark.parametrize("modified, nu, x", CASES)
+def test_row_terms_are_within_the_drift_of_the_exact_terms(modified, nu, x):
+    # exact terms from the double x, so the rounding of w = (x/2)^2 is
+    # charged as well; a term that falls below the normal range may add
+    # an absolute 2^-1075 per component, which `_TINY6` and `S_FLOOR`
+    # cover, so 2^-1074 is allowed on top
+    terms = _row_terms(modified, nu, x)
+    tiny = mpf(2) ** -1074
+    with mp.workprec(400):
+        exact = _exact_terms(modified, nu, (mpf(x) / 2) ** 2, len(terms))
+        drift = mpf(_backend._DRIFT)
+        for (k, a, b, ka, kb, s), t in zip(terms, exact[1:]):
+            size = abs(t)
+            l1 = abs(t.real) + abs(t.imag)
+            assert abs(mpc(a, b) - t) <= k * drift * size + tiny, (k, a, b)
+            assert abs(mpc(ka, kb) - k * t) <= k * (k * drift + mpf(_U)) * size + tiny, k
+            assert abs(s - l1) <= 13 * k * mpf(_U) * l1 + tiny, (k, s)
+    # the replay takes the row's operations: its sums up to the row's
+    # count are `row_sums`'
+    sums = next(_rows.row_sums(modified, nu, [x], 1e-12))
+    if sums is not None:
+        n = sums[5]
+        p, q, dp, dq = 1.0, 0.0, 0.0, 0.0
+        for k, a, b, ka, kb, _ in terms[:n]:
+            p, q, dp, dq = p + a, q + b, dp + ka, dq + kb
+        assert (p, q, dp, dq) == sums[:4], n

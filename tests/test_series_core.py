@@ -17,6 +17,7 @@ from imbessel import (
     PairResult,
     ToleranceError,
     _backend,
+    _rows,
     eval_pair,
     gamma_modulus_imag,
     hp_gamma,
@@ -28,7 +29,7 @@ from imbessel import (
 )
 from imbessel.error_bounds import derivative_tail_bound, tail_bound
 from imbessel.oracle import coefficients_hp
-from imbessel.series_core import _eval_row
+from imbessel._rows import _eval_row
 
 OSC = Kind.OSCILLATORY
 MOD = Kind.MODIFIED
@@ -325,31 +326,142 @@ def _bits(values):
                  for v in values)
 
 
-# x reaches down to the least subnormal: below ~1e-150 the bounds take
-# the branch where r_N leaves the normal range
+# ---------------------------------------------------------------- rows
+#
+# A searched row sums each x from the order's coefficients (see
+# "Order-major rows" in `_backend`), so its values are not `eval_pair`'s
+# bytes: they must enclose the oracle on their own bounds, agree with
+# `eval_pair` within both bounds and take its counts.  Forced rows, and
+# the points a row cannot sum, are `eval_pair`'s bit for bit.
+
+ROW_TOLS = (1e-6, 1e-10, 1e-12)
+
+
+def _row_requests():
+    # both kinds, |nu| <= 20, x log-uniform on [1e-3, 20], each tolerance;
+    # 2 x 3 x 6 rows of 10 points, with the points eval_pair refuses
+    # (large x at small tol) left out so that each row answers
+    rng = random.Random("row-requests")
+    rows = []
+    for kind in (OSC, MOD):
+        for tol in ROW_TOLS:
+            for _ in range(6):
+                nu = rng.choice((0.0, rng.uniform(-20.0, 20.0), rng.uniform(-3.0, 3.0)))
+                xs = [math.exp(rng.uniform(math.log(1e-3), math.log(20.0))) for _ in range(10)]
+                xs = [x for x in xs if not isinstance(_outcome(eval_pair, kind, nu, x, tol),
+                                                      Exception)]
+                rows.append((kind, nu, xs, tol))
+    return rows
+
+
+_ROWS = _row_requests()
+
+
+def test_searched_rows_enclose_the_oracle_without_slack():
+    from imbessel.oracle import _gold_row
+
+    # the sample keeps enough answered points across its ranges
+    assert sum(len(xs) for *_, xs, _ in _ROWS) >= 300
+    assert max(abs(nu) for _, nu, _, _ in _ROWS) > 15.0
+    assert max(x for _, _, xs, _ in _ROWS for x in xs) > 10.0
+    misses = []
+    for kind, nu, xs, tol in _ROWS:
+        row = _eval_row(kind, nu, xs, tol)
+        gold = _gold_row(kind, nu, xs, 50, hp=True)
+        d_gold = _gold_row(kind, nu, xs, 50, derivative=True, hp=True)
+        for x, r, g, d in zip(xs, row, gold, d_gold):
+            err = max(abs(mpf(r[0]) - g.re), abs(mpf(r[1]) - g.im))
+            d_err = max(abs(mpf(r[2]) - d.re), abs(mpf(r[3]) - d.im))
+            if not (err <= mpf(r[5]) and d_err <= mpf(r[6])):
+                misses.append((kind.value, nu, x, tol, float(err), r[5], float(d_err), r[6]))
+    assert misses == []
+
+
+def test_searched_rows_agree_with_eval_pair_within_both_bounds():
+    for kind, nu, xs, tol in _ROWS:
+        row = _eval_row(kind, nu, xs, tol)
+        for x, r in zip(xs, row):
+            single = eval_pair(kind, nu, x, tol)
+            assert type(r) is tuple and type(r[4]) is int
+            for i, b in ((0, 5), (1, 5), (2, 6), (3, 6)):
+                assert abs(r[i] - single[i]) <= r[b] + single[b], (kind, nu, x, tol, i)
+
+
+def test_searched_rows_take_eval_pairs_counts():
+    for kind, nu, xs, tol in _ROWS:
+        counts = [r[4] for r in _eval_row(kind, nu, xs, tol)]
+        assert counts == [eval_pair(kind, nu, x, tol).terms_used for x in xs], (kind, nu, tol)
+
+
+def test_row_rotation_and_bounds_are_eval_pairs_on_the_rows_sums(monkeypatch):
+    # `_eval_row` keeps its own copy of `_point`'s rotation and bounds;
+    # given the row's sums in place of the kernel's, eval_pair returns
+    # the row's bytes
+    for kind, nu, xs, tol in _ROWS[::4]:
+        row = _eval_row(kind, nu, xs, tol)
+        for x, r, sums in zip(xs, row, _rows.row_sums(kind is MOD, nu, xs, tol)):
+            monkeypatch.setattr(_backend, "series_sums", lambda *args, **kwargs: sums)
+            assert _bits(eval_pair(kind, nu, x, tol)) == _bits(r), (kind, nu, x, tol)
+
+
+def _row_fallbacks(kind, nu, xs, tol):
+    # which points `row_sums` hands back to the scalar path
+    return [sums is None for sums in _rows.row_sums(kind is MOD, nu, xs, tol)]
+
+
+# x reaches down to the least subnormal: below ~1e-150 w^k leaves the
+# normal range, and `eval_pair` takes the branch where r_N does
 _ROW_X = st.one_of(st.floats(5e-324, 1e-150), st.floats(1e-150, 40.0))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from([OSC, MOD]),
-       nu=st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-30.0, 30.0)),
+       nu=st.one_of(st.sampled_from([0.0, -0.0, 1e150, -1e150]), st.floats(-30.0, 30.0)),
        xs=st.lists(_ROW_X, min_size=1, max_size=6),
+       tol=st.sampled_from([1e-6, 1e-12, 1e-17]),
        terms=st.one_of(st.none(), st.integers(1, MAX_TERMS)))
-@example(kind=MOD, nu=-0.0, xs=[5e-324, 1e-200, 1e-160, 0.5, 3.0], terms=None)
-@example(kind=OSC, nu=0.0, xs=[5e-324, 1e-200, 2.0], terms=3)
-@example(kind=OSC, nu=1.5, xs=[1e-300, 0.25, 30.0, 2.0], terms=None)
-def test_row_values_equal_eval_pair_bit_for_bit(kind, nu, xs, terms):
-    # the CLI's grid path and the scalar path share one per-point body:
-    # every value and its type match, and a row raises the refusal that
-    # eval_pair raises at its first failing point
-    singles = [_outcome(eval_pair, kind, nu, x, 1e-12, terms=terms) for x in xs]
-    row = _outcome(_eval_row, kind, nu, xs, 1e-12, terms=terms)
-    first_error = next((r for r in singles if isinstance(r, Exception)), None)
-    if first_error is None:
-        assert [_bits(r) for r in row] == [_bits(r) for r in singles]
-        assert all(type(r) is tuple and type(r[4]) is int for r in row)
-    else:
-        assert type(row) is type(first_error) and str(row) == str(first_error)
+# x = 1e-300 among ordinary points; orders of 1e150, whose table ends
+# after c_1 and whose r_N leaves the normal range at small x; forced
+# counts, which never take the row
+@example(kind=OSC, nu=1.5, xs=[0.25, 1e-300, 3.0, 1e-300, 7.5], tol=1e-12, terms=None)
+@example(kind=OSC, nu=1e150, xs=[1e-5, 1.0, 1e73, 3.0], tol=1e-12, terms=None)
+@example(kind=MOD, nu=-1e150, xs=[1e73, 1e-5, 0.5], tol=1e-12, terms=None)
+@example(kind=OSC, nu=2.5, xs=[0.01, 1e-300, 4.0, 25.0], tol=1e-12, terms=12)
+@example(kind=MOD, nu=-0.0, xs=[5e-324, 1e-200, 1e-160, 0.5, 3.0], tol=1e-12, terms=None)
+# refusals after points that answer: an unreachable tolerance
+# (oscillatory x = 40 at 1e-12), and one below the round-off floor
+@example(kind=OSC, nu=0.5, xs=[1.0, 3.0, 40.0, 0.5], tol=1e-12, terms=None)
+@example(kind=MOD, nu=2.0, xs=[0.1, 40.0, 1e-300], tol=1e-12, terms=None)
+@example(kind=OSC, nu=1.5, xs=[1e-3, 2.0], tol=1e-17, terms=None)
+@example(kind=MOD, nu=-3.0, xs=[0.5, 1e-300, 2.0], tol=1e-17, terms=None)
+def test_rows_fall_back_to_eval_pair_bit_for_bit(kind, nu, xs, tol, terms):
+    # a forced row, and each point a searched row hands to the scalar
+    # path, is `eval_pair`'s bytes; the other points take its counts and
+    # agree within both bounds; a row raises the refusal `eval_pair`
+    # raises at its first failing point
+    singles = [_outcome(eval_pair, kind, nu, x, tol, terms=terms) for x in xs]
+    row = _outcome(_eval_row, kind, nu, xs, tol, terms=terms)
+    first = next((r for r in singles if isinstance(r, Exception)), None)
+    if first is not None:
+        assert type(row) is type(first) and str(row) == str(first)
+        return
+    scalar = [True] * len(xs) if terms else _row_fallbacks(kind, nu, xs, tol)
+    for r, single, fallback in zip(row, singles, scalar):
+        assert type(r) is tuple and type(r[4]) is int
+        if fallback:
+            assert _bits(r) == _bits(single)
+        else:
+            assert r[4] == single.terms_used
+            for i, b in ((0, 5), (1, 5), (2, 6), (3, 6)):
+                assert abs(r[i] - single[i]) <= r[b] + single[b]
+
+
+def test_rows_hand_tiny_x_huge_orders_and_long_sums_to_the_scalar_path():
+    # w^k below the normal range; c_2 below `_C_MIN` and r_N below the
+    # normal range; a sum past the 93 coefficients of nu = 0
+    assert _row_fallbacks(OSC, 1.5, [0.25, 1e-300], 1e-12) == [False, True]
+    assert _row_fallbacks(OSC, 1e150, [1e-5, 1.0, 1e73], 1e-12) == [True, False, True]
+    assert _row_fallbacks(MOD, 0.0, [40.0, 80.0], 1e-12) == [False, True]
 
 
 #: sha256 of all seven fields over `_pinned_requests()`: any change to a
