@@ -5,16 +5,10 @@ bounds, an independent extended-precision oracle for validation, a
 classifier for generalized Bessel-form equations, and a CLI.
 """
 
+import importlib
+
+from ._backend import MAX_TERMS
 from .errors import DomainError, ToleranceError
-from .error_bounds import (
-    MAX_TERMS,
-    derivative_tail_bound,
-    factor_F,
-    m_of_nu,
-    majorant_bound,
-    required_terms,
-    tail_bound,
-)
 from .series_core import (
     Kind,
     PairResult,
@@ -57,28 +51,24 @@ __all__ = [
     "__version__",
 ]
 
-# The oracle needs mpmath, which costs more to import than the rest of
-# the package; its names are resolved on first access (PEP 562).
-_ORACLE_NAMES = frozenset({
-    "OracleValue",
-    "hp_bessel_imag",
-    "hp_bessel_j_int",
-    "hp_gamma",
-    "kl_macdonald",
-    "oracle_pair",
-    "oracle_pair_derivs_hp",
-    "oracle_pair_hp",
-    "truncated_pair_hp",
-})
+# Names resolved on first access (PEP 562), with the module that defines
+# them: the oracle needs mpmath, which costs more to import than the rest
+# of the package, and no evaluation path uses the a-priori bounds.
+_LAZY = {
+    **dict.fromkeys(("derivative_tail_bound", "factor_F", "m_of_nu", "majorant_bound",
+                     "required_terms", "tail_bound"), "error_bounds"),
+    **dict.fromkeys(("OracleValue", "hp_bessel_imag", "hp_bessel_j_int", "hp_gamma",
+                     "kl_macdonald", "oracle_pair", "oracle_pair_derivs_hp", "oracle_pair_hp",
+                     "truncated_pair_hp"), "oracle"),
+}
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
+    if name in _LAZY:
+        module = importlib.import_module("." + _LAZY[name], __name__)
+        return getattr(module, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | _ORACLE_NAMES)
+    return sorted(set(globals()) | set(_LAZY))

@@ -18,10 +18,17 @@ oracle one order at a time, through `oracle._gold_row`, right after
 that order's series row, so the oracle's checks run once per order and
 a refusal comes from the first order that fails.  Both evaluate the
 whole grid before they write a byte, so a refusal anywhere writes
-nothing.  `table`'s CSV formats each x once per grid and each nu once
-per order, into a per-order template that follows the same rule.
-Evaluation is serial: the work is pure Python and holds the
-interpreter lock, so threads could not overlap it.
+nothing; `compare --format json` prints one object, its rows and the
+summary that CSV prints as a `status=` line.  `table`'s CSV formats
+each x once per grid and each nu once per order, into a per-order
+template that follows the same rule.  Evaluation is serial: the work
+is pure Python and holds the interpreter lock, so threads could not
+overlap it.
+
+Imports are lazy where a command alone needs them: `compare` and
+`bounds` import the oracle, and with it mpmath, when they run, and
+`bounds` imports `error_bounds`; `eval`, `table` and `classify` load
+neither, and `compare` leaves `error_bounds` unloaded.
 
 Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure.
 """
@@ -34,7 +41,6 @@ import sys
 
 from ._rows import _eval_row
 from .errors import DomainError, ToleranceError
-from .error_bounds import tail_bound
 from .lommel import ImaginaryOrder, classify
 from .series_core import _MODIFIED, _OSCILLATORY, Kind, eval_pair
 
@@ -48,12 +54,16 @@ _NEGATIVE_STARTS = frozenset("-" + c for c in "0123456789.")
 
 
 def __getattr__(name):
-    # `compare` and `bounds` import the oracle, and with it mpmath, when
-    # they run; `oracle_pair` resolves here on first access (PEP 562)
+    # the lazy imports of the module docstring: `oracle_pair` and
+    # `tail_bound` resolve here on first access (PEP 562)
     if name == "oracle_pair":
         from .oracle import oracle_pair
 
         return oracle_pair
+    if name == "tail_bound":
+        from .error_bounds import tail_bound
+
+        return tail_bound
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -104,9 +114,12 @@ def _json_value(value):
     return value
 
 
-def _emit(out, fields, rows, fmt):
+def _emit(out, fields, rows, fmt, summary=None):
+    # in JSON a summary makes the document one object, its rows under "rows"
     if fmt == "json":
         records = [{f: _json_value(v) for f, v in zip(fields, row)} for row in rows]
+        if summary is not None:
+            records = {"rows": records, **{k: _json_value(v) for k, v in summary.items()}}
         out.write(json.dumps(records, indent=2))
         out.write("\n")
         return
@@ -173,17 +186,19 @@ def cmd_compare(args, out) -> int:
             within_tol = max(err_cos, err_sin) <= args.tol
             rows.append([x, nu, err_cos, err_sin, bound, ok, within_tol])
     fields = ["x", "nu", "err_cos", "err_sin", "bound", "ok", "within_tol"]
-    _emit(out, fields, rows, args.format)
     max_err = max(max(row[2], row[3]) for row in rows)
     status = "PASS" if all(row[5] for row in rows) else "FAIL"
-    out.write(
-        "status=%s points=%d max_err=%.17g tol=%.17g\n" % (status, len(rows), max_err, args.tol)
-    )
+    summary = {"status": status, "points": len(rows), "max_err": max_err, "tol": args.tol}
+    _emit(out, fields, rows, args.format, summary)
+    if args.format == "csv":
+        out.write("status=%(status)s points=%(points)d max_err=%(max_err).17g tol=%(tol).17g\n"
+                  % summary)
     return 0
 
 
 def cmd_bounds(args, out) -> int:
     from . import oracle
+    from .error_bounds import tail_bound
 
     kind = _parse_kind(args.kind)
     try:

@@ -47,7 +47,7 @@ from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_add, mpf_cos_sin,
                           to_float)
 import mpmath
 
-from .error_bounds import MAX_TERMS
+from ._backend import MAX_TERMS
 from .errors import DomainError, ToleranceError, check_count, check_positive, check_real
 from .series_core import Kind, _is_modified
 

@@ -202,6 +202,31 @@ def test_compare_deterministic_across_runs():
     assert first == second
 
 
+def test_compare_json_is_one_strict_document_matching_csv():
+    # rows and summary are one JSON object; an infinite bound is the
+    # string "inf", as in CSV, and the CSV bytes keep their summary line
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    def as_csv(value):
+        return "%.17g" % value if isinstance(value, float) else str(value)
+
+    for args in (["compare", "--x-steps", "3", "--nu", "0,1.5"],
+                 ["compare", "--nu", "1", "--x-min", "1000", "--x-max", "1000", "--x-steps", "1",
+                  "--terms", "1"]):
+        code_c, out_c = run_cli(args)
+        code_j, out_j = run_cli(args + ["--format", "json"])
+        assert code_c == code_j == 0
+        doc = json.loads(out_j, parse_constant=refuse)
+        assert list(doc) == ["rows", "status", "points", "max_err", "tol"]
+        table, summary = out_c.rsplit("\n", 2)[:2]
+        header, rows = parse_csv(table + "\n")
+        assert [[as_csv(rec[f]) for f in header] for rec in doc["rows"]] == rows
+        assert summary == "status=%s points=%d max_err=%s tol=%s" % (
+            doc["status"], doc["points"], as_csv(doc["max_err"]), as_csv(doc["tol"]))
+    assert doc["rows"][0]["bound"] == "inf"
+
+
 def test_compare_forced_single_term_is_honest():
     # with one term the bound is large but remains an upper bound, so the
     # bound flag stays true while the tolerance column reports the miss

@@ -487,6 +487,48 @@ def test_package_import_leaves_dataclasses_unloaded():
     assert done.returncode == 0, done.stderr
 
 
+def test_evaluation_paths_leave_error_bounds_unloaded():
+    # no evaluation path uses the a-priori bounds; the package, series_core
+    # and the CLI resolve their names on first access (the benchmark's
+    # tracer binds them on series_core and cli), and `bounds` loads them
+    src = str(Path(imbessel.__file__).resolve().parents[1])
+    probe = (
+        "import io, sys, imbessel\n"
+        "imbessel.classify(2.0, 1.0, 4.0, 1.0)\n"
+        "imbessel.eval_pair(imbessel.Kind.OSCILLATORY, 1.0, 1.0)\n"
+        "loaded = {m for m in sys.modules if m.split('.')[0] == 'imbessel'}\n"
+        "assert loaded == {'imbessel', 'imbessel.errors', 'imbessel._backend',\n"
+        "                  'imbessel.series_core', 'imbessel.lommel'}, sorted(loaded)\n"
+        "import imbessel.cli as cli\n"
+        "for argv in (['eval', '--nu', '1', '--x', '1'], ['table', '--x-steps', '2'],\n"
+        "             ['classify', '--a', '1.5', '--b', '3', '--c', '2', '--beta', '1'],\n"
+        "             ['compare', '--x-steps', '2']):\n"
+        "    assert cli.main(argv, out=io.StringIO()) == 0, argv\n"
+        "    assert 'imbessel.error_bounds' not in sys.modules, argv\n"
+        "assert cli.main(['bounds', '--nu', '1', '--x', '2', '--terms', '2'],\n"
+        "                out=io.StringIO()) == 0\n"
+        "assert 'imbessel.error_bounds' in sys.modules\n"
+        "missing = [n for n in imbessel.__all__ if not hasattr(imbessel, n)]\n"
+        "assert not missing, missing\n"
+        "assert set(imbessel.__all__) <= set(dir(imbessel))\n"
+        "from imbessel import error_bounds, series_core\n"
+        "for name in ('derivative_tail_bound', 'required_terms', 'tail_bound'):\n"
+        "    assert getattr(series_core, name) is getattr(error_bounds, name), name\n"
+        "assert imbessel.tail_bound is cli.tail_bound is error_bounds.tail_bound\n"
+        "for module in (imbessel, series_core, cli):\n"
+        "    try:\n"
+        "        module.no_such_name\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit(f'{module.__name__}: no AttributeError')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
 def test_cli_import_leaves_mpmath_unloaded():
     # `eval`, `table` and `classify` never call the oracle; `compare` and
     # `bounds` import it when they run, and `imbessel.cli.oracle_pair`
