@@ -13,17 +13,18 @@ runs `eval_pair`'s per-point body at each x, so a row holds
 `eval_pair`'s values bit for bit; a searched row sums each x from the
 order's series coefficients, formed once, and differs from `eval_pair`
 by round-off within both bounds, with its term counts and refusals
-unless a term's last ulps decide them.  `compare` also evaluates its
-oracle one order at a time, through `oracle._gold_row`, right after
-that order's series row, so the oracle's checks run once per order and
-a refusal comes from the first order that fails.  Both evaluate the
-whole grid before they write a byte, so a refusal anywhere writes
-nothing; `compare --format json` prints one object, its rows and the
-summary that CSV prints as a `status=` line.  `table`'s CSV formats
-each x once per grid and each nu once per order, into a per-order
-template that follows the same rule.  Evaluation is serial: the work
-is pure Python and holds the interpreter lock, so threads could not
-overlap it.
+unless a term's last ulps decide them.  `compare` checks its grid and
+`--oracle-digits` first, then runs every series row, and then the
+oracle once for the whole grid (`oracle._gold_grid`, which shares each
+x's work across the orders), so a refusal comes from the arguments
+before any row is run, else from the first order whose row fails.
+Both evaluate the whole grid before they write a byte, so a refusal
+anywhere writes nothing; `compare --format json` prints one object, its
+rows and the summary that CSV prints as a `status=` line.  `table`'s
+CSV formats each x once per grid and each nu once per order, into a
+per-order template that follows the same rule.  Evaluation is serial:
+the work is pure Python and holds the interpreter lock, so threads
+could not overlap it.
 
 Imports are lazy where a command alone needs them: `compare` and
 `bounds` import the oracle, and with it mpmath, when they run, and
@@ -40,7 +41,7 @@ import math
 import sys
 
 from ._rows import _eval_row
-from .errors import DomainError, ToleranceError
+from .errors import DomainError, ToleranceError, check_count
 from .lommel import ImaginaryOrder, classify
 from .series_core import _MODIFIED, _OSCILLATORY, Kind, eval_pair
 
@@ -174,10 +175,11 @@ def cmd_compare(args, out) -> int:
 
     kind = _parse_kind(args.kind)
     nus, xs = _grid_from_args(args)
+    check_count(args.oracle_digits, "digits", oracle.MAX_DIGITS)
+    orders = [_eval_row(kind, nu, xs, args.tol, args.terms) for nu in nus]
+    golds = oracle._gold_grid(kind, nus, xs, args.oracle_digits)
     rows = []
-    for nu in nus:
-        row = _eval_row(kind, nu, xs, args.tol, args.terms)
-        gold = oracle._gold_row(kind, nu, xs, args.oracle_digits)
+    for nu, row, gold in zip(nus, orders, golds):
         for x, r, (gold_cos, gold_sin) in zip(xs, row, gold):
             cos_part, sin_part, _, _, _, bound, _ = r
             err_cos = abs(cos_part - gold_cos)

@@ -7,10 +7,11 @@ from per-order weights prod_{j<=k} j / (j + i nu) times (x/2)^(2k) /
 (k!)^2, with more bits where it cancels, and past it by mpmath's
 `hyp0f1`, which takes its asymptotic expansion.  The phase x^(i nu) is
 a rotation by the angle nu ln x, formed with guard bits that grow with
-|nu|.  One function, `_gold_row`, evaluates it for one order over a
-list of x; the public pair functions are its one-point calls.  All else is
-independent of both that and the double-precision series path: the
-complex Gamma function by an argument-shifted Stirling series, the
+|nu|.  One function, `_gold_grid`, evaluates it over a grid of orders
+and x, one x at a time: z, the power terms (x/2)^(2k) / (k!)^2 and
+ln x are formed once per x for all the orders; the public pair
+functions are its one-point calls.  All else is independent of both
+that and the double-precision series path: the complex Gamma function by an argument-shifted Stirling series, the
 imaginary-order Bessel and modified Bessel functions by direct complex
 summation of their defining series (a posteriori stop, rerun at higher
 precision when cancellation eats the guard digits), and the Macdonald
@@ -25,10 +26,11 @@ Doubling the working precision must not move any result past that
 declaration (tests enforce this).
 
 Cost, measured on one core of a 2-vCPU VM: the gold pair at 50 digits
-takes ~0.08-0.12 ms per point in a row (median over the `compare`
-benchmark grid, x <= 10 and |nu| < 3.5; 0.15-0.23 ms through `hyp0f1`,
-0.13-0.21 ms one point at a time), and 0.2-2.2 ms at large x or order
-(x up to 700, |nu| up to 100).
+takes ~0.06-0.10 ms per point in a grid (the `compare` benchmark's
+grids, 4 orders |nu| < 3.5 times 12 x <= 10, least and median time over
+5 seeds; 0.13-0.22 ms one point at a time), 1.1-2.0 ms through
+`hyp0f1` (the same orders, x from 22.63 to 30), and 0.2-2.2 ms at large
+x or order (x up to 700, |nu| up to 100).
 `hp_bessel_imag` takes ~5-50 ms at those points, and ~250 ms at
 oscillatory x = 300, where it reruns with ~130 more digits.  The
 hand-written references refuse, with ToleranceError and before the
@@ -42,9 +44,8 @@ import threading
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_add, mpf_cos_sin, mpf_div,
-                          mpf_log, mpf_mul, mpf_neg, mpf_shift, mpf_sub, round_nearest,
-                          to_float)
+from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_cos_sin, mpf_div, mpf_log,
+                          mpf_mul, mpf_neg, mpf_pos, mpf_shift, round_nearest, to_float)
 import mpmath
 
 from ._backend import MAX_TERMS
@@ -257,17 +258,19 @@ def _phase(nu: float, x: float, prec: int):
     return mpf_cos_sin(angle, prec, round_nearest)
 
 
-def _series_0f1(weights, nu: float, z, prec: int, derivative: bool):
+def _series_0f1(weights, powers, nu: float, z, prec: int, derivative: bool):
     # S = sum_k d_k u_k = 0F1(; 1 + i nu; z) with u_k = z^k / (k!)^2, or
     # i nu S + 2 D, D = sum_k k d_k u_k = z S'(z), when `derivative`, as
-    # exact raw mpf parts.  `weights` keeps, per working precision wp, the
-    # d_k = d_(k-1) k den (k den - i num) / (k^2 den^2 + num^2) the row
-    # has needed (nu = num / den), complex integers at wp bits rounded to
-    # nearest: |d_k| <= 1 with an absolute error below k/2 units.  Past
-    # k^2 > 2|z| a term is at most half the one before, so the first below
-    # 2^(25-wp) (2^-(prec+25) at the first guard, as in mpmath) ends the
-    # sums.  The weights' errors being absolute, the bits lost are measured
-    # on max |u_k| (times |nu| + 2N for the derivative), not on the terms;
+    # exact parts (re, im, e), two integers times 2^e.  `weights` keeps,
+    # per working precision wp, the d_k = d_(k-1) k den (k den - i num) /
+    # (k^2 den^2 + num^2) the order has needed (nu = num / den), complex
+    # integers at wp bits rounded to nearest: |d_k| <= 1 with an absolute
+    # error below k/2 units; `powers` keeps, per wp, the u_k at wp bits
+    # (rounded down) that z's orders have needed.  Past k^2 > 2|z| a term
+    # is at most half the one before, so the first below 2^(25-wp)
+    # (2^-(prec+25) at the first guard, as in mpmath) ends the sums.  The
+    # weights' errors being absolute, the bits lost are measured on
+    # max |u_k| (times |nu| + 2N for the derivative), not on the terms;
     # past the guard less 20 bits, the sums rerun 50 bits above them.  A
     # result of a few units (the derivative at tiny z and |nu|) reads 0:
     # it is then near i nu + 2 z, of modulus at least about 2 |z|, so the
@@ -281,14 +284,16 @@ def _series_0f1(weights, nu: float, z, prec: int, derivative: bool):
     while True:
         wp = prec + guard
         ws = weights.setdefault(wp, [(1 << wp, 0)])
-        u = top = 1 << wp
+        us = powers.setdefault(wp, [1 << wp])
         (s_re, s_im), d_re, d_im, k = ws[0], 0, 0, 0
         while True:
             k += 1
             kk = k * k
-            u = (u * z_man >> z_shift) // kk
-            if kk <= peak:
-                top = u
+            try:
+                u = us[k]
+            except IndexError:
+                u = (us[-1] * z_man >> z_shift) // kk
+                us.append(u)
             try:
                 w_re, w_im = ws[k]
             except IndexError:
@@ -303,67 +308,88 @@ def _series_0f1(weights, nu: float, z, prec: int, derivative: bool):
                 d_re, d_im = d_re + k * t_re, d_im + k * t_im
             if kk > lim and -stop < t_re < stop and -stop < t_im < stop:
                 break
-        parts = from_man_exp(s_re, -wp), from_man_exp(s_im, -wp)
-        scale = 0
-        if derivative:
-            nu_f, scale = from_float(nu), (int(abs(nu)) + 2 * k).bit_length()
-            parts = (mpf_sub(from_man_exp(2 * d_re, -wp), mpf_mul(nu_f, parts[1])),
-                     mpf_add(from_man_exp(2 * d_im, -wp), mpf_mul(nu_f, parts[0])))
-        size = max(p[2] + p[3] if p[1] else -wp for p in parts)
-        lost = abs(top).bit_length() - wp + scale - size
+        e, scale = -wp, 0
+        if derivative:  # in units den times finer, den a power of 2
+            e, scale = -wp - den.bit_length() + 1, (int(abs(nu)) + 2 * k).bit_length()
+            s_re, s_im = 2 * den * d_re - num * s_im, 2 * den * d_im + num * s_re
+        size = max(v.bit_length() + e if v else -wp for v in (s_re, s_im))
+        # max |u_k| is u_k at the largest k with k^2 <= |z|
+        lost = us[math.isqrt(peak)].bit_length() - wp + scale - size
         if lost <= guard - 20:
-            return parts
+            return s_re, s_im, e
         if size <= 32 - wp:  # reads 0: size the rerun by z
             lost += max(0, size - exp - bc)
         guard = lost + 50
 
 
+def _fixed(a, b):
+    # raw mpf values a and b as integers times one 2^e: (A, B, e)
+    e = min(a[2], b[2])
+    a_man, b_man = a[1] << a[2] - e, b[1] << b[2] - e
+    return -a_man if a[0] else a_man, -b_man if b[0] else b_man, e
+
+
 @_locked
-def _gold_row(kind: Kind, nu: float, xs, digits: int, derivative=False, hp=False):
-    # The gold pair (its d/dx when `derivative`) of one order at each x
-    # of `xs`: doubles (cos_part, sin_part), or OracleValue when `hp`.
-    # The pair is x^(i nu) 0F1(; b; z) with b = 1 + i nu and z = -x^2/4
-    # (+x^2/4 when modified), DLMF 10.16.9 with 10.39.9, and z is exact;
-    # its derivative x^(i nu) (i nu 0F1 + 2 z 0F1'(z)) / x.  `_series_0f1`
-    # sums both where mag(z) < 8 (x < 22.63), as mpmath's 0F1 would, and
-    # its asymptotic expansion the rest.  The derivative's two terms
-    # cannot cancel to zero: the first is 0 at nu = 0, and otherwise the
-    # real solutions' Wronskian nu / x keeps the complex derivative away
-    # from 0.  Measured, they cancel by a factor ~|nu|^(1/3), at the
-    # modified kind's turning point x ~ |nu| (23 at |nu| = 1e4), far
-    # inside the 15 guard digits.  x^(i nu) is the rotation by nu ln x,
-    # applied to the raw parts of the 0F1 value.
-    nu = check_real(nu, "nu")
+def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
+    # The gold pair (its d/dx when `derivative`) of each order of `nus` at
+    # each x of `xs`, one row per order: doubles (cos_part, sin_part), or
+    # OracleValue when `hp`.  The pair is x^(i nu) 0F1(; b; z) with
+    # b = 1 + i nu and z = -x^2/4 (+x^2/4 when modified), DLMF 10.16.9
+    # with 10.39.9, and z is exact; its derivative x^(i nu) (i nu 0F1 +
+    # 2 z 0F1'(z)) / x.  `_series_0f1` sums both where mag(z) < 8
+    # (x < 22.63), as mpmath's 0F1 would, and its asymptotic expansion
+    # the rest.  The derivative's two terms cannot cancel to zero: the
+    # first is 0 at nu = 0, and otherwise the real solutions' Wronskian
+    # nu / x keeps the complex derivative away from 0.  Measured, they
+    # cancel by a factor ~|nu|^(1/3), at the modified kind's turning
+    # point x ~ |nu| (23 at |nu| = 1e4), far inside the 15 guard digits.
+    # x^(i nu) is the rotation by nu ln x, formed as in `_phase`; the 0F1
+    # parts times its cos and sin are summed exactly in integers and
+    # rounded once.  The loop is x-major: z, its power terms and ln x
+    # depend on x alone, so each x forms them once for all the orders and
+    # drops them when it is done.  ln x is formed at the widest angle
+    # precision of the orders, and each order rounds it to its own: that
+    # is the one-point ln x unless ln x lies within some 2^-19 units of a
+    # tie at the order's precision (mpf_log rounds from 20 more bits).
+    nus = [check_real(nu, "nu") for nu in nus]
     check_count(digits, "digits", MAX_DIGITS)
     xs = [check_positive(x, "x") for x in xs]
     modified = _is_modified(kind)
-    row = []
-    weights = {}
+    nu_fs = [from_float(nu) for nu in nus]
+    mags = [max(0, nu_f[2] + nu_f[3]) for nu_f in nu_fs]
+    weights = [{} for _ in nus]
+    rows = [[] for _ in nus]
     with mp.workdps(max(50, digits) + 15):
         prec = mp.prec
-        b = mpc(1, nu)
+        ln_prec = prec + max(mags, default=0) + 12
         for x in xs:
             x_f = from_float(x)
             z_f = mpf_shift(mpf_mul(x_f, x_f), -2)
             z_f = z_f if modified else mpf_neg(z_f)
-            if z_f[2] + z_f[3] < 8:
-                f_re, f_im = _series_0f1(weights, nu, z_f, prec, derivative)
-            else:
-                z = mp.make_mpf(z_f)
-                f = mp.hyp0f1(b, z)
+            ln_x = mpf_log(x_f, ln_prec, round_nearest)
+            powers = {}
+            for nu, nu_f, mag, ws, row in zip(nus, nu_fs, mags, weights, rows):
+                if z_f[2] + z_f[3] < 8:
+                    f_re, f_im, e = _series_0f1(ws, powers, nu, z_f, prec, derivative)
+                else:
+                    z, b = mp.make_mpf(z_f), mpc(1, nu)
+                    f = mp.hyp0f1(b, z)
+                    if derivative:
+                        f = mpc(0, nu) * f + 2 * z * mp.hyp0f1(b + 1, z) / b
+                    f_re, f_im, e = _fixed(*((f._mpf_, fzero) if isinstance(f, mpf) else f._mpc_))
                 if derivative:
-                    f = mpc(0, nu) * f + 2 * z * mp.hyp0f1(b + 1, z) / b
-                f_re, f_im = (f._mpf_, fzero) if isinstance(f, mpf) else f._mpc_
-            if derivative:
-                f_re, f_im = (mpf_div(v, x_f, prec, round_nearest) for v in (f_re, f_im))
-            c, s = _phase(nu, x, prec)
-            re = mpf_sub(mpf_mul(f_re, c), mpf_mul(f_im, s), prec, round_nearest)
-            im = mpf_add(mpf_mul(f_re, s), mpf_mul(f_im, c), prec, round_nearest)
-            if hp:
-                row.append(OracleValue(re=mp.make_mpf(re), im=mp.make_mpf(im), digits=digits))
-            else:
-                row.append((to_float(re, rnd=round_nearest), to_float(im, rnd=round_nearest)))
-    return row
+                    f_re, f_im, e = _fixed(*(mpf_div(from_man_exp(v, e), x_f, prec, round_nearest)
+                                             for v in (f_re, f_im)))
+                wp = prec + mag + 12
+                angle = mpf_mul(nu_f, mpf_pos(ln_x, wp, round_nearest), wp, round_nearest)
+                c, s, ce = _fixed(*mpf_cos_sin(angle, prec, round_nearest))
+                re = from_man_exp(f_re * c - f_im * s, e + ce, prec, round_nearest)
+                im = from_man_exp(f_re * s + f_im * c, e + ce, prec, round_nearest)
+                if hp:
+                    row.append(OracleValue(re=mp.make_mpf(re), im=mp.make_mpf(im), digits=digits))
+                else:
+                    row.append((to_float(re, rnd=round_nearest), to_float(im, rnd=round_nearest)))
+    return rows
 
 
 def oracle_pair_hp(kind: Kind, nu: float, x: float, digits: int = 50) -> OracleValue:
@@ -376,17 +402,17 @@ def oracle_pair_hp(kind: Kind, nu: float, x: float, digits: int = 50) -> OracleV
     `hp_bessel_imag` and `hp_gamma` are the independent references for
     that identity.
     """
-    return _gold_row(kind, nu, (x,), digits, hp=True)[0]
+    return _gold_grid(kind, (nu,), (x,), digits, hp=True)[0][0]
 
 
 def oracle_pair(kind: Kind, nu: float, x: float, digits: int = 50):
     """Gold (cos_part, sin_part) rounded to double precision."""
-    return _gold_row(kind, nu, (x,), digits)[0]
+    return _gold_grid(kind, (nu,), (x,), digits)[0][0]
 
 
 def oracle_pair_derivs_hp(kind: Kind, nu: float, x: float, digits: int = 50) -> OracleValue:
     """d/dx of the gold pair, x^(i nu) (i nu 0F1 + 2 z 0F1'(z)) / x."""
-    return _gold_row(kind, nu, (x,), digits, derivative=True, hp=True)[0]
+    return _gold_grid(kind, (nu,), (x,), digits, derivative=True, hp=True)[0][0]
 
 
 @_locked

@@ -245,10 +245,15 @@ def test_compare_empty_grid_exits_2():
     assert code == 2
 
 
-def test_compare_oracle_digits_out_of_range_exit_2(capsys):
+def test_compare_oracle_digits_out_of_range_exit_2(capsys, monkeypatch):
+    # refused before the first series row runs
+    from imbessel import cli
+
+    rows = []
+    monkeypatch.setattr(cli, "_eval_row", lambda *args: rows.append(args))
     for digits in ("0", "201"):
         code, out = run_cli(["compare", "--x-steps", "3", "--oracle-digits", digits])
-        assert (code, out) == (2, ""), digits
+        assert (code, out, rows) == (2, "", []), digits
         assert "digits must be in 1..200" in capsys.readouterr().err, digits
 
 

@@ -32,7 +32,7 @@ from imbessel import (
     oracle_pair_hp,
     truncated_pair_hp,
 )
-from imbessel.oracle import OracleValue, _gold_row, _series_0f1
+from imbessel.oracle import OracleValue, _gold_grid, _series_0f1
 
 OSC = Kind.OSCILLATORY
 MOD = Kind.MODIFIED
@@ -332,7 +332,7 @@ ROW_XS = [1e-3, 0.01, 0.3, 1.0, 2.5, 7.0, 15.0, 22.0, 22.62, 22.63, 23.0, 26.5, 
 @pytest.mark.parametrize("kind", [OSC, MOD])
 @pytest.mark.parametrize("nu", [0.0, -0.0, 1.5, 40.0])
 def test_gold_row_is_oracle_pair_at_each_x(kind, nu):
-    row = _gold_row(kind, nu, ROW_XS, 50)
+    row = _gold_grid(kind, [nu], ROW_XS, 50)[0]
     assert row == [oracle_pair(kind, nu, x) for x in ROW_XS]
     # and the pair in plain mpmath arithmetic, x^(i nu) 0F1(; 1 + i nu;
     # -+x^2/4) at 90 digits, rounds to the same doubles
@@ -341,6 +341,28 @@ def test_gold_row_is_oracle_pair_at_each_x(kind, nu):
             z = (mpf(x) / 2) ** 2 * (1 if kind is MOD else -1)
             v = mp.exp(mpc(0, nu) * mp.log(mpf(x))) * mp.hyp0f1(mpc(1, nu), z)
             assert got == (float(v.real), float(v.imag)), x
+
+
+@pytest.mark.parametrize("kind", [OSC, MOD])
+def test_gold_grid_is_its_points_bit_for_bit(kind):
+    # a grid shares z, the power terms and ln x across its orders, so its
+    # values, hp values and derivatives are checked against one-point
+    # calls; a small order comes first, so a ln x rounded to its angle
+    # precision would fail the huge orders.  Those stay below x = 22.63,
+    # where mpmath's 0F1 takes seconds at such orders.  In the last grid
+    # the ln x of the wider order, not rounded to the first's angle
+    # precision, moves the first's oscillatory hp value by 2 units.
+    grids = [([0.0, 1e60, -0.0, 1e-300, 2.5, 1e150, -2.5, 40.0], [1e-3, 0.7, 9.5, 22.62]),
+             ([1.5, 0.0, -2.5, 40.0], [3.0, 22.0, 22.63, 26.5]),
+             ([2.9075010946266886, -47.73176480958007], [1.761862313235363e-4])]
+    for nus, xs in grids:
+        grid = (_gold_grid(kind, nus, xs, 50), _gold_grid(kind, nus, xs, 50, hp=True),
+                _gold_grid(kind, nus, xs, 50, derivative=True, hp=True))
+        for nu, *rows in zip(nus, *grid):
+            for x, *got in zip(xs, *rows):
+                want = [fn(kind, nu, x) for fn in (oracle_pair, oracle_pair_hp,
+                                                   oracle_pair_derivs_hp)]
+                assert got == want, (nu, x)
 
 
 def _error_to_plain_mpmath(got, kind, nu, x, derivative):
@@ -375,7 +397,7 @@ def _error_to_plain_mpmath(got, kind, nu, x, derivative):
 def test_series_row_matches_plain_mpmath(kind, nu, x, derivative):
     # below |z| = 128 the row sums 0F1 itself; values and derivatives
     # hold to 1e-55 of the modulus at 50 declared digits
-    got = _gold_row(kind, nu, [x], 50, derivative=derivative, hp=True)[0]
+    got = _gold_grid(kind, [nu], [x], 50, derivative=derivative, hp=True)[0][0]
     assert _error_to_plain_mpmath(got, kind, nu, x, derivative) <= 1e-55
 
 
@@ -388,10 +410,11 @@ def test_zero_order_derivative_at_tiny_x_takes_one_rerun(kind, x):
     # than the working precision, so it rounds to that exactly.
     z = mpf(x) ** 2 / 4
     z = z if kind is MOD else -z
-    weights = {}
+    weights, powers = {}, {}
     with mp.workdps(65):
-        _series_0f1(weights, 0.0, z._mpf_, mp.prec, True)
+        _series_0f1(weights, powers, 0.0, z._mpf_, mp.prec, True)
     assert len(weights) == 2, sorted(weights)
+    assert sorted(powers) == sorted(weights)
     got = oracle_pair_derivs_hp(kind, 0.0, x)
     assert (got.re, got.im) == ((mpf(x) / 2 if kind is MOD else -mpf(x) / 2), 0)
 
@@ -404,9 +427,9 @@ def test_gold_row_calls_hyp0f1_only_from_mag_z_8(monkeypatch, derivative):
     real = mp.hyp0f1
     monkeypatch.setattr(mp, "hyp0f1", lambda *args: calls.append(args) or real(*args))
     for kind in (OSC, MOD):
-        _gold_row(kind, 1.5, [1e-3, 1.0, 10.0, 20.0, 22.62], 50, derivative=derivative)
+        _gold_grid(kind, [1.5], [1e-3, 1.0, 10.0, 20.0, 22.62], 50, derivative=derivative)
         assert calls == []
-        _gold_row(kind, 1.5, [22.63], 50, derivative=derivative)
+        _gold_grid(kind, [1.5], [22.63], 50, derivative=derivative)
         assert len(calls) == (2 if derivative else 1)
         calls.clear()
 

@@ -358,7 +358,7 @@ _ROWS = _row_requests()
 
 
 def test_searched_rows_enclose_the_oracle_without_slack():
-    from imbessel.oracle import _gold_row
+    from imbessel.oracle import _gold_grid
 
     # the sample keeps enough answered points across its ranges
     assert sum(len(xs) for *_, xs, _ in _ROWS) >= 300
@@ -367,8 +367,8 @@ def test_searched_rows_enclose_the_oracle_without_slack():
     misses = []
     for kind, nu, xs, tol in _ROWS:
         row = _eval_row(kind, nu, xs, tol)
-        gold = _gold_row(kind, nu, xs, 50, hp=True)
-        d_gold = _gold_row(kind, nu, xs, 50, derivative=True, hp=True)
+        gold = _gold_grid(kind, [nu], xs, 50, hp=True)[0]
+        d_gold = _gold_grid(kind, [nu], xs, 50, derivative=True, hp=True)[0]
         for x, r, g, d in zip(xs, row, gold, d_gold):
             err = max(abs(mpf(r[0]) - g.re), abs(mpf(r[1]) - g.im))
             d_err = max(abs(mpf(r[2]) - d.re), abs(mpf(r[3]) - d.im))
