@@ -6,7 +6,8 @@ run time without touching its callers.  The kernel runs the (1, 0) seed
 only: the (0, 1) seed's sums are their quarter turn (see `series_core`).
 `_rows.row_sums` gives the same sums for a searched row of x at one
 order, from coefficients formed once per order (see "Order-major
-rows").
+rows").  Both close through `round_off`, the partial-sum and drift
+bounds `err` and `d_err`.
 
 The loop carries the running term t_k = c_k w^k = (a, b) itself, so
 each step is one complex multiplication
@@ -287,7 +288,7 @@ terms fl(fl(k A_k) W_k) and fl(fl(k B_k) W_k), s = fl(S_k W_k) in place
 of fl(|a| + |b|), and g = fl(fl(k S_k) W_k) for s1 and s2.  The m and j
 bookkeeping, the screen (the same e and den, its two comparisons the
 other way round, which changes no outcome), `carried_tails` and the
-partial-sum bound are the kernel's, so a row's count is `series_sums`'
+closing `round_off` are the kernel's, so a row's count is `series_sums`'
 except where some s differs from the kernel's by its few ulps right at
 a screen or chain decision.  The bullets of "Rounding" hold for the
 row with these changes:
@@ -326,9 +327,10 @@ row with these changes:
   whose W_N or r_N = w / (N (N^2 + nu^2)) is below the normal range
   (r_N as in `series_core.eval_pair`), or whose s2 overflows gets None,
   and its caller takes `series_sums` there.
-* Partial sums and tails.  The additions, m, j and the closing are the
-  kernel's, so "Partial sums", "Tails" and "Carried tails" hold as
-  stated, with the row's s as the last term's l1 size.
+* Partial sums and tails.  The additions, m and j are the kernel's,
+  and both close through the one `round_off` and `carried_tails`, so
+  "Partial sums", "Tails" and "Carried tails" hold as stated, with the
+  row's s as the last term's l1 size.
 """
 
 #: Hard ceiling on the admissible number of series terms.
@@ -459,28 +461,35 @@ def series_sums(modified, nu, w, n_terms, tol=-1.0):
     else:  # the tails from the last term (see "Carried tails")
         tail, d_tail = carried_tails(s + S_FLOOR, fk, nu2, v, wu)
     # fk = N + 1 here
-    #
+    err, d_err = round_off(fk - 1.0, j, um, s1, s2, nu2, v, wu)
+    return p, q, dp, dq, m, k, tail, d_tail, err, d_err
+
+
+def round_off(n, j, um, s1, s2, nu2, v, wu):
+    """``(err, d_err)`` after `n` steps, from the loop's last step `j`
+    whose term exceeds `um` = u m and its sums `s1` and `s2` (see "Term
+    drift", "Partial sums" and "Gradual underflow"); `nu2` = nu^2,
+    `v` = |nu|, `wu` = w (1 + 16u).  `n` and `j` are floats or ints."""
     # Partial sums: adding a term rounds by at most u |sum| and at most
     # the term itself.  Up to step j (the last term above u m) take u m
     # per addition; the terms after it are <= u m and fall off with the
     # ratio from step j + 2 on.
-    n = fk - 1.0
+    fk = n + 1.0
     sums = 1.5 * n * um
     d_sums = fk * _U * s1
-    if j < k:
+    if j < n:
         f2 = j + 2.0
         rho = wu * (f2 + v) / (f2 * (f2 * f2 + nu2))
         rd = f2 * rho / (j + 1.0)
         if rd < 1.0:  # then rho < 1 as well
-            split = 1.5 * j * um + um * factor / (1.0 - rho)
+            split = 1.5 * j * um + um * TAIL_FACTOR / (1.0 - rho)
             if split < sums:
                 sums = split
-            split = (j + 1.0) * (_U * s1 + um * factor / (1.0 - rd))
+            split = (j + 1.0) * (_U * s1 + um * TAIL_FACTOR / (1.0 - rd))
             if split < d_sums:
                 d_sums = split
-    err = _DRIFT * s1 + sums + n * n * _TINY6
-    d_err = _DRIFT * s2 + d_sums + n * n * n * _TINY6
-    return p, q, dp, dq, m, k, tail, d_tail, err, d_err
+    return (_DRIFT * s1 + sums + n * n * _TINY6,
+            _DRIFT * s2 + d_sums + n * n * n * _TINY6)
 
 
 def carried_tails(s, fk, nu2, v, wu):

@@ -4,29 +4,25 @@ A searched row forms the order's series coefficients once and sums each
 x from them: `row_sums` runs the loop of `_backend.series_sums` with its
 terms formed as fl(c_k fl(w^k)) from the order's coefficient table
 instead of by the recurrence; the stop screen, `carried_tails`, the m
-and j bookkeeping and the partial-sum bound are the kernel's.  The
-rounding argument, and why `_DRIFT` still covers the terms' drift, is
-"Order-major rows" in `_backend`.  `_eval_row` gives those sums
-`series_core._point`'s rotation and bounds.  `cli` imports this module;
-`import imbessel` does not.
+and j bookkeeping and the closing, `_backend.round_off`, are the
+kernel's.  The rounding argument, and why `_DRIFT` still covers the
+terms' drift, is "Order-major rows" in `_backend`.  `_eval_row` hands
+those sums to `series_core._point`, the one place that rotates, refuses
+and bounds a point.  `cli` imports this module; `import imbessel` does
+not.
 """
 
-import math
-from itertools import islice
+from itertools import islice, repeat
 
-from ._backend import (MAX_TERMS, RHO_UP, S_FLOOR, TAIL_FACTOR, _DRIFT, _INF, _NORMAL, _R_MIN,
-                       _TINY6, _U, carried_tails)
-from .errors import _MAX, check_positive, check_real, refuse
-from .series_core import _EPS, Kind, _check_order, _is_modified, _point
+from ._backend import (MAX_TERMS, RHO_UP, S_FLOOR, _INF, _NORMAL, _R_MIN, _U, carried_tails,
+                       round_off)
+from .errors import _MAX, ToleranceError, check_positive, check_real, refuse
+from .series_core import Kind, _check_order, _is_modified, _point
 
 #: Least l1 size of a tabled coefficient (see "Order-major rows").
 _C_MIN = 2.0 ** -969
 #: Steps a coefficient table grows by at a time.
 _CHUNK = 8
-_log = math.log
-_cos = math.cos
-_sin = math.sin
-_isfinite = math.isfinite
 
 
 def grow_coefficients(table, modified, nu, nu2, v):
@@ -116,23 +112,8 @@ def row_sums(modified, nu, xs, tol):
                 and s2 < _INF):
             yield None
             continue
-        # the partial-sum bound of `series_sums`, with n = N = k
-        fk = k + 1.0
-        sums = 1.5 * k * um
-        d_sums = fk * _U * s1
-        if j < k:
-            f2 = j + 2.0
-            rho = wu * (f2 + v) / (f2 * (f2 * f2 + nu2))
-            rd = f2 * rho / (j + 1.0)
-            if rd < 1.0:
-                split = 1.5 * j * um + um * TAIL_FACTOR / (1.0 - rho)
-                if split < sums:
-                    sums = split
-                split = (j + 1.0) * (_U * s1 + um * TAIL_FACTOR / (1.0 - rd))
-                if split < d_sums:
-                    d_sums = split
-        yield (p, q, dp, dq, m, int(k), tail, d_tail, _DRIFT * s1 + sums + k * k * _TINY6,
-               _DRIFT * s2 + d_sums + k * k * k * _TINY6)
+        err, d_err = round_off(k, j, um, s1, s2, nu2, v, wu)
+        yield p, q, dp, dq, m, int(k), tail, d_tail, err, d_err
 
 
 def _eval_row(kind: Kind, nu: float, xs, tol: float = 1e-12,
@@ -145,49 +126,31 @@ def _eval_row(kind: Kind, nu: float, xs, tol: float = 1e-12,
     With `terms` given every x runs `eval_pair`'s per-point body, so each
     tuple equals `tuple(eval_pair(kind, nu, x, tol, terms))` bit for bit.
     A searched row sums each x from coefficients formed once for the
-    order (`row_sums`) and gives those sums `eval_pair`'s rotation and
-    bounds, so it differs from `eval_pair` by round-off within both
-    bounds and takes the same counts but where a term's last ulps decide
-    the stop.  A point the row cannot sum (w^k or r_N below the normal
-    range, a sum past the coefficient table or overflowing) or would
-    refuse runs `eval_pair`'s body instead, bit for bit.  The first
-    refusal is raised, as `eval_pair` raises it at that point.
+    order (`row_sums`) and hands those sums to the same body,
+    `series_core._point`, for the rotation, refusals and bounds, so it
+    differs from `eval_pair` by round-off within both bounds and takes
+    the same counts but where a term's last ulps decide the stop.  A
+    point the row cannot sum (w^k or r_N below the normal range, a sum
+    past the coefficient table or overflowing) or whose sums `_point`
+    refuses runs on the kernel instead, bit for bit.  The first refusal
+    is raised, as `eval_pair` raises it at that point.
     """
     modified = _is_modified(kind)
     check_real(nu, "nu")
     try:
         nu2 = _check_order(nu, tol, terms)
-        if terms is not None:
-            return [_point(modified, nu, nu2, x, tol, terms) for x in xs]
-        v = abs(nu)
         row = []
-        for x, sums in zip(xs, row_sums(modified, nu, xs, tol)):
+        sums_at = row_sums(modified, nu, xs, tol) if terms is None else repeat(None)
+        for x, sums in zip(xs, sums_at):
             if not 0.0 < x <= _MAX:
                 check_positive(x, "x")
             if sums is not None:
-                # `_point`'s rotation, checks and bounds (r_N is normal
-                # here); a refusal reruns the point there
-                p, q, dp, dq, m, n, tail, d_tail, err, d_err = sums
-                phase = nu * _log(x)
-                c = _cos(phase)
-                s = _sin(phase)
-                cos_part = p * c + q * s
-                sin_part = (0.0 - q) * c + p * s
-                d_cos = (2.0 * (dp * c + dq * s) + nu * (q * c - p * s)) / x
-                d_sin = (2.0 * ((0.0 - dq) * c + dp * s) + nu * (p * c - (0.0 - q) * s)) / x
-                if (_isfinite(cos_part) and _isfinite(sin_part) and _isfinite(d_cos)
-                        and _isfinite(d_sin) and tol >= m * _EPS):
-                    size = abs(p) + abs(q)
-                    ph = 3.0 * abs(phase)
-                    r_val = (ph + 4.0) * _U * size + err
-                    r_der = (2.0 * (ph + 6.0) * _U * (abs(dp) + abs(dq))
-                             + v * (ph + 7.0) * _U * size + 2.0 * d_err)
-                    if v:
-                        r_der += v * err
-                    d_bound = (2.0 * d_tail + (v * tail if v else 0.0) + r_der) / x
-                    row.append((cos_part, sin_part, d_cos, d_sin, n, tail + r_val, d_bound))
+                try:
+                    row.append(_point(modified, nu, nu2, x, tol, None, sums))
                     continue
-            row.append(_point(modified, nu, nu2, x, tol, None))
+                except ToleranceError:
+                    pass  # rerun on the kernel, which raises or answers
+            row.append(_point(modified, nu, nu2, x, tol, terms))
         return row
     except (TypeError, OverflowError):
         refuse(("tol", tol), *(("x", x) for x in xs))

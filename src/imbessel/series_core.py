@@ -170,8 +170,8 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     try:
         if not _isfinite(nu):
             check_real(nu, "nu")  # raises, with the message
-        # x before tol and terms, as documented; `_point` checks it again
-        # for `_rows._eval_row`, which checks it last
+        # x before tol and terms, as documented, and only here: `_point`
+        # takes a checked x (`_rows._eval_row` checks each x last)
         if not 0.0 < x <= _MAX:  # also an int past the double range
             check_positive(x, "x")
         nu2 = _check_order(nu, tol, terms)
@@ -194,29 +194,30 @@ def _check_order(nu, tol, terms):
     return nu2
 
 
-def _point(modified, nu, nu2, x, tol, terms):
-    # The per-point body of `eval_pair` (see there): x's checks, the
-    # kernel pass, the rotation, the refusals and both bounds, for an
-    # order whose checks have passed.  Returns the seven PairResult fields.
-    if not 0.0 < x <= _MAX:
-        check_positive(x, "x")
-    half = 0.5 * x
-    w = half * half
-    # One pass for the (1, 0) seed; the (0, 1) sums are its quarter turn
-    # (-q, p, -dq, dp).  `0.0 - q` keeps q = +0.0 (nu = 0) at +0.0.
-    if terms is None:
-        cap, stop = MAX_TERMS, tol
-    else:
-        cap, stop = terms, -1.0
-    # cap and stop by keyword: perfbench's tracer books the kernel's
-    # steps as args[5], or else kwargs["n_terms"]
-    p, q, dp, dq, m, n, tail, d_tail, err, d_err = _backend.series_sums(
-        modified, nu, w, n_terms=cap, tol=stop)
+def _point(modified, nu, nu2, x, tol, terms, sums=None):
+    # The per-point body of `eval_pair` (see there) for an x and an order
+    # whose checks have passed: the kernel pass, or a searched row's
+    # `sums` (`_rows.row_sums`) in its place, then the rotation, the
+    # refusals and both bounds.  Returns the seven PairResult fields.
+    kernel = sums is None
+    if kernel:
+        half = 0.5 * x
+        w = half * half
+        if terms is None:
+            cap, stop = MAX_TERMS, tol
+        else:
+            cap, stop = terms, -1.0
+        # cap and stop by keyword: perfbench's tracer books the kernel's
+        # steps as args[5], or else kwargs["n_terms"]
+        sums = _backend.series_sums(modified, nu, w, n_terms=cap, tol=stop)
+    p, q, dp, dq, m, n, tail, d_tail, err, d_err = sums
     if terms is None and not tail <= tol:
         raise ToleranceError(
             f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={nu}, x={x}"
         )
 
+    # One pass for the (1, 0) seed; the (0, 1) sums are its quarter turn
+    # (-q, p, -dq, dp).  `0.0 - q` keeps q = +0.0 (nu = 0) at +0.0.
     phase = nu * _log(x)
     c = _cos(phase)
     s = _sin(phase)
@@ -244,13 +245,14 @@ def _point(modified, nu, nu2, x, tol, terms):
     r_val = (ph + 4.0) * _U * size
     r_der = 2.0 * (ph + 6.0) * _U * d_size + v * (ph + 7.0) * _U * size
 
-    if w < _R_MIN * n * (n * n + nu2):
-        # r_N below the normal range: the terms past the seed are not
-        # computed to relative accuracy, so count them all as lost.  Their
-        # exact sums are at most rho_1 / (1 - rho_1) and, weighted by k,
-        # rho_1 / (1 - 2 rho_2), from an upper bound on w; their computed
-        # sums are p + i q - 1 and dp + i dq.  w / x = x / 4 keeps the
-        # derivative's share finite where w itself underflows.
+    if kernel and w < _R_MIN * n * (n * n + nu2):
+        # r_N below the normal range (`row_sums` hands such points to the
+        # kernel): the terms past the seed are not computed to relative
+        # accuracy, so count them all as lost.  Their exact sums are at
+        # most rho_1 / (1 - rho_1) and, weighted by k, rho_1 / (1 - 2 rho_2),
+        # from an upper bound on w; their computed sums are p + i q - 1 and
+        # dp + i dq.  w / x = x / 4 keeps the derivative's share finite
+        # where w itself underflows.
         g1 = (1.0 + v) / (1.0 + nu2) * _backend.RHO_UP
         w_up = w * (1.0 + 4.0 * _U) + _TINY
         rho1 = w_up * g1
@@ -260,8 +262,7 @@ def _point(modified, nu, nu2, x, tol, terms):
         d_bound = (2.0 * w_over_x * g1 / (1.0 - 2.0 * rho2) * _backend.TAIL_FACTOR
                    + (2.0 * d_size + v * tail + r_der) / x)
     else:
-        # the round-off of the kernel's sums; S's reaches the derivatives
-        # through nu
+        # the round-off of the sums; S's reaches the derivatives through nu
         r_val += err
         r_der += 2.0 * d_err
         if v:  # v * inf would be NaN at nu = 0 (here and for the tail)

@@ -286,6 +286,23 @@ def test_eval_pair_checks_its_arguments_in_order():
             with pytest.raises(error) as exc:
                 _eval_row(kind, nu, [math.nan, x], tol, terms=terms)
             assert str(exc.value) == message
+    _assert_rows_refuse_x_as_eval_pair((-1.0, 0.0, -0.0, math.inf, -math.inf, 10 ** 400))
+
+
+def _assert_rows_refuse_x_as_eval_pair(bad_xs):
+    # each bad x at every position of a row of good ones, both kinds,
+    # searched and forced: the row raises eval_pair's refusal of that x
+    good = [0.5, 2.0, 7.0]
+    for bad in bad_xs:
+        with pytest.raises(DomainError) as want:
+            eval_pair(OSC, 1.0, bad)
+        for kind in (OSC, MOD):
+            for i in range(len(good) + 1):
+                xs = good[:i] + [bad] + good[i:]
+                for terms in (None, 12):
+                    with pytest.raises(DomainError) as exc:
+                        _eval_row(kind, 1.0, xs, 1e-12, terms=terms)
+                    assert str(exc.value) == str(want.value), (kind, bad, i, terms)
 
 
 def test_eval_pair_names_an_argument_that_is_not_a_real_number():
@@ -312,6 +329,7 @@ def test_eval_pair_names_an_argument_that_is_not_a_real_number():
         with pytest.raises(DomainError) as exc:
             _eval_row(*args)
         assert str(exc.value) == message
+    _assert_rows_refuse_x_as_eval_pair((math.nan, None, "1", 1j))
 
 
 def _outcome(fn, *args, **kwargs):
@@ -394,9 +412,9 @@ def test_searched_rows_take_eval_pairs_counts():
 
 
 def test_row_rotation_and_bounds_are_eval_pairs_on_the_rows_sums(monkeypatch):
-    # `_eval_row` keeps its own copy of `_point`'s rotation and bounds;
-    # given the row's sums in place of the kernel's, eval_pair returns
-    # the row's bytes
+    # `_eval_row` hands the row's sums to `_point` past the kernel and
+    # past the regime test; given those sums from the kernel instead,
+    # eval_pair returns the row's bytes
     for kind, nu, xs, tol in _ROWS[::4]:
         row = _eval_row(kind, nu, xs, tol)
         for x, r, sums in zip(xs, row, _rows.row_sums(kind is MOD, nu, xs, tol)):
@@ -493,6 +511,50 @@ def test_pair_result_bytes_are_pinned():
     for kind, nu, x, tol, terms in _pinned_requests():
         digest.update(struct.pack("<ddddqdd", *eval_pair(kind, nu, x, tol, terms=terms)))
     assert digest.hexdigest() == _PAIR_DIGEST
+
+
+#: sha256 of all seven fields of every `_eval_row` tuple over
+#: `_pinned_rows()`: the grid path's own bytes, which the agreement
+#: tests above hold only within both bounds
+_ROW_DIGEST = "0ae9b442742ea42b746f56d38f0e088fc2a9a13afb2e10acc691464ae5296ce6"
+
+
+def _pinned_rows():
+    # both kinds, orders in [0, 3.5] and [-20, 20], 40 x log-uniform on
+    # [1e-2, 10], each row searched (tol 1e-6 or 1e-12) and forced (8,
+    # 16, ..., 64 terms); then rows whose points the scalar path takes:
+    # x = 1e-300, orders of 1e150 (the table ends after c_1; r_N leaves
+    # the normal range at small x), and a forced row with x = 1e-300
+    rng = random.Random("row-pin")
+    rows = []
+    for kind in (OSC, MOD):
+        for i in range(12):
+            nu = rng.uniform(0.0, 3.5) if i % 2 else rng.uniform(-20.0, 20.0)
+            xs = [math.exp(rng.uniform(math.log(1e-2), math.log(10.0))) for _ in range(40)]
+            rows.append((kind, nu, xs, (1e-6, 1e-12)[i % 3 == 0], None))
+            rows.append((kind, nu, xs, 1e-12, 8 * rng.randint(1, 8)))
+    rows += [
+        (OSC, 1.5, [0.25, 1e-300, 3.0, 1e-300, 7.5], 1e-12, None),
+        (OSC, 1e150, [1e-5, 1.0, 1e73, 3.0], 1e-12, None),
+        (MOD, -1e150, [1e73, 1e-5, 0.5], 1e-6, None),
+        (MOD, 0.0, [20.0, 1e-300, 2.0], 1e-6, None),
+        (OSC, 2.5, [0.01, 1e-300, 4.0, 25.0], 1e-12, 12),
+    ]
+    return rows
+
+
+def test_row_bytes_are_pinned():
+    # searched rows are not eval_pair's bytes, so the PairResult pin does
+    # not cover them
+    digest = hashlib.sha256()
+    scalar = 0
+    for kind, nu, xs, tol, terms in _pinned_rows():
+        if terms is None:
+            scalar += sum(_row_fallbacks(kind, nu, xs, tol))
+        for r in _eval_row(kind, nu, xs, tol, terms=terms):
+            digest.update(struct.pack("<ddddqdd", *r))
+    assert scalar == 6  # the searched points the scalar path takes
+    assert digest.hexdigest() == _ROW_DIGEST
 
 
 @pytest.mark.parametrize("kind", [OSC, MOD])
