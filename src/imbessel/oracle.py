@@ -8,11 +8,13 @@ from per-order weights prod_{j<=k} j / (j + i nu) times (x/2)^(2k) /
 `hyp0f1`, which takes its asymptotic expansion.  The phase x^(i nu) is
 a rotation by the angle nu ln x, formed with guard bits that grow with
 |nu|.  One function, `_gold_grid`, evaluates it over a grid of orders
-and x, one x at a time: z, the power terms (x/2)^(2k) / (k!)^2 and
-ln x are formed once per x for all the orders; the public pair
-functions are its one-point calls.  All else is independent of both
-that and the double-precision series path: the complex Gamma function by an argument-shifted Stirling series, the
-imaginary-order Bessel and modified Bessel functions by direct complex
+and x, one x at a time: z, the power terms (x/2)^(2k) / (k!)^2, where
+the sums stop, and ln x are decided once per x for all the orders, and
+each part of an order's sum is one integer dot product of its weights
+with those terms, rounded once; the public pair functions are its
+one-point calls.  All else is independent of both that and the
+double-precision series path: the complex Gamma function by an
+argument-shifted Stirling series, the imaginary-order Bessel and modified Bessel functions by direct complex
 summation of their defining series (a posteriori stop, rerun at higher
 precision when cancellation eats the guard digits), and the Macdonald
 function by adaptive panel quadrature of its exponential integral
@@ -25,12 +27,14 @@ modulus (the sine-type part at |nu| below ~1e-60) may have none.
 Doubling the working precision must not move any result past that
 declaration (tests enforce this).
 
-Cost, measured on one core of a 2-vCPU VM: the gold pair at 50 digits
-takes ~0.06-0.10 ms per point in a grid (the `compare` benchmark's
-grids, 4 orders |nu| < 3.5 times 12 x <= 10, least and median time over
-5 seeds; 0.13-0.22 ms one point at a time), 1.1-2.0 ms through
-`hyp0f1` (the same orders, x from 22.63 to 30), and 0.2-2.2 ms at large
-x or order (x up to 700, |nu| up to 100).
+Cost, measured on one core of a 2-vCPU VM (Python 3.11.7): the gold
+pair at 50 digits takes ~0.042-0.045 ms per point in a grid (the
+`compare` benchmark's grids, 4 orders |nu| < 3.5 times 12 x <= 10,
+least and median time over 5 seeds and both kinds; 0.09-0.10 ms one
+point at a time), about half of it in the sums and the rest in the
+rotation and the roundings to doubles; 1.0-1.1 ms through `hyp0f1`
+(the same orders, x from 22.63 to 30), and 0.1-1.4 ms at large x or
+order (x up to 700, |nu| up to 100).
 `hp_bessel_imag` takes ~5-50 ms at those points, and ~250 ms at
 oscillatory x = 300, where it reruns with ~130 more digits.  The
 hand-written references refuse, with ToleranceError and before the
@@ -41,6 +45,7 @@ work, an argument shift, a series or a quadrature past the caps below
 import functools
 import math
 import threading
+from operator import mul
 from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
@@ -261,21 +266,27 @@ def _phase(nu: float, x: float, prec: int):
 def _series_0f1(weights, powers, nu: float, z, prec: int, derivative: bool):
     # S = sum_k d_k u_k = 0F1(; 1 + i nu; z) with u_k = z^k / (k!)^2, or
     # i nu S + 2 D, D = sum_k k d_k u_k = z S'(z), when `derivative`, as
-    # exact parts (re, im, e), two integers times 2^e.  `weights` keeps,
-    # per working precision wp, the d_k = d_(k-1) k den (k den - i num) /
-    # (k^2 den^2 + num^2) the order has needed (nu = num / den), complex
-    # integers at wp bits rounded to nearest: |d_k| <= 1 with an absolute
-    # error below k/2 units; `powers` keeps, per wp, the u_k at wp bits
-    # (rounded down) that z's orders have needed.  Past k^2 > 2|z| a term
-    # is at most half the one before, so the first below 2^(25-wp)
-    # (2^-(prec+25) at the first guard, as in mpmath) ends the sums.  The
-    # weights' errors being absolute, the bits lost are measured on
-    # max |u_k| (times |nu| + 2N for the derivative), not on the terms;
-    # past the guard less 20 bits, the sums rerun 50 bits above them.  A
-    # result of a few units (the derivative at tiny z and |nu|) reads 0:
-    # it is then near i nu + 2 z, of modulus at least about 2 |z|, so the
-    # rerun is sized by mag(z) instead, and takes its bits at once.
+    # exact parts (re, im, e), two integers times 2^e.  `powers` keeps,
+    # per working precision wp, the u_0..u_K of z at wp bits (rounded
+    # down), formed once for all of z's orders: past k^2 > 2|z| a power
+    # is at most half the one before, so K is the first such k with
+    # |u_K| below 2^(25-wp) (2^-(prec+25) at the first guard, as in
+    # mpmath), and as |d_k| <= 1 every order's tail after K is below
+    # that too.  `weights` keeps, per wp, the order's Re d_k and Im d_k
+    # as two lists, d_k = d_(k-1) k den (k den - i num) / (k^2 den^2 +
+    # num^2) (nu = num / den), integers at wp bits rounded to nearest:
+    # |d_k| <= 1 with an absolute error below k/2 units.  They are grown
+    # to len(u) first, as a dot product stops at its shorter list; each
+    # part is then one integer dot product with the powers, rounded down
+    # once.  The weights' errors being absolute, the bits lost are
+    # measured on max |u_k| (times |nu| + 2K for the derivative), not on
+    # the terms; past the guard less 20 bits, the sums rerun 50 bits
+    # above them.  A result of a few units (the derivative at tiny z and
+    # |nu|) reads 0: it is then near i nu + 2 z, of modulus at least
+    # about 2 |z|, so the rerun is sized by mag(z) instead, and takes its
+    # bits at once.
     num, den = nu.as_integer_ratio()
+    nn = num * num
     sign, man, exp, bc = z
     z_man, z_shift = (man << exp, 0) if exp > 0 else (man, -exp)
     lim, peak = 2 * z_man >> z_shift, z_man >> z_shift
@@ -283,36 +294,35 @@ def _series_0f1(weights, powers, nu: float, z, prec: int, derivative: bool):
     guard, stop = 50, 1 << 25
     while True:
         wp = prec + guard
-        ws = weights.setdefault(wp, [(1 << wp, 0)])
-        us = powers.setdefault(wp, [1 << wp])
-        (s_re, s_im), d_re, d_im, k = ws[0], 0, 0, 0
-        while True:
-            k += 1
-            kk = k * k
-            try:
-                u = us[k]
-            except IndexError:
-                u = (us[-1] * z_man >> z_shift) // kk
+        us = powers.get(wp)
+        if us is None:
+            us = powers[wp] = [1 << wp]
+            k = 0
+            while True:
+                k += 1
+                u = (us[-1] * z_man >> z_shift) // (k * k)
                 us.append(u)
-            try:
-                w_re, w_im = ws[k]
-            except IndexError:
-                kd, (re, im) = k * den, ws[-1]
-                q = kd * kd + num * num
-                w_re = (kd * (re * kd + im * num) + q // 2) // q
-                w_im = (kd * (im * kd - re * num) + q // 2) // q
-                ws.append((w_re, w_im))
-            t_re, t_im = w_re * u >> wp, w_im * u >> wp
-            s_re, s_im = s_re + t_re, s_im + t_im
-            if derivative:
-                d_re, d_im = d_re + k * t_re, d_im + k * t_im
-            if kk > lim and -stop < t_re < stop and -stop < t_im < stop:
-                break
-        e, scale = -wp, 0
+                if k * k > lim and -stop < u < stop:
+                    break
+        n = len(us)
+        w_re, w_im = weights.setdefault(wp, ([1 << wp], [0]))
+        re, im = w_re[-1], w_im[-1]
+        for kd in range(len(w_re) * den, n * den, den):
+            q = kd * kd + nn
+            h = q >> 1
+            re, im = (kd * (re * kd + im * num) + h) // q, (kd * (im * kd - re * num) + h) // q
+            w_re.append(re)
+            w_im.append(im)
         if derivative:  # in units den times finer, den a power of 2
-            e, scale = -wp - den.bit_length() + 1, (int(abs(nu)) + 2 * k).bit_length()
+            t_re, t_im = list(map(mul, w_re, us)), list(map(mul, w_im, us))
+            s_re, s_im = sum(t_re) >> wp, sum(t_im) >> wp
+            d_re, d_im = sum(map(mul, range(n), t_re)) >> wp, sum(map(mul, range(n), t_im)) >> wp
+            e, scale = -wp - den.bit_length() + 1, (int(abs(nu)) + 2 * (n - 1)).bit_length()
             s_re, s_im = 2 * den * d_re - num * s_im, 2 * den * d_im + num * s_re
-        size = max(v.bit_length() + e if v else -wp for v in (s_re, s_im))
+        else:
+            s_re, s_im = sum(map(mul, w_re, us)) >> wp, sum(map(mul, w_im, us)) >> wp
+            e, scale = -wp, 0
+        size = max(s_re.bit_length() + e if s_re else -wp, s_im.bit_length() + e if s_im else -wp)
         # max |u_k| is u_k at the largest k with k^2 <= |z|
         lost = us[math.isqrt(peak)].bit_length() - wp + scale - size
         if lost <= guard - 20:
@@ -345,12 +355,14 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
     # point x ~ |nu| (23 at |nu| = 1e4), far inside the 15 guard digits.
     # x^(i nu) is the rotation by nu ln x, formed as in `_phase`; the 0F1
     # parts times its cos and sin are summed exactly in integers and
-    # rounded once.  The loop is x-major: z, its power terms and ln x
-    # depend on x alone, so each x forms them once for all the orders and
-    # drops them when it is done.  ln x is formed at the widest angle
-    # precision of the orders, and each order rounds it to its own: that
-    # is the one-point ln x unless ln x lies within some 2^-19 units of a
-    # tie at the order's precision (mpf_log rounds from 20 more bits).
+    # rounded once.  The loop is x-major: z, its power terms, the term
+    # the sums stop at and ln x depend on x alone, so each x forms them
+    # once for all the orders and drops them when it is done; an order's
+    # two weight lists are kept across the x and grown to each x's
+    # terms.  ln x is formed at the widest angle precision of the orders,
+    # and each order rounds it to its own: that is the one-point ln x
+    # unless ln x lies within some 2^-19 units of a tie at the order's
+    # precision (mpf_log rounds from 20 more bits).
     nus = [check_real(nu, "nu") for nu in nus]
     check_count(digits, "digits", MAX_DIGITS)
     xs = [check_positive(x, "x") for x in xs]

@@ -356,13 +356,79 @@ def test_gold_grid_is_its_points_bit_for_bit(kind):
              ([1.5, 0.0, -2.5, 40.0], [3.0, 22.0, 22.63, 26.5]),
              ([2.9075010946266886, -47.73176480958007], [1.761862313235363e-4])]
     for nus, xs in grids:
-        grid = (_gold_grid(kind, nus, xs, 50), _gold_grid(kind, nus, xs, 50, hp=True),
-                _gold_grid(kind, nus, xs, 50, derivative=True, hp=True))
-        for nu, *rows in zip(nus, *grid):
-            for x, *got in zip(xs, *rows):
-                want = [fn(kind, nu, x) for fn in (oracle_pair, oracle_pair_hp,
-                                                   oracle_pair_derivs_hp)]
-                assert got == want, (nu, x)
+        _assert_grid_is_its_points(kind, nus, xs)
+
+
+def _assert_grid_is_its_points(kind, nus, xs):
+    grid = (_gold_grid(kind, nus, xs, 50), _gold_grid(kind, nus, xs, 50, hp=True),
+            _gold_grid(kind, nus, xs, 50, derivative=True, hp=True))
+    for nu, *rows in zip(nus, *grid):
+        for x, *got in zip(xs, *rows):
+            want = [fn(kind, nu, x) for fn in (oracle_pair, oracle_pair_hp, oracle_pair_derivs_hp)]
+            assert got == want, (nu, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from([OSC, MOD]),
+       nus=st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1e-300, -1e-300, 1e150, -1e150]),
+                              st.floats(-100, 100)), min_size=2, max_size=5),
+       xs=st.lists(st.one_of(st.floats(5e-324, 22.62), st.floats(15.0, 22.62)),
+                   min_size=1, max_size=4))
+@example(kind=OSC, nus=[1e150, 0.0, -1e-300, 1e-300, 2.5], xs=[22.62, 1e-3, 9.5])
+@example(kind=MOD, nus=[-2.5, 1e150, 0.0], xs=[9.5, 1e-3, 22.62, 1e-3])
+def test_gold_grid_equals_its_points(kind, nus, xs):
+    # any mix of orders over any x below 22.63, in any order: each row
+    # of values, hp values and hp derivatives is its one-point calls
+    _assert_grid_is_its_points(kind, nus, xs)
+
+
+def _sum_past_stop(w_re, w_im, us, nu, z, wp, extra=30):
+    # sum_k d_k u_k in units of 2^-2wp over the series' own weights and
+    # powers, both carried `extra` terms past the stop by their
+    # recurrences: the weights from wherever their lists end
+    num, den = nu.as_integer_ratio()
+    sign, man, exp, _ = z._mpf_
+    z_man = -man if sign else man
+    n = len(us) + extra
+    w_re, w_im, us = w_re[:n], w_im[:n], list(us)
+    for k in range(len(w_re), n):
+        kd, re, im = k * den, w_re[-1], w_im[-1]
+        q = kd * kd + num * num
+        w_re.append((kd * (re * kd + im * num) + q // 2) // q)
+        w_im.append((kd * (im * kd - re * num) + q // 2) // q)
+    for k in range(len(us), n):
+        u = us[-1] * z_man
+        us.append((u << exp if exp >= 0 else u >> -exp) // (k * k))
+    return sum(a * u for a, u in zip(w_re, us)), sum(b * u for b, u in zip(w_im, us))
+
+
+@pytest.mark.parametrize("kind", [OSC, MOD])
+def test_series_stops_once_per_x(kind):
+    # the power terms of an x end at u_K, K the first k with k^2 > 2|z|
+    # and |u_k| below 2^25 units of 2^-wp, whichever order forms them;
+    # each order's weights, kept across the x as in a grid, are grown to
+    # them, so each part is within 2^26 units of the same sum carried 30
+    # terms on (a short weight list would drop terms of the sum)
+    nus = [0.0, 1.5, -40.0, 1e-300, 1e150]
+    seen = []
+    with mp.workdps(65):
+        for order in (nus, nus[::-1]):
+            weights = [{} for _ in order]
+            per_x = []
+            for x in (1e-3, 1.0, 10.0, 22.62):
+                z = mpf(x) ** 2 / 4 * (1 if kind is MOD else -1)
+                powers = {}
+                for nu, ws in zip(order, weights):
+                    re, im, e = _series_0f1(ws, powers, nu, z._mpf_, mp.prec, False)
+                    want = _sum_past_stop(*ws[-e], powers[-e], nu, z, -e)
+                    for got, ref in zip((re, im), want):
+                        assert abs((got << -e) - ref) < 1 << (26 - e), (nu, x)
+                for wp, us in powers.items():
+                    stops = [k * k > 2 * abs(z) and abs(u) < 1 << 25 for k, u in enumerate(us)]
+                    assert stops.index(True) == len(us) - 1, (x, wp)
+                per_x.append(powers)
+            seen.append(per_x)
+    assert seen[0] == seen[1]
 
 
 def _error_to_plain_mpmath(got, kind, nu, x, derivative):

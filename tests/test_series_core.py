@@ -513,6 +513,43 @@ def test_pair_result_bytes_are_pinned():
     assert digest.hexdigest() == _PAIR_DIGEST
 
 
+#: sha256 of both doubles of `oracle_pair` over `_pinned_oracle_points()`:
+#: the gold values every accuracy test is held to
+_ORACLE_DIGEST = "58f98acd03dac7c6a704e2cfda1d647c1574005ba3afaebd6f5c783acc62b292"
+
+
+def _pinned_oracle_points():
+    # both kinds; orders uniform on [0, 3.5] (the benchmark's) and on
+    # [-40, 40], and log-uniform on 1e-40..1e150 of either sign, where
+    # the sine-type part still holds digits; x log-uniform on [1e-3,
+    # 22.62], where the oracle sums 0F1 itself, and for one point in
+    # four of the first two, uniform on [22.63, 30], where mpmath's
+    # hyp0f1 does
+    rng = random.Random("oracle-pin")
+    points = []
+    for i in range(200):
+        kind = (OSC, MOD)[i % 2]
+        if i % 4 == 0:
+            nu = rng.uniform(0.0, 3.5)
+        elif i % 4 == 1:
+            nu = rng.uniform(-40.0, 40.0)
+        else:
+            nu = math.copysign(10.0 ** rng.uniform(-40.0, 150.0), rng.uniform(-1.0, 1.0))
+        if i % 8 < 2:
+            x = rng.uniform(22.63, 30.0)
+        else:
+            x = math.exp(rng.uniform(math.log(1e-3), math.log(22.62)))
+        points.append((kind, nu, x))
+    return points
+
+
+def test_oracle_pair_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for kind, nu, x in _pinned_oracle_points():
+        digest.update(struct.pack("<dd", *oracle_pair(kind, nu, x)))
+    assert digest.hexdigest() == _ORACLE_DIGEST
+
+
 #: sha256 of all seven fields of every `_eval_row` tuple over
 #: `_pinned_rows()`: the grid path's own bytes, which the agreement
 #: tests above hold only within both bounds
