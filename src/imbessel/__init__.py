@@ -35,10 +35,6 @@ __all__ = [
     "eval_pair",
     "factor_F",
     "gamma_modulus_imag",
-    "hp_bessel_imag",
-    "hp_bessel_j_int",
-    "hp_gamma",
-    "kl_macdonald",
     "m_of_nu",
     "majorant_bound",
     "oracle_pair",
@@ -46,7 +42,6 @@ __all__ = [
     "oracle_pair_hp",
     "required_terms",
     "tail_bound",
-    "truncated_pair_hp",
     "wronskian_residual",
     "__version__",
 ]
@@ -57,9 +52,8 @@ __all__ = [
 _LAZY = {
     **dict.fromkeys(("derivative_tail_bound", "factor_F", "m_of_nu", "majorant_bound",
                      "required_terms", "tail_bound"), "error_bounds"),
-    **dict.fromkeys(("OracleValue", "hp_bessel_imag", "hp_bessel_j_int", "hp_gamma",
-                     "kl_macdonald", "oracle_pair", "oracle_pair_derivs_hp", "oracle_pair_hp",
-                     "truncated_pair_hp"), "oracle"),
+    **dict.fromkeys(("OracleValue", "oracle_pair", "oracle_pair_derivs_hp", "oracle_pair_hp"),
+                    "oracle"),
 }
 
 

@@ -19,18 +19,14 @@ from imbessel import (
     classify,
     eval_pair,
     gamma_modulus_imag,
-    hp_bessel_imag,
-    hp_gamma,
-    kl_macdonald,
     majorant_bound,
     oracle_pair,
     oracle_pair_hp,
     tail_bound,
-    truncated_pair_hp,
     wronskian_residual,
 )
 from imbessel.cli import main as cli_main
-from imbessel.oracle import coefficients_hp
+from references import coefficients_hp, hp_bessel_imag, hp_gamma, kl_macdonald, truncated_pair_hp
 
 OSC = Kind.OSCILLATORY
 MOD = Kind.MODIFIED

@@ -13,7 +13,7 @@ from mpmath import mp, mpc, mpf
 from imbessel import MAX_TERMS, DomainError, Kind, ToleranceError, _backend, _rows, eval_pair
 from imbessel._backend import (_DRIFT, _INF, _NORMAL, _Q, _TINY6, _U, _UNDER, RHO_UP, S_FLOOR,
                                TAIL_FACTOR)
-from imbessel.oracle import coefficients_hp
+from references import coefficients_hp
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 

@@ -22,11 +22,10 @@ from imbessel import (
     oracle_pair_hp,
     required_terms,
     tail_bound,
-    truncated_pair_hp,
 )
 from imbessel.cli import COMPARE_SLACK
 from imbessel.error_bounds import MAX_TERMS, SUM_INV_CUBES, SUM_INV_SQUARES
-from imbessel.oracle import coefficients_hp
+from references import coefficients_hp, truncated_pair_hp
 
 
 def test_factor_F_vanishes_at_unit_and_zero_order():

@@ -1,8 +1,10 @@
-"""Tests for the extended-precision reference implementations.
+"""Tests for the extended-precision gold pair (`imbessel.oracle`) and
+the hand-written references it is checked against (`references.py`).
 
 The identity suite (recurrence, reflection) is the contract for the
-Gamma evaluation; the Bessel and Macdonald routines are additionally
-cross-checked against mpmath's independent hypergeometric machinery.
+Gamma reference; the Bessel and Macdonald references are additionally
+cross-checked against mpmath's independent hypergeometric machinery,
+and the gold pair against Gamma times the Bessel reference.
 """
 
 import math
@@ -23,16 +25,12 @@ from imbessel import (
     Kind,
     ToleranceError,
     eval_pair,
-    hp_bessel_imag,
-    hp_bessel_j_int,
-    hp_gamma,
-    kl_macdonald,
     oracle_pair,
     oracle_pair_derivs_hp,
     oracle_pair_hp,
-    truncated_pair_hp,
 )
 from imbessel.oracle import OracleValue, _gold_grid, _series_0f1
+from references import hp_bessel_imag, hp_gamma, kl_macdonald, truncated_pair_hp
 
 OSC = Kind.OSCILLATORY
 MOD = Kind.MODIFIED
@@ -538,12 +536,14 @@ def test_package_import_leaves_mpmath_unloaded():
         "assert 'mpmath' in sys.modules\n"
         "from imbessel import *\n"
         "assert oracle_pair_hp is imbessel.oracle.oracle_pair_hp\n"
-        "try:\n"
-        "    imbessel.no_such_name\n"
-        "except AttributeError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise SystemExit('no AttributeError')\n"
+        "for name in ('no_such_name', 'hp_bessel_imag', 'hp_bessel_j_int', 'hp_gamma',\n"
+        "             'kl_macdonald', 'truncated_pair_hp'):\n"
+        "    try:\n"
+        "        getattr(imbessel, name)\n"
+        "    except AttributeError:\n"
+        "        pass\n"
+        "    else:\n"
+        "        raise SystemExit('no AttributeError for ' + name)\n"
     )
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -695,14 +695,3 @@ def test_macdonald_precision_honesty():
     with mp.workdps(60):
         assert abs(lo.re - hi.re) < abs(hi.re) * mpf(10) ** -13
     assert lo.digits >= 12
-
-
-# ----------------------------------------------------- integer-order helper
-
-def test_integer_order_j_series():
-    with mp.workdps(60):
-        for n, x in ((0, 1.0), (1, 2.0), (3, 0.7), (0, 60.0), (1, 100.0)):
-            got = hp_bessel_j_int(n, x)
-            assert _rel_err(got.re, mpmath.besselj(n, x)) < 1e-45
-    with pytest.raises(DomainError):
-        hp_bessel_j_int(-1, 1.0)

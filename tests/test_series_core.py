@@ -20,15 +20,13 @@ from imbessel import (
     _rows,
     eval_pair,
     gamma_modulus_imag,
-    hp_gamma,
     oracle_pair,
     oracle_pair_derivs_hp,
     oracle_pair_hp,
-    truncated_pair_hp,
     wronskian_residual,
 )
 from imbessel.error_bounds import derivative_tail_bound, tail_bound
-from imbessel.oracle import coefficients_hp
+from references import coefficients_hp, hp_gamma, truncated_pair_hp
 from imbessel._rows import _eval_row
 
 OSC = Kind.OSCILLATORY
