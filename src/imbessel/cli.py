@@ -31,13 +31,16 @@ Imports are lazy where a command alone needs them: `compare` and
 `bounds` imports `error_bounds`; `eval`, `table` and `classify` load
 neither, and `compare` leaves `error_bounds` unloaded.
 
-Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure.
+Exit codes: 0 success, 2 usage or domain error, 3 tolerance failure, 1
+when the reader closes stdout before the output ends (`| head`); the
+console script then writes nothing to stderr.
 """
 
 import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from ._rows import _eval_row
@@ -329,7 +332,16 @@ def main(argv=None, out=None) -> int:
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): point it at devnull, so the
+        # interpreter's last flush stays silent, and exit 1 (the Python
+        # docs' recipe)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    raise SystemExit(status)
 
 
 if __name__ == "__main__":

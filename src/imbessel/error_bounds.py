@@ -64,12 +64,13 @@ bounds from (nu, N, x) alone, before any term is computed.  `eval_pair`
 does not use them; its kernel bounds the tail from the terms it
 computes.  Counts N are ints in 1..MAX_TERMS.  Beyond the double range
 a bound is +inf, never an error or NaN, and so is the bound of an order
-whose square overflows (its log sum would be inf - inf at large x).
+whose square overflows: there every log P_n is taken as +inf, so each
+bound is inf and `required_terms` meets only tol = inf, at N = 1.
 """
 
 import math
 import sys
-from itertools import accumulate, islice
+from itertools import accumulate, islice, repeat
 
 from ._backend import MAX_TERMS, RHO_UP, carried_tails
 from .errors import ToleranceError, check_count, check_positive, check_real, check_tol
@@ -84,14 +85,6 @@ def _exp_sat(arg: float) -> float:
     # honest as +inf, tiny ones underflow to a clean zero
     try:
         return math.exp(arg)
-    except OverflowError:
-        return math.inf
-
-
-def _pow_sat(base: float, exponent) -> float:
-    # base ** exponent with saturation instead of OverflowError
-    try:
-        return base ** exponent
     except OverflowError:
         return math.inf
 
@@ -123,20 +116,19 @@ def m_of_nu(nu: float) -> float:
 def majorant_bound(nu: float, n: int) -> float:
     """Envelope m(nu) * n^|nu| / (n!)^2 on |a_n| + |b_n|, n in 1..MAX_TERMS.
 
-    Switches to log-space past n = 20 so the factorial cannot overflow.
+    Formed in log space, so it is finite wherever the envelope is, even
+    where m(nu) n^|nu| or (n!)^2 alone leaves the double range.
     """
     nu = check_real(nu, "nu")
     check_count(n, "n", MAX_TERMS)
-    v = abs(nu)
-    if n <= 20:
-        return m_of_nu(nu) * _pow_sat(float(n), v) / float(math.factorial(n)) ** 2
-    return _exp_sat(_log_m_of_nu(nu) + v * math.log(n) - 2.0 * math.lgamma(n + 1.0))
+    return _exp_sat(_log_m_of_nu(nu) + abs(nu) * math.log(n) - 2.0 * math.lgamma(n + 1.0))
 
 
 def _point(nu, x):
     # The checked point's |nu|, nu^2, x, w = (x/2)^2 and one lazy running
     # sum of log P_n, n = 1..MAX_TERMS + 1, which every bound reads (so a
-    # count has the same bytes in each); callers check nu^2 is finite first.
+    # count has the same bytes in each); each log P_n is +inf where nu^2
+    # overflows, so every bound there is inf.
     nu = check_real(nu, "nu")
     x = check_positive(x, "x")
     half = 0.5 * x
@@ -146,8 +138,11 @@ def _point(nu, x):
     else:  # (x/2)^2 underflows or loses digits below x ~ 3e-154
         log_w = 2.0 * (math.log(x) - math.log(2.0))
     v, nu2 = abs(nu), nu * nu
-    log_products = accumulate(log_w + math.log((i + v) / i / (i * i + nu2))
-                              for i in range(1, MAX_TERMS + 2))
+    if nu2 == math.inf:  # each quotient would underflow to log(0)
+        log_products = repeat(math.inf, MAX_TERMS + 1)
+    else:
+        log_products = accumulate(log_w + math.log((i + v) / i / (i * i + nu2))
+                                  for i in range(1, MAX_TERMS + 2))
     return v, nu2, x, w, log_products
 
 
@@ -163,12 +158,9 @@ def _bound(log_scale, total):
 
 
 def _tails(nu, x, N):
-    # log P_(N+1), log x, |nu| and the totals after N steps; None where
-    # nu^2 overflows
+    # log P_(N+1), log x, |nu| and the totals after N steps
     v, nu2, x, w, log_products = _point(nu, x)
     check_count(N, "N", MAX_TERMS)
-    if nu2 == math.inf:
-        return None
     for log_p in islice(log_products, N + 1):
         pass
     return (log_p, math.log(x), v) + _totals(v, nu2, w, N)
@@ -183,10 +175,7 @@ def tail_bound(nu: float, x: float, N: int) -> float:
     factor below 1/2 where the chain's closing index moves); the computed
     bound can rise only by its rounding.
     """
-    tails = _tails(nu, x, N)
-    if tails is None:
-        return math.inf
-    log_p, _, _, total, _ = tails
+    log_p, _, _, total, _ = _tails(nu, x, N)
     return _bound(log_p, total)
 
 
@@ -200,10 +189,7 @@ def derivative_tail_bound(nu: float, x: float, N: int) -> float:
 
     taken as one exponential with 1/x in log space.
     """
-    tails = _tails(nu, x, N)
-    if tails is None:
-        return math.inf
-    log_p, log_x, v, total, d_total = tails
+    log_p, log_x, v, total, d_total = _tails(nu, x, N)
     d_total = 2.0 * d_total
     if v:  # 0 * inf would be NaN at nu = 0
         d_total += v * total
@@ -214,33 +200,23 @@ def required_terms(nu: float, x: float, tol: float) -> int:
     """Smallest N <= MAX_TERMS whose `tail_bound` meets `tol`.
 
     A linear scan over the same computation, which skips a count whose
-    bound it can show is above `tol` without running its chain: first
-    while P_(N+1) > tol, and past the first count whose chain fails,
-    while 0.99 S_N > tol, with S_N = sum_{N<K<=MAX_TERMS+1} P_K formed in
-    one backward pass over exp(log P_K).  The bound after N steps is at
-    least the exact sum of the P_K, K > N, which exp(log P_(N+1)) and
-    S_N exceed by at most the 1e-7 of the log sums and 401 roundings, so
-    by less than its factor 1.01 (and it is inf where S_N is).  Raises
-    ToleranceError when even MAX_TERMS terms cannot reach the tolerance
-    (absurd x / tol pairings).
+    bound it can show is above `tol` without running its chain: while
+    0.99 S_N > tol, with S_N = sum_{N<K<=MAX_TERMS+1} P_K formed in one
+    backward pass over exp(log P_K).  The bound after N steps is at
+    least the exact sum of the P_K, K > N, which S_N exceeds by at most
+    the 1e-7 of the log sums and 401 roundings, so by less than its
+    factor 1.01 (and it is inf where S_N is).  Every call forms all
+    MAX_TERMS + 1 log P_K first, some 0.2 ms of work whatever the
+    answer.  Raises ToleranceError when even MAX_TERMS terms cannot
+    reach the tolerance (absurd x / tol pairings).
     """
     v, nu2, x, w, log_products = _point(nu, x)
     check_tol(tol)
-    if nu2 < math.inf:
-        log_tol = math.log(tol)
-        counts = enumerate(islice(log_products, 1, None), start=1)  # N, log P_(N+1)
-        for N, log_p in counts:
-            if log_p <= log_tol:
-                if _bound(log_p, _totals(v, nu2, w, N)[0]) <= tol:
-                    return N
-                break
-        # the chain failed at N: skip the later counts by their sums
-        logs = [log_p for _, log_p in counts]
-        sums = list(accumulate(map(_exp_sat, reversed(logs))))
-        for N, log_p in enumerate(logs, start=N + 1):
-            if 0.99 * sums[MAX_TERMS - N] <= tol:
-                if _bound(log_p, _totals(v, nu2, w, N)[0]) <= tol:
-                    return N
+    logs = list(islice(log_products, 1, None))  # log P_(N+1), N = 1..MAX_TERMS
+    sums = list(accumulate(map(_exp_sat, reversed(logs))))
+    for N, log_p in enumerate(logs, start=1):
+        if 0.99 * sums[MAX_TERMS - N] <= tol and _bound(log_p, _totals(v, nu2, w, N)[0]) <= tol:
+            return N
     raise ToleranceError(
         f"tolerance {tol:g} unreachable within {MAX_TERMS} terms at nu={float(nu)}, x={x}"
     )

@@ -189,3 +189,19 @@ def test_kl_macdonald_refuses_digits_past_its_quadrature():
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_an_internal_type_error_with_valid_arguments_is_raised_as_it_is(monkeypatch):
+    # `refuse` turns a TypeError into DomainError only for an argument that
+    # caused it; with every argument valid, a fault inside is not hidden
+    def broken(*args, **kwargs):
+        raise TypeError("internal")
+
+    from imbessel import _backend, _rows
+
+    monkeypatch.setattr(_backend, "series_sums", broken)
+    with pytest.raises(TypeError, match="internal"):
+        eval_pair(OSC, 1.0, 2.0)
+    monkeypatch.setattr(_rows, "row_sums", broken)
+    with pytest.raises(TypeError, match="internal"):
+        _eval_row(OSC, 1.0, [1.0, 2.0], 1e-12)

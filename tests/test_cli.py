@@ -632,3 +632,16 @@ def test_a_list_that_does_not_parse_is_a_domain_error(capsys, argv, message):
     code, out = run_cli(argv)
     assert (code, out) == (2, "")
     assert capsys.readouterr().err == message
+
+
+def test_a_reader_that_closes_the_pipe_gets_status_1_and_no_traceback():
+    # `imbessel table ... | head -1`: 2 000 rows outgrow the pipe's buffer,
+    # so the writes after the reader leaves fail with EPIPE
+    src = str(Path(imbessel.__file__).resolve().parents[1])
+    proc = subprocess.Popen([sys.executable, "-m", "imbessel.cli", "table", "--nu", "1",
+                             "--x-steps", "2000"], env=dict(os.environ, PYTHONPATH=src),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"x,nu,")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert (proc.wait(timeout=60), err) == (1, b"")

@@ -83,7 +83,7 @@ def test_majorant_bound_simple_values():
 
 
 def test_majorant_bound_log_space_is_consistent_and_finite():
-    # the direct form and the log-space form agree near the switchover
+    # the log-space form agrees with the direct product at small n
     for nu in (0.5, 2.0):
         direct = m_of_nu(nu) * 20.0 ** abs(nu) / math.factorial(20) ** 2
         assert majorant_bound(nu, 20) == pytest.approx(direct, rel=1e-13)
@@ -93,6 +93,11 @@ def test_majorant_bound_log_space_is_consistent_and_finite():
     # past the double range the envelope underflows to a clean zero
     # instead of tripping on factorial overflow
     assert majorant_bound(1.5, 300) == 0.0
+    # m(12.7) n^12.7 alone overflows for these n, the envelope does not
+    # (2.7722208e297 at n = 10, from mpmath at 40 digits)
+    for n in range(7, 22):
+        assert math.isfinite(majorant_bound(12.7, n)), n
+    assert majorant_bound(12.7, 10) == pytest.approx(2.7722208e297, rel=1e-7)
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 4.0])
@@ -417,6 +422,8 @@ def test_required_terms_is_the_first_count_of_a_linear_scan():
     cases += [(nu, x, tol) for nu in (0.0, 2.5)
               for x in (1e-4, 0.01, 1.0, 5.0, 50.0, 150.0, 290.0, 300.0)
               for tol in (1e-16, 1e-10, 1e-3, 1.0, 1e3, 1e9)]
+    # an order whose square overflows: every bound is inf
+    cases += [(1e200, 1.0, 1e-12), (1e200, 1.0, math.inf)]
     for nu, x, tol in cases:
         first = next((n for n in range(1, MAX_TERMS + 1) if tail_bound(nu, x, n) <= tol), None)
         if first is None:
@@ -428,9 +435,9 @@ def test_required_terms_is_the_first_count_of_a_linear_scan():
 
 def test_required_terms_skips_counts_before_the_peak_only_where_the_scan_does():
     # Tolerances from the largest bound down past the product's peak
-    # P_peak: below P_peak the counts before the peak are skipped (after
-    # one failed chain, by the sums of the later P_K), above it each one
-    # is tried; the answer is the linear scan's either way.
+    # P_peak: below P_peak the counts before the peak are skipped (by the
+    # sums of the later P_K, each at least P_peak), above it they may be
+    # tried; the answer is the linear scan's either way.
     for nu, x in ((0.0, 100.0), (20.0, 150.0), (-3.5, 40.0), (7.0, 12.0)):
         bounds = [tail_bound(nu, x, n) for n in range(1, MAX_TERMS + 1)]
         for k in range(40):
