@@ -290,8 +290,10 @@ bookkeeping, the screen (the same e and den, its two comparisons the
 other way round, which changes no outcome), `carried_tails` and the
 closing `round_off` are the kernel's, so a row's count is `series_sums`'
 except where some s differs from the kernel's by its few ulps right at
-a screen or chain decision.  The bullets of "Rounding" hold for the
-row with these changes:
+a screen or chain decision.  The row hands back only what its table
+cannot sum; where r_N leaves the normal range, `series_core._point`
+bounds its sums as it bounds the kernel's.  The bullets of "Rounding"
+hold for the row with these changes:
 
 * Term drift.  A coefficient step rounds D_k three times (nu^2, the
   sum, the product), the products in k A - nu B and nu A + k B
@@ -323,10 +325,21 @@ row with these changes:
   normal and each product fl(W w) relative.  The term products and s
   then add at most an absolute 2^-1075 per component each, formed
   afresh at every k, so the kernel's `_TINY6` N^2 (and N^3) and
-  `S_FLOOR` cover them.  A point whose sum runs past the table's end,
-  whose W_N or r_N = w / (N (N^2 + nu^2)) is below the normal range
-  (r_N as in `series_core.eval_pair`), or whose s2 overflows gets None,
-  and its caller takes `series_sums` there.
+  `S_FLOOR` cover them.  Every point a row answers has a normal W_N,
+  or N = 1.  An answer needs tol >= m eps >= 2^-52 (m >= 1); below it
+  `series_core._point` refuses the row's sums and `_rows._eval_row`
+  reruns the point on the kernel.  At N >= 2 step N - 1 did not stop:
+  its screen failed, so rho_N >= 1 (every ratio up to N is, and
+  |t_N| >= 2^-N) or s_(N-1) rho_N > tol, or its tail exceeded tol.
+  That tail is at most 2^15 M_N (rho_N < 1, and a chain holds fewer
+  than 24 600 terms, each <= M_N), and the modulus ratio of t_N to
+  t_(N-1) is at least g(N) >= rho_N / 2 (see "Length"), so
+  s_N > 2^-70 and, as |c_N| <= 1, W_N is normal.  At N = 1 a w below
+  the normal range puts r_1 = w / (1 + nu^2) below it too.  Wherever
+  r_N is below the normal range, `_point` counts every term past the
+  seed as lost, whoever summed them, bounding them from p - 1, q, dp
+  and dq alone.  A point whose sum runs past the table's end, or whose
+  s2 overflows, gets None, and its caller takes `series_sums` there.
 * Partial sums and tails.  The additions, m and j are the kernel's,
   and both close through the one `round_off` and `carried_tails`, so
   "Partial sums", "Tails" and "Carried tails" hold as stated, with the
@@ -360,8 +373,6 @@ _NORMAL = 2.0 ** -1022
 #: What the closed-form tails can lose below the normal range, rounded
 #: up from 1.6 * 2^-1074 (see "Tails below the normal range").
 _UNDER = 2.0 ** -1073
-#: w / (N (N^2 + nu^2)) below this leaves the normal range.
-_R_MIN = 2.0 * _NORMAL
 
 
 def series_sums(modified, nu, w, n_terms, tol=-1.0):

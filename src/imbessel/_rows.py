@@ -8,14 +8,14 @@ and j bookkeeping and the closing, `_backend.round_off`, are the
 kernel's.  The rounding argument, and why `_DRIFT` still covers the
 terms' drift, is "Order-major rows" in `_backend`.  `_eval_row` hands
 those sums to `series_core._point`, the one place that rotates, refuses
-and bounds a point.  `cli` imports this module; `import imbessel` does
-not.
+and bounds a point, and that alone decides where r_N has left the normal
+range; the row hands back only what its table cannot sum.  `cli`
+imports this module; `import imbessel` does not.
 """
 
 from itertools import islice, repeat
 
-from ._backend import (MAX_TERMS, RHO_UP, S_FLOOR, _INF, _NORMAL, _R_MIN, _U, carried_tails,
-                       round_off)
+from ._backend import MAX_TERMS, RHO_UP, S_FLOOR, _INF, _U, carried_tails, round_off
 from .errors import _MAX, ToleranceError, check_positive, check_real, refuse
 from .series_core import Kind, _check_order, _is_modified, _point
 
@@ -60,9 +60,10 @@ def row_sums(modified, nu, xs, tol):
     """`series_sums` for a searched count at each x in `xs`, one order,
     with the terms formed from the order's coefficient table, grown as
     the sums need it.  Yields the same ten fields per x, or None where
-    that x must take `series_sums`: the table ended before the stop, a
-    w^k or r_N left the normal range, or a sum overflowed.  Each x is
-    read only when its sums are asked for.
+    that x must take `series_sums`: the table ended before the stop, or
+    s2 overflowed.  A w^k or r_N below the normal range is `_point`'s
+    to bound (see "Order-major rows" in `_backend`).  Each x is read
+    only when its sums are asked for.
     """
     nu2 = nu * nu
     v = abs(nu)
@@ -106,10 +107,7 @@ def row_sums(modified, nu, xs, tol):
                     continue
                 k = 0.0  # the table ended before the stop
             break
-        # w^N >= 2^-1022 holds every w^k, k <= N, in the normal range: the
-        # powers fall or rise with k
-        if not (k > 0.0 and ww >= _NORMAL and w >= _R_MIN * k * (k * k + nu2)
-                and s2 < _INF):
+        if not (k > 0.0 and s2 < _INF):
             yield None
             continue
         err, d_err = round_off(k, j, um, s1, s2, nu2, v, wu)
@@ -130,10 +128,11 @@ def _eval_row(kind: Kind, nu: float, xs, tol: float = 1e-12,
     `series_core._point`, for the rotation, refusals and bounds, so it
     differs from `eval_pair` by round-off within both bounds and takes
     the same counts but where a term's last ulps decide the stop.  A
-    point the row cannot sum (w^k or r_N below the normal range, a sum
-    past the coefficient table or overflowing) or whose sums `_point`
-    refuses runs on the kernel instead, bit for bit.  The first refusal
-    is raised, as `eval_pair` raises it at that point.
+    point the row cannot sum (a sum past the coefficient table, or one
+    that overflows) or whose sums `_point` refuses runs on the kernel
+    instead, bit for bit: the rerun keeps a table from refusing a point
+    `eval_pair` answers, where `tol` is within an ulp of m eps.  The
+    first refusal is raised, as `eval_pair` raises it at that point.
     """
     modified = _is_modified(kind)
     check_real(nu, "nu")

@@ -13,7 +13,9 @@ runs `eval_pair`'s per-point body at each x, so a row holds
 `eval_pair`'s values bit for bit; a searched row sums each x from the
 order's series coefficients, formed once, and differs from `eval_pair`
 by round-off within both bounds, with its term counts and refusals
-unless a term's last ulps decide them.  `compare` checks its grid and
+unless a term's last ulps decide them; a point whose sum runs past the
+order's coefficient table, or whose row sums `_point` refuses, takes
+`eval_pair`'s kernel, bit for bit.  `compare` checks its grid and
 `--oracle-digits` first, then runs every series row, and then the
 oracle once for the whole grid (`oracle._gold_grid`, which shares each
 x's work across the orders), so a refusal comes from the arguments

@@ -14,7 +14,7 @@ and F(nu) a piecewise cubic-correction factor.  That is the paper's
 stated result (`majorant_bound`, `m_of_nu`, `factor_F`); for |nu| <= 2 it
 sums to eps_N <= m(nu) (x/2)^(2N+1) I1(x) / (N!)^2.  No bound uses it: at
 n = 40 it is 10^0.3 (nu = 0.5) to 10^265 (nu = 12) above P_n, and inf
-from |nu| ~ 19.
+from |nu| = 13.62 (m(nu) itself from 12.82, and 21.41 at n = 400).
 
 After N steps the discarded terms and their n-weighted sizes sum to at
 most P_(N+1) (1 + c) and P_(N+1) (N + 1 + c_d), with c and c_d the chain

@@ -24,9 +24,10 @@ recurrence is multiplication of c_n by a complex number, so the
 (0, 1)-seeded sequence is i c_n = (-b_n, a_n): `eval_pair` runs the
 kernel once and rotates its sums to get the sine-type solution.
 
-All recurrence denominators are n (n^2 + nu^2) >= n^3 >= 1, so nu = 0
-needs no special casing anywhere.  Every function here is pure and
-thread-safe.
+All recurrence denominators are n (n^2 + nu^2) >= n^3 >= 1, so the
+recurrence needs no special casing at nu = 0; the bounds guard their
+product |nu| * inf there (`_point`, `error_bounds.derivative_tail_bound`).
+Every function here is pure and thread-safe.
 """
 
 import enum
@@ -44,7 +45,7 @@ _U = 0.5 * _EPS
 #: smallest subnormal double
 _TINY = 2.0 ** -1074
 #: w / (N (N^2 + nu^2)) below this leaves the normal range
-_R_MIN = _backend._R_MIN
+_R_MIN = 2.0 ** -1021
 _log = math.log
 _cos = math.cos
 _sin = math.sin
@@ -199,10 +200,9 @@ def _point(modified, nu, nu2, x, tol, terms, sums=None):
     # whose checks have passed: the kernel pass, or a searched row's
     # `sums` (`_rows.row_sums`) in its place, then the rotation, the
     # refusals and both bounds.  Returns the seven PairResult fields.
-    kernel = sums is None
-    if kernel:
-        half = 0.5 * x
-        w = half * half
+    half = 0.5 * x
+    w = half * half
+    if sums is None:
         if terms is None:
             cap, stop = MAX_TERMS, tol
         else:
@@ -245,9 +245,9 @@ def _point(modified, nu, nu2, x, tol, terms, sums=None):
     r_val = (ph + 4.0) * _U * size
     r_der = 2.0 * (ph + 6.0) * _U * d_size + v * (ph + 7.0) * _U * size
 
-    if kernel and w < _R_MIN * n * (n * n + nu2):
-        # r_N below the normal range (`row_sums` hands such points to the
-        # kernel): the terms past the seed are not computed to relative
+    if w < _R_MIN * n * (n * n + nu2):
+        # r_N below the normal range, whether the kernel or a row summed
+        # the terms: past the seed they are not computed to relative
         # accuracy, so count them all as lost.  Their exact sums are at
         # most rho_1 / (1 - rho_1) and, weighted by k, rho_1 / (1 - 2 rho_2),
         # from an upper bound on w; their computed sums are p + i q - 1 and

@@ -121,7 +121,7 @@ def reference_row_sums(modified, nu, x, tol):
     # into every sum, the search stops where the tail `carried_tails`
     # returns meets tol, with no screen before it, and the partial-sum
     # bound is the reference kernel's.  None where the row hands x to
-    # `series_sums`.
+    # `series_sums`: its sum runs past the table, or s2 overflows.
     nu2, v = nu * nu, abs(nu)
     table = []
     while _rows.grow_coefficients(table, modified, nu, nu2, v):
@@ -147,7 +147,7 @@ def reference_row_sums(modified, nu, x, tol):
                 break
     else:
         return None
-    if not (ww >= _NORMAL and w >= 2.0 * _NORMAL * k * (k * k + nu2) and s2 < _INF):
+    if not s2 < _INF:
         return None
     err, d_err = _reference_round_off(k, j, um, s1, s2, w, nu)
     return p, q, dp, dq, m, int(k), tail, d_tail, err, d_err

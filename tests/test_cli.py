@@ -279,8 +279,9 @@ def test_bounds_empirical_error_regime():
 
 
 def test_bounds_empirical_below_bound():
-    # nu = 20 is past the order (|nu| ~ 19) where the paper's envelope
-    # leaves the double range; the step product the bound takes does not
+    # nu = 20 is past the orders (|nu| = 12.82 to 13.62 for n <= 40) where
+    # the paper's envelope leaves the double range; the step product the
+    # bound takes does not
     for nu, x in (("0.5", "1.5"), ("20", "10")):
         code, out = run_cli(["bounds", "--nu", nu, "--x", x, "--terms", "2,4,8,16"])
         assert code == 0

@@ -111,7 +111,7 @@ def test_forced_counts_before_the_crossing_are_enclosed_without_slack():
         assert refused == 0
         misses += found
         evaluated += len(requests)
-        for _, n in requests:  # m(nu) made the envelope inf from |nu| ~ 19
+        for _, n in requests:  # m(nu) made the envelope inf from |nu| = 12.82
             r = eval_pair(kind, nu, x, terms=n)
             assert math.isfinite(r.tail_bound) and math.isfinite(r.d_tail_bound), (nu, x, n)
     assert evaluated >= 150

@@ -98,6 +98,14 @@ def test_majorant_bound_log_space_is_consistent_and_finite():
     for n in range(7, 22):
         assert math.isfinite(majorant_bound(12.7, n)), n
     assert majorant_bound(12.7, 10) == pytest.approx(2.7722208e297, rel=1e-7)
+    # the envelope leaves the double range (from mpmath's log envelope at
+    # 40 digits) at |nu| = 12.8238 for n = 1, where it is m(nu), 13.6247
+    # for n = 40 and 21.4106 for n = 400: finite just below, inf above
+    for n, limit in ((1, 12.8238), (40, 13.6247), (400, 21.4106)):
+        for sign in (1.0, -1.0):
+            assert math.isfinite(majorant_bound(sign * 0.99 * limit, n)), n
+            assert majorant_bound(sign * 1.01 * limit, n) == math.inf, n
+    assert math.isfinite(m_of_nu(0.99 * 12.8238)) and m_of_nu(1.01 * 12.8238) == math.inf
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 2.0, 4.0])
@@ -234,7 +242,7 @@ def _check_apriori_tails(nu, x, N):
 
 def test_huge_order_bound_is_finite_and_encloses():
     # m(nu) grows like exp(0.6449 nu^2) and leaves the double range from
-    # |nu| ~ 19, but the step product the bounds take does not: the bound
+    # |nu| = 12.82, but the step product the bounds take does not: the bound
     # is finite, encloses the exact tail, and term selection answers
     with mp.workdps(30):
         _check_apriori_tails(40.0, 1.0, 8)

@@ -410,9 +410,9 @@ def test_searched_rows_take_eval_pairs_counts():
 
 
 def test_row_rotation_and_bounds_are_eval_pairs_on_the_rows_sums(monkeypatch):
-    # `_eval_row` hands the row's sums to `_point` past the kernel and
-    # past the regime test; given those sums from the kernel instead,
-    # eval_pair returns the row's bytes
+    # `_eval_row` hands the row's sums to `_point` in place of the
+    # kernel's, regime test included; given those sums from the kernel
+    # instead, eval_pair returns the row's bytes
     for kind, nu, xs, tol in _ROWS[::4]:
         row = _eval_row(kind, nu, xs, tol)
         for x, r, sums in zip(xs, row, _rows.row_sums(kind is MOD, nu, xs, tol)):
@@ -472,12 +472,40 @@ def test_rows_fall_back_to_eval_pair_bit_for_bit(kind, nu, xs, tol, terms):
                 assert abs(r[i] - single[i]) <= r[b] + single[b]
 
 
-def test_rows_hand_tiny_x_huge_orders_and_long_sums_to_the_scalar_path():
-    # w^k below the normal range; c_2 below `_C_MIN` and r_N below the
-    # normal range; a sum past the 93 coefficients of nu = 0
-    assert _row_fallbacks(OSC, 1.5, [0.25, 1e-300], 1e-12) == [False, True]
-    assert _row_fallbacks(OSC, 1e150, [1e-5, 1.0, 1e73], 1e-12) == [True, False, True]
+def test_rows_hand_only_sums_past_the_table_to_the_scalar_path():
+    # the row sums w^k below the normal range, and an order whose c_2 is
+    # below `_C_MIN` at an x whose r_N is below the normal range; only a
+    # sum past the table goes back: x = 1e73 past c_1 of nu = 1e150, and
+    # x = 80 past the 93 coefficients of nu = 0
+    assert _row_fallbacks(OSC, 1.5, [0.25, 1e-300], 1e-12) == [False, False]
+    assert _row_fallbacks(OSC, 1e150, [1e-5, 1.0, 1e73], 1e-12) == [False, False, True]
     assert _row_fallbacks(MOD, 0.0, [40.0, 80.0], 1e-12) == [False, True]
+
+
+@pytest.mark.parametrize("kind", [OSC, MOD])
+def test_rows_answer_below_the_normal_range_like_eval_pair(kind):
+    # x down to the least subnormal and orders up to 1e150, where w^N or
+    # r_N leaves the normal range: the row sums every point `eval_pair`
+    # answers, takes its counts, and its bounds enclose the oracle with
+    # no slack (`_point`'s below-normal-range bound on the row's sums)
+    from imbessel.oracle import _gold_grid
+
+    points = 0
+    for nu in (0.0, -0.0, 1.5, -1e100, 1e150):
+        singles = [(x, _outcome(eval_pair, kind, nu, x, 1e-12))
+                   for x in (5e-324, 1e-300, 1e-160, 1e-140, 1e-5)]
+        xs = [x for x, r in singles if not isinstance(r, Exception)]
+        points += len(xs)
+        assert None not in list(_rows.row_sums(kind is MOD, nu, xs, 1e-12)), nu
+        row = _eval_row(kind, nu, xs, 1e-12)
+        gold = _gold_grid(kind, [nu], xs, 50, hp=True)[0]
+        d_gold = _gold_grid(kind, [nu], xs, 50, derivative=True, hp=True)[0]
+        for x, r, g, d in zip(xs, row, gold, d_gold):
+            assert r[4] == eval_pair(kind, nu, x, 1e-12).terms_used, (nu, x)
+            err = max(abs(mpf(r[0]) - g.re), abs(mpf(r[1]) - g.im))
+            d_err = max(abs(mpf(r[2]) - d.re), abs(mpf(r[3]) - d.im))
+            assert err <= mpf(r[5]) and d_err <= mpf(r[6]), (nu, x, r)
+    assert points == 19
 
 
 #: sha256 of all seven fields over `_pinned_requests()`: any change to a
@@ -557,7 +585,7 @@ _ROW_DIGEST = "0ae9b442742ea42b746f56d38f0e088fc2a9a13afb2e10acc691464ae5296ce6"
 def _pinned_rows():
     # both kinds, orders in [0, 3.5] and [-20, 20], 40 x log-uniform on
     # [1e-2, 10], each row searched (tol 1e-6 or 1e-12) and forced (8,
-    # 16, ..., 64 terms); then rows whose points the scalar path takes:
+    # 16, ..., 64 terms); then rows at the edges of the row path:
     # x = 1e-300, orders of 1e150 (the table ends after c_1; r_N leaves
     # the normal range at small x), and a forced row with x = 1e-300
     rng = random.Random("row-pin")
@@ -588,7 +616,7 @@ def test_row_bytes_are_pinned():
             scalar += sum(_row_fallbacks(kind, nu, xs, tol))
         for r in _eval_row(kind, nu, xs, tol, terms=terms):
             digest.update(struct.pack("<ddddqdd", *r))
-    assert scalar == 6  # the searched points the scalar path takes
+    assert scalar == 1  # the searched points the scalar path takes
     assert digest.hexdigest() == _ROW_DIGEST
 
 
@@ -613,7 +641,7 @@ def test_forced_count_before_the_crossing_is_within_envelope(kind):
         assert err <= r.tail_bound and d_err <= r.d_tail_bound, (nu, x, n)
         assert r.tail_bound <= 1.1 * tail_bound(nu, x, n) + full.tail_bound, (nu, x, n)
         assert r.d_tail_bound <= 1.1 * derivative_tail_bound(nu, x, n) + full.d_tail_bound
-    # past |nu| ~ 19, where the paper's m(nu) overflows
+    # past |nu| = 12.82, where the paper's m(nu) overflows
     r = eval_pair(kind, 20.0, 10.0, terms=1)
     full = eval_pair(kind, 20.0, 10.0, terms=MAX_TERMS)
     assert r.tail_bound <= 1.1 * tail_bound(20.0, 10.0, 1) + full.tail_bound
