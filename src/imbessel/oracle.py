@@ -22,13 +22,14 @@ working precision must not move any result past that declaration
 that the tests compare it with is in `tests/references.py`.
 
 Cost, measured on one core of a 2-vCPU VM (Python 3.11.7): the gold
-pair at 50 digits takes ~0.042-0.045 ms per point in a grid (the
+pair at 50 digits takes ~0.031-0.034 ms per point in a grid (the
 `compare` benchmark's grids, 4 orders |nu| < 3.5 times 12 x <= 10,
-least and median time over 5 seeds and both kinds; 0.09-0.10 ms one
-point at a time), about half of it in the sums and the rest in the
-rotation and the roundings to doubles; 1.0-1.1 ms through `hyp0f1`
-(the same orders, x from 22.63 to 30), and 0.1-1.4 ms at large x or
-order (x up to 700, |nu| up to 100).
+least and median time over 5 seeds and both kinds; 0.074-0.085 ms one
+point at a time), about 60% of it in the sums, a quarter in the
+rotation's cos and sin and the rest in ln x, the angle and the one
+rounding of each part; 0.9-1.0 ms through `hyp0f1` (the same orders,
+x from 22.63 to 30), and 0.1-1.3 ms at large x or order (x up to 700,
+|nu| up to 100).
 """
 
 import functools
@@ -39,7 +40,8 @@ from typing import NamedTuple
 
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_cos_sin, mpf_div, mpf_log,
-                          mpf_mul, mpf_neg, mpf_pos, mpf_shift, round_nearest, to_float)
+                          mpf_mul, mpf_neg, mpf_pos, mpf_shift, round_nearest)
+from mpmath.libmp.libelefun import cos_sin_basecase, mod_pi2
 
 from .errors import check_count, check_positive, check_real
 from .series_core import Kind, _is_modified
@@ -154,6 +156,33 @@ def _fixed(a, b):
     return -a_man if a[0] else a_man, -b_man if b[0] else b_man, e
 
 
+def _cos_sin(nu_f, ln_x, wp: int, prec: int):
+    # cos and sin of the angle nu ln x, its factors and product rounded to
+    # wp bits, as integers times one 2^e: the steps of mpf_cos_sin at
+    # prec + 10 bits, without its rounding of each to prec.  A zero angle,
+    # and one below 2^-(prec + 10), where the reduction would run at
+    # prec + 10 - mag bits, take mpf_cos_sin itself
+    angle = mpf_mul(nu_f, mpf_pos(ln_x, wp, round_nearest), wp, round_nearest)
+    sign, man, exp, bc = angle
+    if not man or bc + exp < -(prec + 10):
+        return _fixed(*mpf_cos_sin(angle, prec, round_nearest))
+    t, n, wp = mod_pi2(man, exp, bc + exp, prec + 10)
+    c, s = cos_sin_basecase(t, wp)
+    c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
+    return c, -s if sign else s, -wp
+
+
+def _double(man, ex) -> float:
+    # man 2^ex rounded once to the nearest double, ties to even
+    man = int(man)  # a gmpy2 mpz divides into an mpfr
+    if man.bit_length() + ex < -1074:  # below half the least subnormal
+        return -0.0 if man < 0 else 0.0
+    try:  # a shift past 2^1024 overflows whatever it shifts
+        return man / (1 << -ex) if ex < 0 else float(man << min(ex, 1024))
+    except OverflowError:  # rounds to 2^1024 or more
+        return -math.inf if man < 0 else math.inf
+
+
 @_locked
 def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
     # The gold pair (its d/dx when `derivative`) of each order of `nus` at
@@ -173,8 +202,17 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
     # to |nu ln x| 2^-p, so ln x and the product are rounded to prec +
     # mag(nu) + 12 bits: |ln x| < 745 < 2^10 for every positive double x,
     # so |nu ln x| < 2^(mag(nu) + 10), and the two roundings move the
-    # angle by less than 2^-prec.  The 0F1 parts times its cos and sin are
-    # summed exactly in integers and rounded once.  The loop is x-major:
+    # angle by less than 2^-prec.  `_cos_sin` gives cos and sin as
+    # integers at 2^-wp, wp >= prec + 10: mod_pi2 reduces the angle by
+    # multiples of pi/2 to within a unit of 2^-wp (it keeps 20 or more
+    # bits against cancellation) and cos_sin_basecase is off by a few
+    # units of 2^-wp, under 2^-prec together.  An angle of 0 or below
+    # 2^-(prec + 10) takes mpf_cos_sin, whose cos 1 and sin the angle,
+    # rounded to prec bits, are off by less than 2^-prec too.  So the
+    # rotation moves the pair by less than 2^(1-prec) of its modulus
+    # before the last rounding.  The 0F1 parts times cos and sin are
+    # summed exactly in integers and rounded once: to a double, or to
+    # prec bits for an OracleValue.  The loop is x-major:
     # z, its power terms, the term the sums stop at and ln x depend on x
     # alone, so each x forms them once for all the orders and drops them
     # when it is done; an order's two weight lists are kept across the x
@@ -211,15 +249,11 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
                 if derivative:
                     f_re, f_im, e = _fixed(*(mpf_div(from_man_exp(v, e), x_f, prec, round_nearest)
                                              for v in (f_re, f_im)))
-                wp = prec + mag + 12
-                angle = mpf_mul(nu_f, mpf_pos(ln_x, wp, round_nearest), wp, round_nearest)
-                c, s, ce = _fixed(*mpf_cos_sin(angle, prec, round_nearest))
-                re = from_man_exp(f_re * c - f_im * s, e + ce, prec, round_nearest)
-                im = from_man_exp(f_re * s + f_im * c, e + ce, prec, round_nearest)
+                c, s, ce = _cos_sin(nu_f, ln_x, prec + mag + 12, prec)
+                re, im, e = f_re * c - f_im * s, f_re * s + f_im * c, e + ce
                 if hp:
-                    row.append(OracleValue(re=mp.make_mpf(re), im=mp.make_mpf(im), digits=digits))
-                else:
-                    row.append((to_float(re, rnd=round_nearest), to_float(im, rnd=round_nearest)))
+                    re, im = (mp.make_mpf(from_man_exp(v, e, prec, round_nearest)) for v in (re, im))
+                row.append(OracleValue(re, im, digits) if hp else (_double(re, e), _double(im, e)))
     return rows
 
 

@@ -7,10 +7,13 @@ cross-checked against mpmath's independent hypergeometric machinery,
 and the gold pair against Gamma times the Bessel reference.
 """
 
+import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -29,7 +32,7 @@ from imbessel import (
     oracle_pair_derivs_hp,
     oracle_pair_hp,
 )
-from imbessel.oracle import OracleValue, _gold_grid, _series_0f1
+from imbessel.oracle import OracleValue, _double, _gold_grid, _series_0f1
 from references import hp_bessel_imag, hp_gamma, kl_macdonald, truncated_pair_hp
 
 OSC = Kind.OSCILLATORY
@@ -518,6 +521,107 @@ def test_gold_pair_hp_returns_oracle_values():
             assert v.digits == 60
             z = v.as_complex()
             assert type(z) is complex and z == complex(float(v.re), float(v.im)), fn.__name__
+
+
+def _exact_double(man, ex):
+    # man 2^ex rounded by Fraction's correctly rounded division, +-inf
+    # where that overflows
+    try:
+        return float(Fraction(man) * Fraction(2) ** ex)
+    except OverflowError:
+        return -math.inf if man < 0 else math.inf
+
+
+def test_double_rounds_once_to_the_nearest_double():
+    rng = random.Random("double-rounding")
+    cases = [(0, 0), (0, -5000), (0, 5000), (1, -1074), (1, -1075), (3, -1076), (1, -1076),
+             (-1, -1075), (-3, -1076), (2 ** 53 - 1, 971), (2 ** 54 - 1, 970),
+             (2 ** 54 - 3, 970), (-(2 ** 54 - 1), 970), (1, 1024), (1, 1023)]
+    for _ in range(1000):
+        bits = rng.choice((1, 2, 53, 54, 55, 64, 200, 700, 2000))
+        man = rng.getrandbits(bits) | 1 << bits - 1
+        tie = (rng.getrandbits(52) | 1 << 52) << 1 | 1  # halfway between two 53-bit doubles
+        for m, ex in ((man, rng.randint(-1200 - bits, 1100 - bits)),
+                      (man, -1074 - bits + rng.randint(-2, 2)),  # subnormal or none
+                      (man, -1022 - bits - rng.randint(1, 3)),  # subnormal, 49-51 bits
+                      (man, 1024 - bits + rng.randint(-2, 1)),  # near the top
+                      (tie, rng.randint(-1074, 970)),
+                      (tie >> rng.randint(1, 53) | 1, -1075)):  # halfway between subnormals
+            cases.append((-m if rng.random() < 0.5 else m, ex))
+    for man, ex in cases:
+        got, want = _double(man, ex), _exact_double(man, ex)
+        assert got.hex() == want.hex(), (man, ex)
+    # ex = +-10^12 builds no 10^12-bit integer: in a child limited to
+    # 1 GiB of address space, one would raise MemoryError
+    probe = ("import resource\n"
+             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+             "soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+             "from imbessel.oracle import _double\n"
+             "print(*(_double(m, e).hex() for e in (10 ** 12, -10 ** 12) for m in (3, -3)))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(imbessel.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout.split() == ["inf", "-inf", "0x0.0p+0", "-0x0.0p+0"], done.stderr
+
+
+def test_oracle_pair_past_the_double_range_is_inf():
+    assert oracle_pair(MOD, 1.5, 720.0) == (math.inf, math.inf)
+    assert oracle_pair(MOD, 0.5, 1e5) == (math.inf, math.inf)
+
+
+#: oracle_pair at zero and tiny orders, both kinds: nu -> x -> (OSC, MOD)
+TINY_ANGLE_PAIRS = {
+    0.0: {1.0: ((0.7651976865579666, 0.0), (1.2660658777520084, 0.0)),
+          1.0000000000000002: ((0.7651976865579665, 0.0), (1.2660658777520084, 0.0)),
+          0.5: ((0.9384698072408129, 0.0), (1.0634833707413236, 0.0)),
+          3.0: ((-0.26005195490193345, 0.0), (4.8807925858650245, 0.0))},
+    5e-324: {1.0: ((0.7651976865579666, 0.0), (1.2660658777520084, 0.0)),
+             1.0000000000000002: ((0.7651976865579665, 0.0), (1.2660658777520084, 0.0)),
+             0.5: ((0.9384698072408129, -5e-324), (1.0634833707413236, -5e-324)),
+             3.0: ((-0.26005195490193345, -0.0), (4.8807925858650245, 2.5e-323))},
+    1e-320: {1.0: ((0.7651976865579666, 0.0), (1.2660658777520084, 0.0)),
+             1.0000000000000002: ((0.7651976865579665, 0.0), (1.2660658777520084, 0.0)),
+             0.5: ((0.9384698072408129, -6.507e-321), (1.0634833707413236, -7.37e-321)),
+             3.0: ((-0.26005195490193345, -2.856e-321), (4.8807925858650245, 5.362e-320))},
+    1e-300: {1.0: ((0.7651976865579666, 0.0), (1.2660658777520084, 0.0)),
+             1.0000000000000002: ((0.7651976865579665, 1.6990802e-316),
+                                  (1.2660658777520084, 2.81123096e-316)),
+             0.5: ((0.9384698072408129, -6.504977009296048e-301),
+                   (1.0634833707413236, -7.371505000017355e-301)),
+             3.0: ((-0.26005195490193345, -2.8569627334742916e-301),
+                   (4.8807925858650245, 5.3620987132715155e-300))},
+    1e-60: {1.0: ((0.7651976865579666, 2.2734424278502986e-61),
+                  (1.2660658777520084, -2.7424750210951968e-61)),
+            1.0000000000000002: ((0.7651976865579665, 2.2734424278503013e-61),
+                                 (1.2660658777520084, -2.742475021095195e-61)),
+            0.5: ((0.9384698072408129, -5.894501666307686e-61),
+                  (1.0634833707413236, -8.011278321801069e-61)),
+            3.0: ((-0.26005195490193345, 5.618063941989969e-61),
+                  (4.8807925858650245, 5.310981777073951e-61))},
+}
+
+#: sha256 of the hp values and hp derivatives at the orders of
+#: TINY_ANGLE_PAIRS whose angle is 0 or below 2^-(prec + 10)
+_TINY_ANGLE_HP_DIGEST = "5335808153d279b4e6d8a9045b0f6da4b638e2c044a53e7c826a3f982aa4aa9e"
+
+
+def test_zero_and_tiny_angles_keep_their_bytes():
+    # a zero angle and one below 2^-(prec + 10) take mpf_cos_sin, whose
+    # reduction would otherwise run at prec + 10 - mag bits; the doubles
+    # carry their signed zeros and subnormals
+    for nu, row in TINY_ANGLE_PAIRS.items():
+        for x, want in row.items():
+            got = (oracle_pair(OSC, nu, x), oracle_pair(MOD, nu, x))
+            assert [[v.hex() for v in p] for p in got] == [[v.hex() for v in p] for p in want], (nu, x)
+    digest = hashlib.sha256()
+    for nu in (0.0, 5e-324, 1e-320, 1e-300):
+        for x in TINY_ANGLE_PAIRS[nu]:
+            for kind in Kind:
+                for fn in (oracle_pair_hp, oracle_pair_derivs_hp):
+                    v = fn(kind, nu, x)
+                    digest.update(repr([tuple(map(int, p._mpf_)) for p in v[:2]]).encode())
+    assert digest.hexdigest() == _TINY_ANGLE_HP_DIGEST
 
 
 # ------------------------------------------------------------- lazy import

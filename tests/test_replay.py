@@ -163,8 +163,8 @@ def test_drift_sum_is_within_drift_s1_and_s2(modified, nu, x):
 
 
 def _row_terms(modified, nu, x):
-    # the row's terms at x from the order's whole table, with its
-    # operations, while w^k stays normal: (k, a, b, ka, kb, s)
+    # the row's terms at x from every entry of the order's whole table,
+    # with its operations: (k, a, b, ka, kb, s)
     table = []
     while _rows.grow_coefficients(table, modified, nu, nu * nu, abs(nu)):
         pass
@@ -173,13 +173,17 @@ def _row_terms(modified, nu, x):
     terms = []
     for a, b, ka, kb, sa, _, k, _, _ in table:
         ww = ww * w
-        if not 2.0 ** -1022 <= ww < float("inf"):
-            break
         terms.append((k, a * ww, b * ww, ka * ww, kb * ww, sa * ww))
     return terms
 
 
-@pytest.mark.parametrize("modified, nu, x", CASES)
+# and x where w or w^2 is already below the normal range, for the row
+# alone: the kernel lemmas above exclude that regime
+ROW_CASES = CASES + [(modified, nu, x) for modified in (False, True) for nu in (0.0, 1.5, -3.3)
+                     for x in (1e-160, 1e-300)]
+
+
+@pytest.mark.parametrize("modified, nu, x", ROW_CASES)
 def test_row_terms_are_within_the_drift_of_the_exact_terms(modified, nu, x):
     # exact terms from the double x, so the rounding of w = (x/2)^2 is
     # charged as well; a term that falls below the normal range may add
