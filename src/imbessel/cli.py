@@ -204,7 +204,6 @@ def cmd_compare(args, out) -> int:
 
 
 def cmd_bounds(args, out) -> int:
-    from . import oracle
     from .error_bounds import tail_bound
 
     kind = _parse_kind(args.kind)
@@ -214,15 +213,17 @@ def cmd_bounds(args, out) -> int:
         raise DomainError(f"bad --terms list {args.terms_list!r}: {exc}") from None
     if not n_list:
         raise DomainError("empty --terms list")
-    gold_cos, gold_sin = oracle.oracle_pair(kind, args.nu, args.x, digits=args.oracle_digits)
-
     # tail_bound is the a-priori truncation bound alone; bound is the
     # forced result's own, truncation plus round-off, which encloses
-    # empirical_error
+    # empirical_error.  Every row is formed, or refused, before the oracle
+    # runs
+    forced = [(n, tail_bound(args.nu, args.x, n), eval_pair(kind, args.nu, args.x, terms=n))
+              for n in n_list]
+    from . import oracle
+
+    gold_cos, gold_sin = oracle.oracle_pair(kind, args.nu, args.x, digits=args.oracle_digits)
     rows = []
-    for n in n_list:
-        apriori = tail_bound(args.nu, args.x, n)
-        r = eval_pair(kind, args.nu, args.x, terms=n)
+    for n, apriori, r in forced:
         empirical = max(abs(r.cos_part - gold_cos), abs(r.sin_part - gold_sin))
         rows.append([n, apriori, empirical, r.tail_bound])
     _emit(out, ["N", "tail_bound", "empirical_error", "bound"], rows, args.format)

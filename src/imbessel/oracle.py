@@ -6,13 +6,17 @@ series written as a confluent hypergeometric function,
 x^(i nu) 0F1(; 1 + i nu; -+x^2/4), summed in fixed point below x = 22.63
 from per-order weights prod_{j<=k} j / (j + i nu) times (x/2)^(2k) /
 (k!)^2, with more bits where it cancels, and past it by mpmath's
-`hyp0f1`, which takes its asymptotic expansion.  The phase x^(i nu) is
-a rotation by the angle nu ln x, formed with guard bits that grow with
-|nu|.  One function, `_gold_grid`, evaluates it over a grid of orders
-and x, one x at a time: z, the power terms (x/2)^(2k) / (k!)^2, where
-the sums stop, and ln x are decided once per x for all the orders, and
-each part of an order's sum is one integer dot product of its weights
-with those terms, rounded once; the public pair functions are its
+`hyp0f1`, which takes its asymptotic expansion, or else its series.
+There it raises ToleranceError where neither can finish (see
+`_hyp0f1`), before `hyp0f1` runs where that is known: |nu| >= 3 000 with
+x from ~180 sqrt(|nu|) up to ~1e3 |nu|, and most x past that for the
+oscillatory kind at |nu| >= 1e4; every |nu| <= 100 answers.  The phase
+x^(i nu) is a rotation by the angle nu ln x, formed with guard bits that
+grow with |nu|.  One function, `_gold_grid`, evaluates it over a grid of
+orders and x, one x at a time: z, the power terms (x/2)^(2k) / (k!)^2,
+where the sums stop, and ln x are decided once per x for all the orders,
+and each part of an order's sum is one integer dot product of its
+weights with those terms, rounded once; the public pair functions are its
 one-point calls.  Every returned value declares the number of decimal
 digits it guarantees (`digits`, an int in 1..MAX_DIGITS), relative to
 its modulus |re + i im|: a part far smaller than the modulus (the
@@ -29,7 +33,8 @@ point at a time), about 60% of it in the sums, a quarter in the
 rotation's cos and sin and the rest in ln x, the angle and the one
 rounding of each part; 0.9-1.0 ms through `hyp0f1` (the same orders,
 x from 22.63 to 30), and 0.1-1.3 ms at large x or order (x up to 700,
-|nu| up to 100).
+|nu| up to 100); up to 0.8 s (1.3 s for the derivative) next to the
+refused region, where mpmath's series peaks near its 8 000th term.
 """
 
 import functools
@@ -42,12 +47,15 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_cos_sin, mpf_div, mpf_log,
                           mpf_mul, mpf_neg, mpf_pos, mpf_shift, round_nearest)
 from mpmath.libmp.libelefun import cos_sin_basecase, mod_pi2
+from mpmath.libmp.libhyper import NoConvergence
 
-from .errors import check_count, check_positive, check_real
+from .errors import ToleranceError, check_count, check_positive, check_real
 from .series_core import Kind, _is_modified
 
 #: The most decimal digits the gold pair accepts.
 MAX_DIGITS = 200
+# the furthest term at which mpmath's 0F1 series may peak (`_hyp0f1`)
+_PEAK_TERMS = 8000
 
 # mpmath precision is process-global state; serializing oracle entry
 # points keeps them safe to call from concurrent threads.  Reentrant
@@ -150,9 +158,11 @@ def _series_0f1(weights, powers, nu: float, z, prec: int, derivative: bool):
 
 
 def _fixed(a, b):
-    # raw mpf values a and b as integers times one 2^e: (A, B, e)
-    e = min(a[2], b[2])
-    a_man, b_man = a[1] << a[2] - e, b[1] << b[2] - e
+    # raw mpf values a and b as integers times one 2^e: (A, B, e), e the
+    # least exponent of a nonzero part (a zero's exponent, 0, would shift
+    # a huge value by all of its own)
+    e = min([v[2] for v in (a, b) if v[1]] or [0])
+    a_man, b_man = (v[1] << v[2] - e if v[1] else 0 for v in (a, b))
     return -a_man if a[0] else a_man, -b_man if b[0] else b_man, e
 
 
@@ -170,6 +180,40 @@ def _cos_sin(nu_f, ln_x, wp: int, prec: int):
     c, s = cos_sin_basecase(t, wp)
     c, s = ((c, s), (-s, c), (-c, -s), (s, -c))[n & 3]
     return c, -s if sign else s, -wp
+
+
+def _hyp0f1(nu: float, x: float, z_f, derivative: bool):
+    # 0F1(; b; z) (i nu 0F1 + 2 z 0F1'(z) when `derivative`) past
+    # mag(z) = 8 by mpmath's hyp0f1, as exact parts (re, im, e), at the
+    # working precision mp.prec.  hyp0f1 sums the asymptotic 2F0 first,
+    # with at most P = mp.prec + 22 + mag(z) // 2 terms (its own and
+    # hypercomb's guard bits), whose ratio is ((k + 1/2)^2 + nu^2) /
+    # (2 x (k + 1)): where nu^2 > 2 x (P + 42) every term rises, so it
+    # cannot converge and is skipped.  Then it sums the 0F1 series, whose
+    # terms rise while |z| > k |b + k - 1|; where they still rise at
+    # k = _PEAK_TERMS it is cut at its first term, as its cost grows with
+    # the square of that peak (~1 s per call at 8 000 terms, 4-8 s to
+    # fail at ~25 000).  Where neither can run, the pair is refused
+    # before hyp0f1 is called; mpmath's own failures are refusals too.
+    # Both tests are in logarithms: nu^2 and x^2 may overflow.
+    v = abs(nu)
+    log_x = math.log(x)
+    mag = z_f[2] + z_f[3]
+    no_2f0 = v > 0.0 and 2.0 * math.log(v) > math.log(2.0 * (mp.prec + 64 + mag // 2)) + log_x
+    no_0f1 = 2.0 * log_x > math.log(4.0 * _PEAK_TERMS) + math.log(math.hypot(_PEAK_TERMS, v))
+    if no_2f0 and no_0f1:
+        raise ToleranceError(f"the gold pair is out of reach at nu={nu}, x={x}")
+    caps = {"force_series": no_2f0}
+    if no_0f1:
+        caps["maxterms"] = 0
+    z, b = mp.make_mpf(z_f), mpc(1, nu)
+    try:
+        f = mp.hyp0f1(b, z, **caps)
+        if derivative:
+            f = mpc(0, nu) * f + 2 * z * mp.hyp0f1(b + 1, z, **caps) / b
+    except (NoConvergence, ValueError) as exc:
+        raise ToleranceError(f"the gold pair does not converge at nu={nu}, x={x}") from exc
+    return _fixed(*((f._mpf_, fzero) if isinstance(f, mpf) else f._mpc_))
 
 
 def _double(man, ex) -> float:
@@ -191,7 +235,7 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
     # b = 1 + i nu and z = -x^2/4 (+x^2/4 when modified), DLMF 10.16.9
     # with 10.39.9, and z is exact; its derivative x^(i nu) (i nu 0F1 +
     # 2 z 0F1'(z)) / x.  `_series_0f1` sums both where mag(z) < 8
-    # (x < 22.63), as mpmath's 0F1 would, and its asymptotic expansion
+    # (x < 22.63), as mpmath's 0F1 would, and mpmath (`_hyp0f1`)
     # the rest.  The derivative's two terms cannot cancel to zero: the
     # first is 0 at nu = 0, and otherwise the real solutions' Wronskian
     # nu / x keeps the complex derivative away from 0.  Measured, they
@@ -241,11 +285,7 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
                 if z_f[2] + z_f[3] < 8:
                     f_re, f_im, e = _series_0f1(ws, powers, nu, z_f, prec, derivative)
                 else:
-                    z, b = mp.make_mpf(z_f), mpc(1, nu)
-                    f = mp.hyp0f1(b, z)
-                    if derivative:
-                        f = mpc(0, nu) * f + 2 * z * mp.hyp0f1(b + 1, z) / b
-                    f_re, f_im, e = _fixed(*((f._mpf_, fzero) if isinstance(f, mpf) else f._mpc_))
+                    f_re, f_im, e = _hyp0f1(nu, x, z_f, derivative)
                 if derivative:
                     f_re, f_im, e = _fixed(*(mpf_div(from_man_exp(v, e), x_f, prec, round_nearest)
                                              for v in (f_re, f_im)))

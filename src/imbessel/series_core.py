@@ -137,10 +137,13 @@ def eval_pair(kind: Kind, nu: float, x: float, tol: float = 1e-12,
     S e^(-i phi), read as (cos_part, -sin_part): the phase carries
     3u |phi| (a one-ulp log and the product), cos and sin one ulp each
     (2u), and p c + q s two roundings (2u P).  The derivatives are
-    (2 D - i nu S) e^(-i phi) / x: the same phase error on 2 Pd + |nu| P,
-    eight roundings of the 2 D part and five of the nu S part, counted
-    against Pd and |nu| P, and the division; the error of S reaches them
-    through nu.  `d_tail_bound` is (2 d_tail + |nu| tail + R_d) / x, with
+    (2 D e^(-i phi) - i nu V) / x, V = cos_part - i sin_part the value
+    just formed.  The 2 D part carries the same phase error, cos and sin
+    and the two roundings of its rotation, on Pd, and its share of the
+    final sum and of the division: 2 (3 |phi| + 6) u Pd.  The nu V part
+    carries V's own R, and its product, its share of the sum and the
+    division, 3u |nu| P; the error of S reaches the derivatives through
+    V.  `d_tail_bound` is (2 d_tail + |nu| tail + R_d) / x, with
     d_tail the kernel's bound on the discarded sum_k k |t_k|.  Each of
     the four outputs is one component of a rotated complex number, so it
     inherits the bound of that number's modulus.
@@ -219,14 +222,14 @@ def _point(modified, nu, nu2, x, tol, terms, sums=None):
     # One pass for the (1, 0) seed; the (0, 1) sums are its quarter turn
     # (-q, p, -dq, dp).  `0.0 - q` keeps q = +0.0 (nu = 0) at +0.0.
     phase = nu * _log(x)
-    c = _cos(phase)
-    s = _sin(phase)
+    c, s = _cos(phase), _sin(phase)
 
     cos_part = p * c + q * s
     sin_part = (0.0 - q) * c + p * s
-    # divided by x last: 2/x alone overflows below x ~ 1e-308
-    d_cos = (2.0 * (dp * c + dq * s) + nu * (q * c - p * s)) / x
-    d_sin = (2.0 * ((0.0 - dq) * c + dp * s) + nu * (p * c - (0.0 - q) * s)) / x
+    # (2 D e^(-i phase) - i nu V) / x, V = cos_part - i sin_part the value
+    # just formed; divided by x last: 2/x alone overflows below x ~ 1e-308
+    d_cos = (2.0 * (dp * c + dq * s) + nu * (0.0 - sin_part)) / x
+    d_sin = (2.0 * ((0.0 - dq) * c + dp * s) + nu * cos_part) / x
     if not (_isfinite(cos_part) and _isfinite(sin_part)
             and _isfinite(d_cos) and _isfinite(d_sin)):
         raise ToleranceError(f"values overflow the double range at nu={nu}, x={x}")
@@ -245,29 +248,31 @@ def _point(modified, nu, nu2, x, tol, terms, sums=None):
     r_val = (ph + 4.0) * _U * size
     r_der = 2.0 * (ph + 6.0) * _U * d_size + v * (ph + 7.0) * _U * size
 
+    # The regime sets the parts of both bounds: the tails, the sums'
+    # round-off and a derivative share lost outright; one assembly follows
+    d_lost = 0.0
     if w < _R_MIN * n * (n * n + nu2):
         # r_N below the normal range, whether the kernel or a row summed
         # the terms: past the seed they are not computed to relative
         # accuracy, so count them all as lost.  Their exact sums are at
         # most rho_1 / (1 - rho_1) and, weighted by k, rho_1 / (1 - 2 rho_2),
         # from an upper bound on w; their computed sums are p + i q - 1 and
-        # dp + i dq.  w / x = x / 4 keeps the derivative's share finite
-        # where w itself underflows.
+        # dp + i dq, so the tails hold the sums' round-off too.  w / x =
+        # x / 4 keeps the derivative's share finite where w underflows.
         g1 = (1.0 + v) / (1.0 + nu2) * _backend.RHO_UP
         w_up = w * (1.0 + 4.0 * _U) + _TINY
         rho1 = w_up * g1
         rho2 = w_up * (2.0 + v) / (2.0 * (4.0 + nu2)) * _backend.RHO_UP
         w_over_x = 0.25 * x * (1.0 + 4.0 * _U) + _TINY
         tail = (rho1 / (1.0 - rho1) + abs(p - 1.0) + abs(q)) * _backend.TAIL_FACTOR
-        d_bound = (2.0 * w_over_x * g1 / (1.0 - 2.0 * rho2) * _backend.TAIL_FACTOR
-                   + (2.0 * d_size + v * tail + r_der) / x)
-    else:
-        # the round-off of the sums; S's reaches the derivatives through nu
-        r_val += err
-        r_der += 2.0 * d_err
-        if v:  # v * inf would be NaN at nu = 0 (here and for the tail)
-            r_der += v * err
-        d_bound = (2.0 * d_tail + (v * tail if v else 0.0) + r_der) / x
+        d_tail, err, d_err = d_size, 0.0, 0.0
+        d_lost = 2.0 * w_over_x * g1 / (1.0 - 2.0 * rho2) * _backend.TAIL_FACTOR
+    # the round-off of the sums; S's reaches the derivatives through nu
+    r_val += err
+    r_der += 2.0 * d_err
+    if v:  # v * inf would be NaN at nu = 0 (here and for the tail)
+        r_der += v * err
+    d_bound = d_lost + (2.0 * d_tail + (v * tail if v else 0.0) + r_der) / x
     return cos_part, sin_part, d_cos, d_sin, n, tail + r_val, d_bound
 
 

@@ -23,6 +23,7 @@ from imbessel import (
     m_of_nu,
     majorant_bound,
     oracle_pair,
+    oracle_pair_derivs_hp,
     required_terms,
     tail_bound,
 )
@@ -170,6 +171,27 @@ def test_oracle_refuses_work_past_its_cost_caps():
             try:
                 with pytest.raises(ToleranceError):
                     fn(**kwargs)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("fn", [oracle_pair, oracle_pair_derivs_hp])
+def test_oracle_refuses_orders_past_the_reach_of_hyp0f1(fn):
+    # where neither mpmath's asymptotic 2F0 nor its 0F1 series can finish
+    # (each ran past 3 s, most past 15 s, or failed after 12 s), the gold
+    # pair is refused within 2 s, with no mpmath error leaking
+    cases = [(kind, nu, x) for kind in Kind
+             for nu, x in ((1e6, 1e6), (1e16, 1e16), (1e308, 1e308), (3e3, 1e5), (1e150, 1e100))]
+    cases.append((OSC, 1e150, 1e300))
+    previous = signal.signal(signal.SIGALRM, _out_of_time)
+    try:
+        for kind, nu, x in cases:
+            signal.setitimer(signal.ITIMER_REAL, 2.0)
+            try:
+                with pytest.raises(ToleranceError):
+                    fn(kind, nu, x)
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0.0)
     finally:

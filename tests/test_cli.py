@@ -320,6 +320,19 @@ def test_bounds_result_bound_encloses_empirical_error_without_slack():
         assert float(row[err]) <= float(row[bound])
 
 
+def test_bounds_evaluates_its_rows_before_the_oracle(monkeypatch):
+    # a refused row exits before the gold pair is formed: at nu = 1e308
+    # the oracle could only refuse too, N = 401 would be formed for nothing
+    from imbessel import oracle
+
+    def no_oracle(*args, **kwargs):
+        raise AssertionError("the oracle ran before the rows")
+
+    monkeypatch.setattr(oracle, "oracle_pair", no_oracle)
+    assert run_cli(["bounds", "--nu", "1", "--x", "2", "--terms", "2,401"]) == (2, "")
+    assert run_cli(["bounds", "--nu", "1e308", "--x", "1e308", "--terms", "1"]) == (3, "")
+
+
 def test_bounds_has_no_tolerance_option(capsys):
     # bounds forces every term count, so a --tol would be ignored: it is
     # not an option of the command

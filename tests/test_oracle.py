@@ -492,7 +492,7 @@ def test_gold_row_calls_hyp0f1_only_from_mag_z_8(monkeypatch, derivative):
     # 0F1: once for the value, twice (b and b + 1) for the derivative
     calls = []
     real = mp.hyp0f1
-    monkeypatch.setattr(mp, "hyp0f1", lambda *args: calls.append(args) or real(*args))
+    monkeypatch.setattr(mp, "hyp0f1", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
     for kind in (OSC, MOD):
         _gold_grid(kind, [1.5], [1e-3, 1.0, 10.0, 20.0, 22.62], 50, derivative=derivative)
         assert calls == []
@@ -568,6 +568,29 @@ def test_double_rounds_once_to_the_nearest_double():
 def test_oracle_pair_past_the_double_range_is_inf():
     assert oracle_pair(MOD, 1.5, 720.0) == (math.inf, math.inf)
     assert oracle_pair(MOD, 0.5, 1e5) == (math.inf, math.inf)
+
+
+def test_a_zero_part_does_not_set_the_exponent():
+    # at nu = 0 hyp0f1 returns a real value, paired with a zero whose
+    # exponent is 0; aligning the two to it would shift I_0(1e10) ~
+    # 2^(1.4e10) by all of its own exponent, which a child limited to
+    # 1 GiB of address space cannot hold
+    probe = ("import math, resource\n"
+             "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+             "soft = 1 << 30 if hard == resource.RLIM_INFINITY else min(1 << 30, hard)\n"
+             "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+             "from mpmath import mag\n"
+             "from imbessel import Kind, oracle_pair, oracle_pair_derivs_hp, oracle_pair_hp\n"
+             "for x in (1e10, 1e300):\n"
+             "    assert oracle_pair(Kind.MODIFIED, 0.0, x) == (math.inf, 0.0), x\n"
+             "    for fn in (oracle_pair_hp, oracle_pair_derivs_hp):\n"
+             "        v = fn(Kind.MODIFIED, 0.0, x)\n"
+             "        assert v.re > 0 and mag(v.re) > 2 ** 33 and v.im == 0, (fn.__name__, x)\n"
+             "print('ok')\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(imbessel.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert done.stdout.split() == ["ok"], done.stderr
 
 
 #: oracle_pair at zero and tiny orders, both kinds: nu -> x -> (OSC, MOD)

@@ -508,9 +508,10 @@ def test_rows_answer_below_the_normal_range_like_eval_pair(kind):
     assert points == 19
 
 
-#: sha256 of all seven fields over `_pinned_requests()`: any change to a
-#: returned byte in the benchmark's scalar ranges shows here
-_PAIR_DIGEST = "ff35eba265e421ce47ffcefd22b602b7e7b55e89de177f28660a5011d4f0bec4"
+#: sha256 of all seven fields over `_pinned_requests()`, or of a refusal's
+#: class name: any change to a returned byte in the benchmark's scalar
+#: ranges, or below the normal range, shows here
+_PAIR_DIGEST = "fba1a651403a68b4de95dd749a10c4678e8646c4e2ef35e8483a6085a4876feb"
 
 
 def _pinned_requests():
@@ -527,6 +528,20 @@ def _pinned_requests():
             requests.append((kind, nu, x, (1e-6, 1e-10, 1e-12)[rng.randrange(3)], None))
         else:
             requests.append((kind, nu, x, 1e-12, 8 * rng.randint(1, 8)))
+    # and the below-normal-range regime of `_point`: x log-uniform on
+    # [5e-324, 1e-150], orders 0, -0, the least subnormal, log-uniform on
+    # 1e-300..1e154 of either sign, or uniform on [-40, 40], searched at
+    # 1e-16..10 and forced at 1..400 terms
+    for i in range(1200):
+        kind = (OSC, MOD)[i % 2]
+        nu = (0.0, -0.0, 5e-324,
+              math.copysign(10.0 ** rng.uniform(-300.0, 154.0), rng.uniform(-1.0, 1.0)),
+              rng.uniform(-40.0, 40.0))[rng.randrange(5)]
+        x = math.exp(rng.uniform(math.log(5e-324), math.log(1e-150)))
+        if i % 4 < 2:
+            requests.append((kind, nu, x, 10.0 ** rng.uniform(-16.0, 1.0), None))
+        else:
+            requests.append((kind, nu, x, 1e-12, rng.randint(1, MAX_TERMS)))
     return requests
 
 
@@ -535,13 +550,15 @@ def test_pair_result_bytes_are_pinned():
     # terms_used, cos_part and sin_part
     digest = hashlib.sha256()
     for kind, nu, x, tol, terms in _pinned_requests():
-        digest.update(struct.pack("<ddddqdd", *eval_pair(kind, nu, x, tol, terms=terms)))
+        r = _outcome(eval_pair, kind, nu, x, tol, terms=terms)
+        digest.update(type(r).__name__.encode() if isinstance(r, Exception)
+                      else struct.pack("<ddddqdd", *r))
     assert digest.hexdigest() == _PAIR_DIGEST
 
 
 #: sha256 of both doubles of `oracle_pair` over `_pinned_oracle_points()`:
 #: the gold values every accuracy test is held to
-_ORACLE_DIGEST = "58f98acd03dac7c6a704e2cfda1d647c1574005ba3afaebd6f5c783acc62b292"
+_ORACLE_DIGEST = "9631cf81be7c3c5190b2e00058b1d7980bbd37258d1fd74ff9b630bed5a534bf"
 
 
 def _pinned_oracle_points():
@@ -565,6 +582,13 @@ def _pinned_oracle_points():
             x = rng.uniform(22.63, 30.0)
         else:
             x = math.exp(rng.uniform(math.log(1e-3), math.log(22.62)))
+        points.append((kind, nu, x))
+    # and past 22.63 up to 1e300, orders uniform on [-100, 100] or on
+    # [0, 3.5], x log-uniform on [22.63, 1e4] or on [22.63, 1e300]
+    for i in range(48):
+        kind = (OSC, MOD)[i % 2]
+        nu = rng.uniform(-100.0, 100.0) if i % 4 < 2 else rng.uniform(0.0, 3.5)
+        x = math.exp(rng.uniform(math.log(22.63), math.log((1e4, 1e300)[i % 3 == 0])))
         points.append((kind, nu, x))
     return points
 
