@@ -242,11 +242,14 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
     # cancel by a factor ~|nu|^(1/3), at the modified kind's turning
     # point x ~ |nu| (23 at |nu| = 1e4), far inside the 15 guard digits.
     # x^(i nu) is the rotation by nu ln x.  Its cos and sin carry the
-    # angle's absolute error, and an angle rounded to p bits is off by up
-    # to |nu ln x| 2^-p, so ln x and the product are rounded to prec +
-    # mag(nu) + 12 bits: |ln x| < 745 < 2^10 for every positive double x,
-    # so |nu ln x| < 2^(mag(nu) + 10), and the two roundings move the
-    # angle by less than 2^-prec.  `_cos_sin` gives cos and sin as
+    # angle's absolute error, so the angle is formed at p = prec + mag(nu)
+    # + 12 bits, |nu| < 2^mag(nu).  mpf_log gives ln x at q = prec + 12 +
+    # max(mag(nu), 8) >= p bits, within a unit of its last place, and it
+    # is rounded to p bits (exactly where q = p): together a relative
+    # error of at most 2^(1-p).  The product nu ln x, rounded to p bits,
+    # adds 2^-p, so the angle is off by under 3 |nu ln x| 2^-p; as |ln x|
+    # < 745 < 2^10 for every positive double x, |nu ln x| < 2^(mag(nu) +
+    # 10), and that is under 3/4 2^-prec.  `_cos_sin` gives cos and sin as
     # integers at 2^-wp, wp >= prec + 10: mod_pi2 reduces the angle by
     # multiples of pi/2 to within a unit of 2^-wp (it keeps 20 or more
     # bits against cancellation) and cos_sin_basecase is off by a few
@@ -260,10 +263,9 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
     # z, its power terms, the term the sums stop at and ln x depend on x
     # alone, so each x forms them once for all the orders and drops them
     # when it is done; an order's two weight lists are kept across the x
-    # and grown to each x's terms.  ln x is formed at the widest angle
-    # precision of the orders, and each order rounds it to its own: that
-    # is the one-point ln x unless ln x lies within some 2^-19 units of a
-    # tie at the order's precision (mpf_log rounds from 20 more bits).
+    # and grown to each x's terms.  q depends on the order alone, so an
+    # order's ln x is the one its one-point call forms, bit for bit; each
+    # x forms it once per distinct q, one mpf_log for every |nu| < 256.
     nus = [check_real(nu, "nu") for nu in nus]
     check_count(digits, "digits", MAX_DIGITS)
     xs = [check_positive(x, "x") for x in xs]
@@ -274,14 +276,15 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
     rows = [[] for _ in nus]
     with mp.workdps(max(50, digits) + 15):
         prec = mp.prec
-        ln_prec = prec + max(mags, default=0) + 12
+        ln_precs = [prec + 12 + max(mag, 8) for mag in mags]
+        distinct = set(ln_precs)
         for x in xs:
             x_f = from_float(x)
             z_f = mpf_shift(mpf_mul(x_f, x_f), -2)
             z_f = z_f if modified else mpf_neg(z_f)
-            ln_x = mpf_log(x_f, ln_prec, round_nearest)
+            ln_xs = {q: mpf_log(x_f, q, round_nearest) for q in distinct}
             powers = {}
-            for nu, nu_f, mag, ws, row in zip(nus, nu_fs, mags, weights, rows):
+            for nu, nu_f, mag, ln_prec, ws, row in zip(nus, nu_fs, mags, ln_precs, weights, rows):
                 if z_f[2] + z_f[3] < 8:
                     f_re, f_im, e = _series_0f1(ws, powers, nu, z_f, prec, derivative)
                 else:
@@ -289,7 +292,7 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
                 if derivative:
                     f_re, f_im, e = _fixed(*(mpf_div(from_man_exp(v, e), x_f, prec, round_nearest)
                                              for v in (f_re, f_im)))
-                c, s, ce = _cos_sin(nu_f, ln_x, prec + mag + 12, prec)
+                c, s, ce = _cos_sin(nu_f, ln_xs[ln_prec], prec + mag + 12, prec)
                 re, im, e = f_re * c - f_im * s, f_re * s + f_im * c, e + ce
                 if hp:
                     re, im = (mp.make_mpf(from_man_exp(v, e, prec, round_nearest)) for v in (re, im))

@@ -650,12 +650,131 @@ def test_a_list_that_does_not_parse_is_a_domain_error(capsys, argv, message):
 
 def test_a_reader_that_closes_the_pipe_gets_status_1_and_no_traceback():
     # `imbessel table ... | head -1`: 2 000 rows outgrow the pipe's buffer,
-    # so the writes after the reader leaves fail with EPIPE
+    # so the writes after the reader leaves fail with EPIPE; three orders
+    # of them are split across forked processes where two CPUs are usable
     src = str(Path(imbessel.__file__).resolve().parents[1])
-    proc = subprocess.Popen([sys.executable, "-m", "imbessel.cli", "table", "--nu", "1",
-                             "--x-steps", "2000"], env=dict(os.environ, PYTHONPATH=src),
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    assert proc.stdout.readline().startswith(b"x,nu,")
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert (proc.wait(timeout=60), err) == (1, b"")
+    for nus in ("1", "0.5,1,1.5"):
+        proc = subprocess.Popen([sys.executable, "-m", "imbessel.cli", "table", "--nu", nus,
+                                 "--x-steps", "2000"], env=dict(os.environ, PYTHONPATH=src),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"x,nu,")
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (1, b""), nus
+
+
+# ------------------------------------------------------------ split tables
+#
+# A large `table` on more than one usable CPU evaluates its orders in
+# contiguous chunks, each after the first in a forked child.  These tests
+# force the split on small grids by lowering `_SPLIT_POINTS` and setting
+# the usable CPUs, and count the forks.
+
+_SPLIT_NUS = "-0.5,0,1.5,3,7"
+
+
+@pytest.fixture
+def split(monkeypatch):
+    # split(cpus, argv, capsys) -> (code, stdout, stderr, forks), with
+    # `cpus` usable CPUs and a split at any size; no child is left
+    import imbessel.cli as cli
+
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(cli, "_SPLIT_POINTS", 1)
+
+    def run(cpus, argv, capsys):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        del forks[:]
+        code, out = run_cli(argv)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        return code, out, capsys.readouterr().err, len(forks)
+
+    return run
+
+
+def _serial(argv, capsys):
+    code, out = run_cli(argv)
+    return code, out, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", ["osc", "mod"])
+@pytest.mark.parametrize("terms", [[], ["--terms", "12"]])
+def test_a_split_table_is_the_serial_table(split, capsys, cpus, fmt, kind, terms):
+    argv = ["table", "--kind", kind, "--format", fmt, "--nu=" + _SPLIT_NUS, "--x-min", "1e-3",
+            "--x-max", "5", "--x-steps", "7", "--x-scale", "log"] + terms
+    serial = _serial(argv, capsys)
+    code, out, err, forks = split(cpus, argv, capsys)
+    assert forks == cpus - 1
+    assert (code, out, err) == serial
+    assert code == 0 and out.count("\n") > 35
+
+
+@pytest.mark.parametrize("nus, code", [
+    ("1e200,0,1,2,3", 3),      # in the first chunk, which this process runs
+    ("0,1,2,3,1e200", 3),      # in the last chunk
+    ("0,1,inf,2,1e200", 2),    # in a middle chunk, before one in the last
+    ("0,1e200,2,3,inf", 3),    # in the first chunk, before one in the last
+])
+def test_a_split_table_refuses_as_the_serial_table(split, capsys, nus, code):
+    argv = ["table", "--nu=" + nus, "--x-steps", "3"]
+    serial = _serial(argv, capsys)
+    assert serial[:2] == (code, "") and serial[2]
+    assert split(3, argv, capsys) == serial + (2,)
+
+
+def test_a_split_table_whose_child_fails_runs_that_chunk_itself(split, capsys, monkeypatch):
+    # a child that cannot reply (here: marshal fails in it) ends with
+    # status 1, and this process evaluates its chunk instead
+    import marshal
+
+    argv = ["table", "--nu=" + _SPLIT_NUS, "--x-steps", "5"]
+    serial = _serial(argv, capsys)
+
+    def fail(value):
+        raise MemoryError
+
+    monkeypatch.setattr(marshal, "dumps", fail)
+    assert split(3, argv, capsys) == serial + (2,)
+
+
+def test_a_table_that_cannot_fork_is_the_serial_table(split, capsys, monkeypatch):
+    argv = ["table", "--nu=" + _SPLIT_NUS, "--x-steps", "5"]
+    serial = _serial(argv, capsys)
+
+    def no_fork():
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert split(3, argv, capsys)[:3] == serial
+
+
+def test_a_table_with_one_cpu_or_a_second_thread_never_forks(split, capsys, monkeypatch):
+    import threading
+
+    argv = ["table", "--nu=" + _SPLIT_NUS, "--x-steps", "5"]
+    serial = _serial(argv, capsys)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    assert split(1, argv, capsys) == serial + (0,)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert split(2, argv, capsys)[:3] == serial
+    finally:
+        stop.set()
+        thread.join()

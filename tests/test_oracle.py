@@ -377,10 +377,25 @@ def _assert_grid_is_its_points(kind, nus, xs):
                    min_size=1, max_size=4))
 @example(kind=OSC, nus=[1e150, 0.0, -1e-300, 1e-300, 2.5], xs=[22.62, 1e-3, 9.5])
 @example(kind=MOD, nus=[-2.5, 1e150, 0.0], xs=[9.5, 1e-3, 22.62, 1e-3])
+# orders of two magnitudes below 256: ln x once formed at the wider
+# order's angle precision and rounded to each order's own moved these
+@example(kind=MOD, nus=[32.0, 16.840378905261716], xs=[16.0])
+@example(kind=OSC, nus=[32.0, 64.0], xs=[1.7829862414866318e-209])
 def test_gold_grid_equals_its_points(kind, nus, xs):
     # any mix of orders over any x below 22.63, in any order: each row
     # of values, hp values and hp derivatives is its one-point calls
     _assert_grid_is_its_points(kind, nus, xs)
+
+
+@pytest.mark.parametrize("kind", [OSC, MOD])
+@pytest.mark.parametrize("nus", [[1.5, 3.0], [32.0, 64.0]])
+def test_gold_grid_of_two_magnitudes_equals_its_points(kind, nus):
+    # the same property on a fixed draw: 150 x in [1e-5, 20] for two
+    # orders of different magnitudes; with ln x rounded twice, 6 of 16
+    # such draws (4 seeds, both grids and kinds) missed 1 or 2 points,
+    # these 2 of their 4
+    rng = random.Random(f"two-magnitudes/{nus}")
+    _assert_grid_is_its_points(kind, nus, [rng.uniform(1e-5, 20.0) for _ in range(150)])
 
 
 def _sum_past_stop(w_re, w_im, us, nu, z, wp, extra=30):
