@@ -24,6 +24,13 @@ sine-type part at |nu| below ~1e-60) may have none.  Doubling the
 working precision must not move any result past that declaration
 (tests enforce this).  The independent second code for the gold pair
 that the tests compare it with is in `tests/references.py`.
+The working precision is an argument of every call: the oracle never
+reads or sets mpmath's global precision and takes no lock, so mpmath
+code on other threads and the oracle do not disturb each other.
+`hyp0f1` runs on a private mpmath context, one per thread, built at
+that thread's first x past 22.63: that call takes ~1.7 ms longer than
+the next (the context and the series summers mpmath compiles into it),
+and the context holds ~50-80 KB.
 
 Cost, measured on one core of a 2-vCPU VM (Python 3.11.7): the gold
 pair at 50 digits takes ~0.031-0.034 ms per point in a grid (the
@@ -37,15 +44,14 @@ x from 22.63 to 30), and 0.1-1.3 ms at large x or order (x up to 700,
 refused region, where mpmath's series peaks near its 8 000th term.
 """
 
-import functools
 import math
 import threading
 from operator import mul
 from typing import NamedTuple
 
-from mpmath import mp, mpc, mpf
-from mpmath.libmp import (from_float, from_man_exp, fzero, mpf_cos_sin, mpf_div, mpf_log,
-                          mpf_mul, mpf_neg, mpf_pos, mpf_shift, round_nearest)
+from mpmath import MPContext, mp, mpf
+from mpmath.libmp import (dps_to_prec, from_float, from_man_exp, fzero, mpf_cos_sin, mpf_div,
+                          mpf_log, mpf_mul, mpf_neg, mpf_pos, mpf_shift, round_nearest)
 from mpmath.libmp.libelefun import cos_sin_basecase, mod_pi2
 from mpmath.libmp.libhyper import NoConvergence
 
@@ -57,19 +63,9 @@ MAX_DIGITS = 200
 # the furthest term at which mpmath's 0F1 series may peak (`_hyp0f1`)
 _PEAK_TERMS = 8000
 
-# mpmath precision is process-global state; serializing oracle entry
-# points keeps them safe to call from concurrent threads.  Reentrant
-# because the operations compose.
-_MP_LOCK = threading.RLock()
-
-
-def _locked(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        with _MP_LOCK:
-            return fn(*args, **kwargs)
-
-    return wrapper
+# each thread's own mpmath context for `_hyp0f1`, built at its first
+# call there: mpmath's global context `mp` is shared with every thread
+_THREAD = threading.local()
 
 
 class OracleValue(NamedTuple):
@@ -182,38 +178,43 @@ def _cos_sin(nu_f, ln_x, wp: int, prec: int):
     return c, -s if sign else s, -wp
 
 
-def _hyp0f1(nu: float, x: float, z_f, derivative: bool):
+def _hyp0f1(nu: float, x: float, z_f, derivative: bool, prec: int):
     # 0F1(; b; z) (i nu 0F1 + 2 z 0F1'(z) when `derivative`) past
     # mag(z) = 8 by mpmath's hyp0f1, as exact parts (re, im, e), at the
-    # working precision mp.prec.  hyp0f1 sums the asymptotic 2F0 first,
-    # with at most P = mp.prec + 22 + mag(z) // 2 terms (its own and
-    # hypercomb's guard bits), whose ratio is ((k + 1/2)^2 + nu^2) /
-    # (2 x (k + 1)): where nu^2 > 2 x (P + 42) every term rises, so it
-    # cannot converge and is skipped.  Then it sums the 0F1 series, whose
-    # terms rise while |z| > k |b + k - 1|; where they still rise at
-    # k = _PEAK_TERMS it is cut at its first term, as its cost grows with
-    # the square of that peak (~1 s per call at 8 000 terms, 4-8 s to
-    # fail at ~25 000).  Where neither can run, the pair is refused
-    # before hyp0f1 is called; mpmath's own failures are refusals too.
-    # Both tests are in logarithms: nu^2 and x^2 may overflow.
+    # working precision `prec`, on this thread's own mpmath context.
+    # hyp0f1 sums the asymptotic 2F0 first, with at most
+    # P = prec + 22 + mag(z) // 2 terms (its own and hypercomb's guard
+    # bits), whose ratio is ((k + 1/2)^2 + nu^2) / (2 x (k + 1)): where
+    # nu^2 > 2 x (P + 42) every term rises, so it cannot converge and is
+    # skipped.  Then it sums the 0F1 series, whose terms rise while
+    # |z| > k |b + k - 1|; where they still rise at k = _PEAK_TERMS it is
+    # cut at its first term, as its cost grows with the square of that
+    # peak (~1 s per call at 8 000 terms, 4-8 s to fail at ~25 000).
+    # Where neither can run, the pair is refused before hyp0f1 is called;
+    # mpmath's own failures are refusals too.  Both tests are in
+    # logarithms: nu^2 and x^2 may overflow.
     v = abs(nu)
     log_x = math.log(x)
     mag = z_f[2] + z_f[3]
-    no_2f0 = v > 0.0 and 2.0 * math.log(v) > math.log(2.0 * (mp.prec + 64 + mag // 2)) + log_x
+    no_2f0 = v > 0.0 and 2.0 * math.log(v) > math.log(2.0 * (prec + 64 + mag // 2)) + log_x
     no_0f1 = 2.0 * log_x > math.log(4.0 * _PEAK_TERMS) + math.log(math.hypot(_PEAK_TERMS, v))
     if no_2f0 and no_0f1:
         raise ToleranceError(f"the gold pair is out of reach at nu={nu}, x={x}")
     caps = {"force_series": no_2f0}
     if no_0f1:
         caps["maxterms"] = 0
-    z, b = mp.make_mpf(z_f), mpc(1, nu)
+    ctx = getattr(_THREAD, "ctx", None)
+    if ctx is None:
+        ctx = _THREAD.ctx = MPContext()
+    ctx.prec = prec
+    z, b = ctx.make_mpf(z_f), ctx.mpc(1, nu)
     try:
-        f = mp.hyp0f1(b, z, **caps)
+        f = ctx.hyp0f1(b, z, **caps)
         if derivative:
-            f = mpc(0, nu) * f + 2 * z * mp.hyp0f1(b + 1, z, **caps) / b
+            f = ctx.mpc(0, nu) * f + 2 * z * ctx.hyp0f1(b + 1, z, **caps) / b
     except (NoConvergence, ValueError) as exc:
         raise ToleranceError(f"the gold pair does not converge at nu={nu}, x={x}") from exc
-    return _fixed(*((f._mpf_, fzero) if isinstance(f, mpf) else f._mpc_))
+    return _fixed(*((f._mpf_, fzero) if isinstance(f, ctx.mpf) else f._mpc_))
 
 
 def _double(man, ex) -> float:
@@ -227,7 +228,6 @@ def _double(man, ex) -> float:
         return -math.inf if man < 0 else math.inf
 
 
-@_locked
 def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
     # The gold pair (its d/dx when `derivative`) of each order of `nus` at
     # each x of `xs`, one row per order: doubles (cos_part, sin_part), or
@@ -266,6 +266,8 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
     # and grown to each x's terms.  q depends on the order alone, so an
     # order's ln x is the one its one-point call forms, bit for bit; each
     # x forms it once per distinct q, one mpf_log for every |nu| < 256.
+    # prec, the bits of max(50, digits) + 15 decimal digits, is passed to
+    # every call that rounds: nothing reads mpmath's global precision.
     nus = [check_real(nu, "nu") for nu in nus]
     check_count(digits, "digits", MAX_DIGITS)
     xs = [check_positive(x, "x") for x in xs]
@@ -274,29 +276,28 @@ def _gold_grid(kind: Kind, nus, xs, digits: int, derivative=False, hp=False):
     mags = [max(0, nu_f[2] + nu_f[3]) for nu_f in nu_fs]
     weights = [{} for _ in nus]
     rows = [[] for _ in nus]
-    with mp.workdps(max(50, digits) + 15):
-        prec = mp.prec
-        ln_precs = [prec + 12 + max(mag, 8) for mag in mags]
-        distinct = set(ln_precs)
-        for x in xs:
-            x_f = from_float(x)
-            z_f = mpf_shift(mpf_mul(x_f, x_f), -2)
-            z_f = z_f if modified else mpf_neg(z_f)
-            ln_xs = {q: mpf_log(x_f, q, round_nearest) for q in distinct}
-            powers = {}
-            for nu, nu_f, mag, ln_prec, ws, row in zip(nus, nu_fs, mags, ln_precs, weights, rows):
-                if z_f[2] + z_f[3] < 8:
-                    f_re, f_im, e = _series_0f1(ws, powers, nu, z_f, prec, derivative)
-                else:
-                    f_re, f_im, e = _hyp0f1(nu, x, z_f, derivative)
-                if derivative:
-                    f_re, f_im, e = _fixed(*(mpf_div(from_man_exp(v, e), x_f, prec, round_nearest)
-                                             for v in (f_re, f_im)))
-                c, s, ce = _cos_sin(nu_f, ln_xs[ln_prec], prec + mag + 12, prec)
-                re, im, e = f_re * c - f_im * s, f_re * s + f_im * c, e + ce
-                if hp:
-                    re, im = (mp.make_mpf(from_man_exp(v, e, prec, round_nearest)) for v in (re, im))
-                row.append(OracleValue(re, im, digits) if hp else (_double(re, e), _double(im, e)))
+    prec = dps_to_prec(max(50, digits) + 15)
+    ln_precs = [prec + 12 + max(mag, 8) for mag in mags]
+    distinct = set(ln_precs)
+    for x in xs:
+        x_f = from_float(x)
+        z_f = mpf_shift(mpf_mul(x_f, x_f), -2)
+        z_f = z_f if modified else mpf_neg(z_f)
+        ln_xs = {q: mpf_log(x_f, q, round_nearest) for q in distinct}
+        powers = {}
+        for nu, nu_f, mag, ln_prec, ws, row in zip(nus, nu_fs, mags, ln_precs, weights, rows):
+            if z_f[2] + z_f[3] < 8:
+                f_re, f_im, e = _series_0f1(ws, powers, nu, z_f, prec, derivative)
+            else:
+                f_re, f_im, e = _hyp0f1(nu, x, z_f, derivative, prec)
+            if derivative:
+                f_re, f_im, e = _fixed(*(mpf_div(from_man_exp(v, e), x_f, prec, round_nearest)
+                                         for v in (f_re, f_im)))
+            c, s, ce = _cos_sin(nu_f, ln_xs[ln_prec], prec + mag + 12, prec)
+            re, im, e = f_re * c - f_im * s, f_re * s + f_im * c, e + ce
+            if hp:
+                re, im = (mp.make_mpf(from_man_exp(v, e, prec, round_nearest)) for v in (re, im))
+            row.append(OracleValue(re, im, digits) if hp else (_double(re, e), _double(im, e)))
     return rows
 
 

@@ -10,8 +10,9 @@ quadrature of its exponential integral representation.  `hp_gamma`
 times `hp_bessel_imag` is therefore a second, independent code for the
 gold pair.  `coefficients_hp` runs the series' coefficient recurrence
 and `truncated_pair_hp` its N-step partial sums in extended precision.
-The values are the oracle's `OracleValue`, with its digit declaration,
-its `MAX_DIGITS` and its mpmath lock.
+The values are the oracle's `OracleValue`, with its digit declaration
+and its `MAX_DIGITS`.  Unlike the oracle, they set mpmath's global
+precision (`mp.workdps`), so they are for one thread at a time.
 
 Cost, measured on one core of a 2-vCPU VM (Python 3.11.7):
 `hp_bessel_imag` takes ~5-50 ms at x up to 700 and |nu| up to 100, and
@@ -29,7 +30,7 @@ from mpmath.libmp import from_float, mpf_cos_sin, mpf_log, mpf_mul, round_neares
 
 from imbessel._backend import MAX_TERMS
 from imbessel.errors import DomainError, ToleranceError, check_count, check_positive, check_real
-from imbessel.oracle import MAX_DIGITS, OracleValue, _locked
+from imbessel.oracle import MAX_DIGITS, OracleValue
 from imbessel.series_core import Kind, _is_modified
 
 #: The most digits `kl_macdonald` delivers: its quadrature took ~0.9 s
@@ -67,7 +68,6 @@ def _stirling_log_gamma(w, wp):
     return s + correction
 
 
-@_locked
 def hp_gamma(z_re: float, z_im: float, digits: int = 50) -> OracleValue:
     """Gamma(z) for complex z to `digits` decimal digits.
 
@@ -166,7 +166,6 @@ def _defining_series(kind: Kind, order, x: float, digits: int, extra: int = 0):
         wp = declared + 5 + math.ceil(lost)
 
 
-@_locked
 def hp_bessel_imag(nu: float, x: float, kind: Kind, digits: int = 50) -> OracleValue:
     """J_{i nu}(x) (oscillatory) or I_{i nu}(x) (modified) by direct
     complex summation of the defining series.
@@ -205,7 +204,6 @@ def _phase(nu: float, x: float, prec: int):
     return mpf_cos_sin(angle, prec, round_nearest)
 
 
-@_locked
 def coefficients_hp(kind: Kind, nu: float, seed, n_terms: int, digits: int = 50):
     """The coefficient pairs (a_n, b_n), n = 1..n_terms, of one seed.
 
@@ -226,7 +224,6 @@ def coefficients_hp(kind: Kind, nu: float, seed, n_terms: int, digits: int = 50)
         return pairs
 
 
-@_locked
 def truncated_pair_hp(kind: Kind, nu: float, x: float, n_terms: int, digits: int = 50):
     """The exact N-step partial sums of both basis functions.
 
@@ -282,7 +279,6 @@ def _romberg(f, a, b, tol, max_levels=16):
     raise ToleranceError("panel quadrature failed to converge")
 
 
-@_locked
 def kl_macdonald(tau: float, x: float, digits: int = 13) -> OracleValue:
     """K_{i tau}(x) via the integral of exp(-x cosh t) cos(tau t) over
     t >= 0.

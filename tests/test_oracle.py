@@ -8,11 +8,13 @@ and the gold pair against Gamma times the Bessel reference.
 """
 
 import hashlib
+import io
 import math
 import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -505,9 +507,13 @@ def test_zero_order_derivative_at_tiny_x_takes_one_rerun(kind, x):
 def test_gold_row_calls_hyp0f1_only_from_mag_z_8(monkeypatch, derivative):
     # x <= 22.62 (|z| < 128) is summed in the row, x = 22.63 by mpmath's
     # 0F1: once for the value, twice (b and b + 1) for the derivative
+    # mpmath's contexts share their class's hyp0f1; this thread's own one
+    # is built first, as building a context resets the class's functions
     calls = []
-    real = mp.hyp0f1
-    monkeypatch.setattr(mp, "hyp0f1", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    oracle_pair(OSC, 1.5, 30.0)
+    real = type(mp).hyp0f1
+    monkeypatch.setattr(type(mp), "hyp0f1",
+                        lambda ctx, *args, **kwargs: calls.append(args) or real(ctx, *args, **kwargs))
     for kind in (OSC, MOD):
         _gold_grid(kind, [1.5], [1e-3, 1.0, 10.0, 20.0, 22.62], 50, derivative=derivative)
         assert calls == []
@@ -660,6 +666,96 @@ def test_zero_and_tiny_angles_keep_their_bytes():
                     v = fn(kind, nu, x)
                     digest.update(repr([tuple(map(int, p._mpf_)) for p in v[:2]]).encode())
     assert digest.hexdigest() == _TINY_ANGLE_HP_DIGEST
+
+
+# ---------------------------------------------------------------- threads
+
+def _failing_on_mp(prop):
+    # an mpmath context's precision property whose getter and setter
+    # fail on the global context `mp`, and work on any other context
+    def checked(fn):
+        def access(ctx, *args):
+            if ctx is mp:
+                raise AssertionError("mpmath's global precision was read or set")
+            return fn(ctx, *args)
+
+        return access
+
+    return property(checked(prop.fget), checked(prop.fset))
+
+
+def test_the_oracle_never_reads_or_sets_mpmaths_global_precision(monkeypatch):
+    # on both sides of x = 22.63, where the fixed-point sums hand over to
+    # mpmath's hyp0f1, and through the CLI commands that call the oracle
+    from imbessel import cli
+
+    for name in ("prec", "dps"):
+        monkeypatch.setattr(type(mp), name, _failing_on_mp(getattr(type(mp), name)))
+    for kind in (OSC, MOD):
+        for x in (2.0, 30.0):
+            oracle_pair(kind, 1.5, x)
+            oracle_pair_hp(kind, 1.5, x)
+            oracle_pair_derivs_hp(kind, 1.5, x)
+        out = io.StringIO()
+        argv = ["compare", "--kind", "mod" if kind is MOD else "osc", "--x-min", "20",
+                "--x-max", "26", "--x-steps", "4", "--nu", "0,1.5", "--terms", "400"]
+        assert cli.main(argv, out) == 0
+        assert out.getvalue().splitlines()[-1].startswith("status=PASS")
+    assert cli.main(["bounds", "--nu", "1", "--x", "30"], io.StringIO()) == 0
+
+
+def _beside(work, calls):
+    # runs `work(stop)` on a second thread while the main thread makes
+    # `calls()`, then stops and joins it; the threads switch every 0.1 ms
+    # meanwhile, not every 5 ms, so they interleave within an oracle call
+    stop = threading.Event()
+    thread = threading.Thread(target=work, args=(stop,))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    thread.start()
+    try:
+        calls()
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+        sys.setswitchinterval(interval)
+    assert not thread.is_alive()
+
+
+def test_the_oracle_leaves_the_precision_of_other_threads_alone():
+    # a division at mpmath's global 53 bits on another thread keeps its
+    # 53 bits while the oracle runs at its 219
+    assert mp.prec == 53
+    third = mpf(1) / 3
+    counts = {"done": 0, "wrong": 0}
+
+    def divide(stop):
+        while not stop.is_set():
+            counts["wrong"] += mpf(1) / 3 != third
+            counts["done"] += 1
+
+    _beside(divide, lambda: [oracle_pair(OSC, 1.5, 2.0) for _ in range(300)])
+    assert counts["done"] > 0
+    assert counts["wrong"] == 0, counts
+
+
+def test_another_threads_precision_leaves_the_oracle_alone():
+    # mpmath's global precision flipping between 30 and 53 bits on another
+    # thread moves no bit of the gold pair where mpmath's hyp0f1 sums it
+    points = [(0.5, 100.0)] * 8 + [(1.5, 30.0)] * 40
+    quiet = {p: oracle_pair_hp(OSC, *p) for p in set(points)}
+    got = []
+
+    def flip(stop):
+        while not stop.is_set():
+            mp.prec = 30
+            mp.prec = 53
+
+    try:
+        _beside(flip, lambda: got.extend((p, oracle_pair_hp(OSC, *p)) for p in points))
+    finally:
+        mp.prec = 53
+    assert [p for p, v in got if v != quiet[p]] == []
 
 
 # ------------------------------------------------------------- lazy import
