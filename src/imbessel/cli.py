@@ -34,9 +34,11 @@ chunks: this process evaluates and formats the first, and a forked child
 each other, sending it back over a pipe.  A table stays in this process
 where k < 2 (one usable CPU, one order, or fewer than 2 `_SPLIT_POINTS`
 points), where `os.fork` is missing, and where the process runs a second
-thread.  The bytes and the refusal are the serial loop's: the chunks are
-read in order, the first refusal among them is raised, and nothing is
-written until every chunk is in.  `compare` is serial.
+thread.  The chunks are read in order, and nothing is written until
+every chunk is in.  A chunk whose child does not answer (it refused, or
+failed otherwise) is evaluated in this process, so the bytes, the exit
+code and the refusal are the serial loop's; a refused chunk is thus
+evaluated twice.  `compare` is serial.
 
 Imports are lazy where a command alone needs them: `compare` and
 `bounds` import the oracle, and with it mpmath, when they run, and
@@ -80,7 +82,8 @@ _SPLIT_POINTS = 1000
 
 def __getattr__(name):
     # the lazy imports of the module docstring: `oracle_pair` and
-    # `tail_bound` resolve here on first access (PEP 562)
+    # `tail_bound` resolve here on first access (PEP 562).  Only the
+    # benchmark's tracer reads these names; ROADMAP 1a removes them
     if name == "oracle_pair":
         from .oracle import oracle_pair
 
@@ -199,13 +202,11 @@ def _chunks(nus, points):
 
 def _forked_map(fn, parts):
     # [fn(part) for part in parts], the first part here and each other in
-    # a forked child that sends its result back over a pipe (marshal);
-    # a refusal is raised as the serial loop raises it, the first in part
-    # order.  A child that fails otherwise (or a fork that fails) leaves
-    # its part to this process, so that failure is the serial one too.
-    # No child outlives the call: each is reaped, killed first if
-    # abandoned
-    refusals = {cls.__name__: cls for cls in (DomainError, ToleranceError)}
+    # a forked child that sends its result back over a pipe (marshal).  A
+    # child that does not answer (it refused, or failed otherwise) or a
+    # fork that fails leaves its part to this process, so the results, or
+    # the first refusal in part order, are the serial loop's.  No child
+    # outlives the call: each is reaped, killed first if abandoned
     children = []  # [pid, read end] per forked part, in part order
     try:
         for part in parts[1:]:
@@ -220,12 +221,8 @@ def _forked_map(fn, parts):
                 status = 1
                 try:
                     os.close(r)
-                    try:
-                        reply = ("", fn(part))
-                    except (DomainError, ToleranceError) as exc:
-                        reply = (type(exc).__name__, str(exc))
                     with open(w, "wb") as pipe:
-                        pipe.write(marshal.dumps(reply))
+                        pipe.write(marshal.dumps(fn(part)))
                     status = 0
                 finally:
                     os._exit(status)
@@ -237,10 +234,7 @@ def _forked_map(fn, parts):
                 data = pipe.read()
             status = os.waitpid(child[0], 0)[1]
             child[0] = None
-            name, value = marshal.loads(data) if status == 0 else (None, None)
-            if name in refusals:
-                raise refusals[name](value)
-            results.append(value if name == "" else fn(part))
+            results.append(marshal.loads(data) if status == 0 else fn(part))
         return results + [fn(part) for part in parts[len(results):]]
     finally:
         for pid, pipe in children:

@@ -27,10 +27,12 @@ that the tests compare it with is in `tests/references.py`.
 The working precision is an argument of every call: the oracle never
 reads or sets mpmath's global precision and takes no lock, so mpmath
 code on other threads and the oracle do not disturb each other.
-`hyp0f1` runs on a private mpmath context, one per thread, built at
-that thread's first x past 22.63: that call takes ~1.7 ms longer than
-the next (the context and the series summers mpmath compiles into it),
-and the context holds ~50-80 KB.
+`hyp0f1` runs on an instance of a private mpmath context class, one
+per thread, built at that thread's first x past 22.63: mpmath's
+constructor sets its special functions on that class, not on the one
+`mp` shares.  That call takes ~1.7 ms longer than the next (the context
+and the series summers mpmath compiles into it), and the context holds
+~50-80 KB.
 
 Cost, measured on one core of a 2-vCPU VM (Python 3.11.7): the gold
 pair at 50 digits takes ~0.031-0.034 ms per point in a grid (the
@@ -66,6 +68,12 @@ _PEAK_TERMS = 8000
 # each thread's own mpmath context for `_hyp0f1`, built at its first
 # call there: mpmath's global context `mp` is shared with every thread
 _THREAD = threading.local()
+
+
+class _Context(MPContext):
+    """`_hyp0f1`'s per-thread contexts: mpmath's constructor sets its
+    special functions on the instance's class, so on this one, not on the
+    class that `mp` shares."""
 
 
 class OracleValue(NamedTuple):
@@ -205,7 +213,7 @@ def _hyp0f1(nu: float, x: float, z_f, derivative: bool, prec: int):
         caps["maxterms"] = 0
     ctx = getattr(_THREAD, "ctx", None)
     if ctx is None:
-        ctx = _THREAD.ctx = MPContext()
+        ctx = _THREAD.ctx = _Context()
     ctx.prec = prec
     z, b = ctx.make_mpf(z_f), ctx.mpc(1, nu)
     try:

@@ -54,9 +54,10 @@ _new = tuple.__new__
 
 
 def __getattr__(name):
-    # Nothing here uses the a-priori bounds (eval_pair's kernel chooses N),
-    # but the benchmark's tracer binds these names on this module; they
-    # resolve, loading error_bounds, on first access (PEP 562)
+    # Nothing here uses the a-priori bounds (eval_pair's kernel chooses N);
+    # only the benchmark's tracer reads these names on this module, and
+    # ROADMAP 1a removes them.  They resolve, loading error_bounds, on
+    # first access (PEP 562)
     if name in ("derivative_tail_bound", "required_terms", "tail_bound"):
         from . import error_bounds
 

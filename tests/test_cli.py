@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -675,11 +676,8 @@ _SPLIT_NUS = "-0.5,0,1.5,3,7"
 
 
 @pytest.fixture
-def split(monkeypatch):
-    # split(cpus, argv, capsys) -> (code, stdout, stderr, forks), with
-    # `cpus` usable CPUs and a split at any size; no child is left
-    import imbessel.cli as cli
-
+def forks(monkeypatch):
+    # one item per call of os.fork
     forks = []
     fork = os.fork
 
@@ -688,6 +686,15 @@ def split(monkeypatch):
         return fork()
 
     monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@pytest.fixture
+def split(monkeypatch, forks):
+    # split(cpus, argv, capsys) -> (code, stdout, stderr, forks), with
+    # `cpus` usable CPUs and a split at any size; no child is left
+    import imbessel.cli as cli
+
     monkeypatch.setattr(cli, "_SPLIT_POINTS", 1)
 
     def run(cpus, argv, capsys):
@@ -778,3 +785,44 @@ def test_a_table_with_one_cpu_or_a_second_thread_never_forks(split, capsys, monk
     finally:
         stop.set()
         thread.join()
+
+
+class _Refused(imbessel.ToleranceError):
+    pass
+
+
+def _answer(part):
+    # a value, a refusal, another failure, or a value marshal cannot send
+    how, n = part
+    if how == "domain":
+        raise imbessel.DomainError(f"domain {n}")
+    if how == "tolerance":
+        raise _Refused(f"tolerance {n}")
+    if how == "zero":
+        return n / 0
+    return Fraction(n, 3) if how == "fraction" else [n, n / 4, str(n)]
+
+
+def _outcome(call):
+    try:
+        return call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("parts", [
+    [("value", 1), ("value", 2), ("fraction", 3), ("value", 4)],
+    [("value", 1), ("domain", 2), ("tolerance", 3)],
+    [("value", 1), ("zero", 2), ("domain", 3)],
+    [("tolerance", 1), ("value", 2), ("domain", 3)],
+    [("value", 1), ("fraction", 2), ("tolerance", 3)],
+    [("zero", 1)],
+])
+def test_forked_map_is_the_serial_map(forks, parts):
+    from imbessel.cli import _forked_map
+
+    serial = _outcome(lambda: [_answer(part) for part in parts])
+    assert _outcome(lambda: _forked_map(_answer, parts)) == serial
+    assert len(forks) == len(parts) - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

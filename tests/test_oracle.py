@@ -34,7 +34,7 @@ from imbessel import (
     oracle_pair_derivs_hp,
     oracle_pair_hp,
 )
-from imbessel.oracle import OracleValue, _double, _gold_grid, _series_0f1
+from imbessel.oracle import OracleValue, _Context, _double, _gold_grid, _series_0f1
 from references import hp_bessel_imag, hp_gamma, kl_macdonald, truncated_pair_hp
 
 OSC = Kind.OSCILLATORY
@@ -507,12 +507,13 @@ def test_zero_order_derivative_at_tiny_x_takes_one_rerun(kind, x):
 def test_gold_row_calls_hyp0f1_only_from_mag_z_8(monkeypatch, derivative):
     # x <= 22.62 (|z| < 128) is summed in the row, x = 22.63 by mpmath's
     # 0F1: once for the value, twice (b and b + 1) for the derivative
-    # mpmath's contexts share their class's hyp0f1; this thread's own one
-    # is built first, as building a context resets the class's functions
+    # the oracle's contexts share their private class's hyp0f1; this
+    # thread's own one is built first, as building a context resets the
+    # class's functions
     calls = []
     oracle_pair(OSC, 1.5, 30.0)
-    real = type(mp).hyp0f1
-    monkeypatch.setattr(type(mp), "hyp0f1",
+    real = _Context.hyp0f1
+    monkeypatch.setattr(_Context, "hyp0f1",
                         lambda ctx, *args, **kwargs: calls.append(args) or real(ctx, *args, **kwargs))
     for kind in (OSC, MOD):
         _gold_grid(kind, [1.5], [1e-3, 1.0, 10.0, 20.0, 22.62], 50, derivative=derivative)
@@ -520,6 +521,28 @@ def test_gold_row_calls_hyp0f1_only_from_mag_z_8(monkeypatch, derivative):
         _gold_grid(kind, [1.5], [22.63], 50, derivative=derivative)
         assert len(calls) == (2 if derivative else 1)
         calls.clear()
+
+
+def test_a_new_threads_oracle_context_leaves_mpmaths_shared_class_alone(monkeypatch):
+    # a thread's first x past 22.63 builds its context; mpmath's
+    # constructor sets the special functions on the context's class,
+    # which must not be the class `mp` shares
+    calls = []
+    real = type(mp).hyp0f1
+
+    def counted(ctx, *args, **kwargs):
+        calls.append(args)
+        return real(ctx, *args, **kwargs)
+
+    monkeypatch.setattr(type(mp), "hyp0f1", counted)
+    thread = threading.Thread(target=oracle_pair, args=(OSC, 1.5, 30.0))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert type(mp).__dict__["hyp0f1"] is counted
+    calls.clear()
+    mp.hyp0f1(1.5, 2.0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("kind", [OSC, MOD])
